@@ -67,13 +67,13 @@
 //! The export is syntax-validated and must contain serve-lane spans
 //! before it is written.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use halide_bench::HarnessConfig;
+use halide_bench::{Args, CliSpec, HarnessConfig};
 use halide_pipelines::{AppKind, ScheduleChoice};
 use halide_serve::{AimdConfig, PipelineServer, Priority, Request, ServeConfig, ServeError};
+use halide_trace::JsonValue;
 
 /// The mixed app set measured cold vs. warm: two light pipelines (where the
 /// run dominates) and two deep ones (where compilation dominates — the
@@ -143,6 +143,9 @@ struct ServeBenchConfig {
 /// Cold/warm runs at thumbnail size (see the module docs for why).
 const COLD_WARM_SIZE: (i64, i64) = (64, 32);
 
+/// The `--full` tier's request size.
+const FULL_RES_SIZE: (i64, i64) = (1920, 1080);
+
 impl ServeBenchConfig {
     fn from_harness(h: &HarnessConfig) -> Self {
         // The scaling phase is capped at a medium image: large enough that
@@ -160,27 +163,63 @@ impl ServeBenchConfig {
     }
 }
 
+/// Everything one run measures: what `BENCH_serve.json` records and the
+/// gates read.
+struct Report {
+    cfg: ServeBenchConfig,
+    rows: Vec<AppRow>,
+    scaling: Vec<ScalingRow>,
+    pool_hit_rate: f64,
+    pool_peak_bytes: u64,
+    pool_peak_outstanding: u64,
+    /// `(app, width, height, best warm ms)` per app of the full-resolution tier.
+    full_res: Vec<(&'static str, i64, i64, f64)>,
+    overload: OverloadReport,
+}
+
+const SPEC: CliSpec = CliSpec {
+    usage: "bench_serve [--quick|--full] [--threads N] [--out FILE] [--trace FILE]",
+    subcommands: &[],
+    switches: &[],
+    valued: &["--out", "--trace"],
+};
+
 fn main() {
-    let harness = HarnessConfig::from_args();
-    let cfg = ServeBenchConfig::from_harness(&harness);
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::from_env(&SPEC);
+    let cfg = ServeBenchConfig::from_harness(&args.config());
+    let trace_out = args.value("--trace");
     if trace_out.is_some() {
         // The whole run is traced — the perf gates below then also prove
         // that serving with tracing on still clears them.
         halide_trace::set_enabled(true);
     }
 
+    let report = measure(cfg, args.full().then_some(FULL_RES_SIZE));
+
+    let out_path = args.value("--out").unwrap_or("BENCH_serve.json");
+    let mut json = String::new();
+    report.to_json().write_pretty(&mut json);
+    std::fs::write(out_path, &json).expect("writing the benchmark artifact");
+    println!("wrote {out_path}");
+
+    report.check_gates(args.full());
+
+    if let Some(path) = trace_out {
+        let json = halide_trace::export_json();
+        halide_trace::validate_json_syntax(&json).expect("exported trace is well-formed JSON");
+        let events = halide_trace::global().events();
+        assert!(
+            events.iter().any(|e| e.pid == halide_trace::PID_SERVE),
+            "a traced serving run must record request-lifecycle spans"
+        );
+        std::fs::write(path, &json).expect("writing the trace export");
+        println!("wrote {path} ({} events)", events.len());
+    }
+}
+
+/// Runs the cold/warm rows, the scaling grid, the full-resolution tier
+/// (when `full_res_size` is given) and the overload scenario.
+fn measure(cfg: ServeBenchConfig, full_res_size: Option<(i64, i64)>) -> Report {
     // ---- cold vs. warm per app (thumbnail size) -------------------------
     let (w, h) = COLD_WARM_SIZE;
     let mut rows: Vec<AppRow> = Vec::new();
@@ -288,11 +327,8 @@ fn main() {
     // pooled buffers, one thread per request. Best of two measured
     // requests after one priming call — at 2MPix a single request runs
     // long enough that scheduling noise is immaterial.
-    const FULL_RES_SIZE: (i64, i64) = (1920, 1080);
-    let full_tier = args.iter().any(|a| a == "--full");
-    let mut full_res: Vec<(&'static str, f64)> = Vec::new();
-    if full_tier {
-        let (w, h) = FULL_RES_SIZE;
+    let mut full_res = Vec::new();
+    if let Some((w, h)) = full_res_size {
         for app in APPS {
             let srv = server(1);
             let input = Arc::new(app.make_input(w, h));
@@ -305,218 +341,254 @@ fn main() {
                 best = best.min(resp.latency.as_secs_f64() * 1e3);
             }
             eprintln!("{:<20} warm {w}x{h} {best:>10.2}ms", app.name());
-            full_res.push((app.name(), best));
+            full_res.push((app.name(), w, h, best));
         }
     }
 
-    // ---- overload scenario ----------------------------------------------
-    let overload = run_overload_scenario();
-
-    // ---- emit ------------------------------------------------------------
-    let gate_names: Vec<&'static str> = GATE_APPS.iter().map(|a| a.name()).collect();
-    let cold_total: f64 = rows
-        .iter()
-        .filter(|r| gate_names.contains(&r.app))
-        .map(|r| r.cold_ms)
-        .sum();
-    let warm_total: f64 = rows
-        .iter()
-        .filter(|r| gate_names.contains(&r.app))
-        .map(|r| r.warm_best_ms)
-        .sum();
-    let warm_over_cold = cold_total / warm_total;
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{ \"cold_warm_size\": [{}, {}], \"scaling_size\": [{w}, {h}], \"threads_per_request\": 1, \"cores\": {}, \"warm_reps\": {}, \"cold_reps\": {} }},",
-        COLD_WARM_SIZE.0,
-        COLD_WARM_SIZE.1,
-        halide_runtime::num_threads_default(),
-        cfg.warm_reps,
-        cfg.cold_reps
-    );
-    json.push_str("  \"apps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{ \"app\": \"{}\", \"cold_ms\": {:.3}, \"warm_best_ms\": {:.3}, \"warm_p50_ms\": {:.3}, \"warm_p95_ms\": {:.3}, \"warm_p99_ms\": {:.3}, \"warm_over_cold\": {:.2} }}",
-            r.app, r.cold_ms, r.warm_best_ms, r.warm_p50_ms, r.warm_p95_ms, r.warm_p99_ms, r.cold_ms / r.warm_best_ms
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    Report {
+        cfg,
+        rows,
+        scaling,
+        pool_hit_rate,
+        pool_peak_bytes,
+        pool_peak_outstanding,
+        full_res,
+        overload: run_overload_scenario(),
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"scaling\": [\n");
-    for (i, s) in scaling.iter().enumerate() {
-        let _ = write!(json, "    {{ \"app\": \"{}\"", s.app);
-        for (c, rps) in CLIENT_COUNTS.iter().zip(&s.rps) {
-            let _ = write!(json, ", \"clients_{c}_rps\": {rps:.1}");
-        }
-        for (c, rps) in CLIENT_COUNTS.iter().zip(&s.raw_rps) {
-            let _ = write!(json, ", \"raw_{c}_threads_rps\": {rps:.1}");
-        }
-        let _ = write!(
-            json,
-            ", \"speedup_4_clients\": {:.2}, \"raw_ceiling_4_threads\": {:.2}, \"efficiency_vs_raw_4\": {:.2}",
-            s.rps[2] / s.rps[0],
-            s.raw_rps[2] / s.raw_rps[0],
-            s.rps[2] / s.raw_rps[2]
-        );
-        json.push_str(if i + 1 < scaling.len() {
-            " },\n"
-        } else {
-            " }\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"full_res\": [\n");
-    for (i, (name, ms)) in full_res.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{ \"app\": \"{name}\", \"width\": {}, \"height\": {}, \"warm_ms\": {ms:.3} }}",
-            FULL_RES_SIZE.0, FULL_RES_SIZE.1,
-        );
-        json.push_str(if i + 1 < full_res.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"overload\": {{ \"slots\": {}, \"queue_capacity\": {}, \"capacity_rps\": {:.1}, \"capacity_p99_ms\": {:.3}, \"offered_clients\": {}, \"ok\": {}, \"rejected\": {}, \"shed\": {}, \"goodput_rps\": {:.1}, \"goodput_ratio\": {:.3}, \"high_unc_p99_ms\": {:.3}, \"high_priority_p99_ms\": {:.3}, \"high_p99_over_unc\": {:.2}, \"coalesce_clients\": {}, \"coalesce_realizations\": {}, \"coalesce_cold_compiles\": {}, \"coalesce_fanout\": {}, \"adaptive_initial_limit\": {}, \"adaptive_peak_limit\": {} }},",
-        overload.slots,
-        overload.queue_capacity,
-        overload.capacity_rps,
-        overload.capacity_p99_ms,
-        overload.offered_clients,
-        overload.ok,
-        overload.rejected,
-        overload.shed,
-        overload.goodput_rps,
-        overload.goodput_ratio,
-        overload.high_unc_p99_ms,
-        overload.high_p99_ms,
-        overload.high_p99_over_unc,
-        overload.coalesce_clients,
-        overload.coalesce_realizations,
-        overload.coalesce_cold_compiles,
-        overload.coalesce_fanout,
-        overload.adaptive_initial,
-        overload.adaptive_peak,
-    );
-    let _ = writeln!(json, "  \"pool_hit_rate\": {:.4},", pool_hit_rate);
-    let _ = writeln!(
-        json,
-        "  \"pool\": {{ \"peak_in_use_bytes\": {pool_peak_bytes}, \"peak_outstanding\": {pool_peak_outstanding} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{ \"apps\": {gate_names:?}, \"cold_ms_total\": {cold_total:.3}, \"warm_ms_total\": {warm_total:.3}, \"warm_over_cold\": {warm_over_cold:.2} }}"
-    );
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("writing the benchmark artifact");
-    println!("wrote {out_path}");
+}
 
-    // ---- gates -----------------------------------------------------------
-    println!("warm over cold on the gate set {gate_names:?}: {warm_over_cold:.2}x");
-    assert!(
-        warm_over_cold >= 3.0,
-        "warm-path throughput must be at least 3x the compile-per-request \
-         baseline on the compile-dominated gate set, got {warm_over_cold:.2}x"
-    );
-    println!("steady-state pool hit rate: {:.1}%", 100.0 * pool_hit_rate);
-    assert!(
-        pool_hit_rate > 0.90,
-        "steady-state requests must be served from the buffer pool \
-         (hit rate > 90%), got {:.1}%",
-        100.0 * pool_hit_rate
-    );
-    if full_tier {
+impl Report {
+    /// Cold and warm ms summed over the compile-dominated gate set.
+    fn gate_totals(&self) -> (f64, f64) {
+        let gate_rows = || {
+            self.rows
+                .iter()
+                .filter(|r| GATE_APPS.iter().any(|a| a.name() == r.app))
+        };
+        (
+            gate_rows().map(|r| r.cold_ms).sum(),
+            gate_rows().map(|r| r.warm_best_ms).sum(),
+        )
+    }
+
+    /// The `BENCH_serve.json` document.
+    fn to_json(&self) -> JsonValue {
+        let ms = |x: f64| JsonValue::rounded(x, 3);
+        let rps = |x: f64| JsonValue::rounded(x, 1);
+        let ratio = |x: f64| JsonValue::rounded(x, 2);
+        let size = |(w, h): (i64, i64)| JsonValue::from(vec![w, h]);
+        let apps: Vec<JsonValue> = self
+            .rows
+            .iter()
+            .map(|r| {
+                JsonValue::object([
+                    ("app", JsonValue::from(r.app)),
+                    ("cold_ms", ms(r.cold_ms)),
+                    ("warm_best_ms", ms(r.warm_best_ms)),
+                    ("warm_p50_ms", ms(r.warm_p50_ms)),
+                    ("warm_p95_ms", ms(r.warm_p95_ms)),
+                    ("warm_p99_ms", ms(r.warm_p99_ms)),
+                    ("warm_over_cold", ratio(r.cold_ms / r.warm_best_ms)),
+                ])
+            })
+            .collect();
+        let scaling: Vec<JsonValue> = self
+            .scaling
+            .iter()
+            .map(|s| {
+                let mut fields = vec![("app".to_string(), JsonValue::from(s.app))];
+                for (c, x) in CLIENT_COUNTS.iter().zip(&s.rps) {
+                    fields.push((format!("clients_{c}_rps"), rps(*x)));
+                }
+                for (c, x) in CLIENT_COUNTS.iter().zip(&s.raw_rps) {
+                    fields.push((format!("raw_{c}_threads_rps"), rps(*x)));
+                }
+                for (key, x) in [
+                    ("speedup_4_clients", s.rps[2] / s.rps[0]),
+                    ("raw_ceiling_4_threads", s.raw_rps[2] / s.raw_rps[0]),
+                    ("efficiency_vs_raw_4", s.rps[2] / s.raw_rps[2]),
+                ] {
+                    fields.push((key.to_string(), ratio(x)));
+                }
+                JsonValue::Object(fields)
+            })
+            .collect();
+        let full_res: Vec<JsonValue> = self
+            .full_res
+            .iter()
+            .map(|&(app, w, h, warm_ms)| {
+                JsonValue::object([
+                    ("app", JsonValue::from(app)),
+                    ("width", w.into()),
+                    ("height", h.into()),
+                    ("warm_ms", ms(warm_ms)),
+                ])
+            })
+            .collect();
+        let o = &self.overload;
+        let overload = JsonValue::object([
+            ("slots", JsonValue::from(o.slots)),
+            ("queue_capacity", o.queue_capacity.into()),
+            ("capacity_rps", rps(o.capacity_rps)),
+            ("capacity_p99_ms", ms(o.capacity_p99_ms)),
+            ("offered_clients", o.offered_clients.into()),
+            ("ok", o.ok.into()),
+            ("rejected", o.rejected.into()),
+            ("shed", o.shed.into()),
+            ("goodput_rps", rps(o.goodput_rps)),
+            ("goodput_ratio", JsonValue::rounded(o.goodput_ratio, 3)),
+            ("high_unc_p99_ms", ms(o.high_unc_p99_ms)),
+            ("high_priority_p99_ms", ms(o.high_p99_ms)),
+            ("high_p99_over_unc", ratio(o.high_p99_over_unc)),
+            ("coalesce_clients", o.coalesce_clients.into()),
+            ("coalesce_realizations", o.coalesce_realizations.into()),
+            ("coalesce_cold_compiles", o.coalesce_cold_compiles.into()),
+            ("coalesce_fanout", o.coalesce_fanout.into()),
+            ("adaptive_initial_limit", o.adaptive_initial.into()),
+            ("adaptive_peak_limit", o.adaptive_peak.into()),
+        ]);
+        let (cold_total, warm_total) = self.gate_totals();
+        let gate_names: Vec<&str> = GATE_APPS.iter().map(|a| a.name()).collect();
+        JsonValue::object([
+            (
+                "config",
+                JsonValue::object([
+                    ("cold_warm_size", size(COLD_WARM_SIZE)),
+                    ("scaling_size", size((self.cfg.width, self.cfg.height))),
+                    ("threads_per_request", 1u32.into()),
+                    ("cores", halide_runtime::num_threads_default().into()),
+                    ("warm_reps", self.cfg.warm_reps.into()),
+                    ("cold_reps", self.cfg.cold_reps.into()),
+                ]),
+            ),
+            ("apps", apps.into()),
+            ("scaling", scaling.into()),
+            ("full_res", full_res.into()),
+            ("overload", overload),
+            ("pool_hit_rate", JsonValue::rounded(self.pool_hit_rate, 4)),
+            (
+                "pool",
+                JsonValue::object([
+                    ("peak_in_use_bytes", self.pool_peak_bytes),
+                    ("peak_outstanding", self.pool_peak_outstanding),
+                ]),
+            ),
+            (
+                "gate",
+                JsonValue::object([
+                    ("apps", JsonValue::from(gate_names)),
+                    ("cold_ms_total", ms(cold_total)),
+                    ("warm_ms_total", ms(warm_total)),
+                    ("warm_over_cold", ratio(cold_total / warm_total)),
+                ]),
+            ),
+        ])
+    }
+
+    /// The serving gates (see the module docs); panics on the first one
+    /// that does not hold.
+    fn check_gates(&self, full_tier: bool) {
+        let &Report {
+            ref scaling,
+            pool_hit_rate,
+            pool_peak_bytes,
+            pool_peak_outstanding,
+            ref full_res,
+            ref overload,
+            ..
+        } = self;
+        let gate_names: Vec<&'static str> = GATE_APPS.iter().map(|a| a.name()).collect();
+        let (cold_total, warm_total) = self.gate_totals();
+        let warm_over_cold = cold_total / warm_total;
+        println!("warm over cold on the gate set {gate_names:?}: {warm_over_cold:.2}x");
         assert!(
-            full_res.len() == APPS.len(),
-            "--full must measure every served app at 1080p"
+            warm_over_cold >= 3.0,
+            "warm-path throughput must be at least 3x the compile-per-request \
+             baseline on the compile-dominated gate set, got {warm_over_cold:.2}x"
         );
-    }
-    println!(
-        "overload goodput: {:.0} req/s = {:.0}% of the {:.0} req/s capacity \
-         (rejected {}, shed {})",
-        overload.goodput_rps,
-        100.0 * overload.goodput_ratio,
-        overload.capacity_rps,
-        overload.rejected,
-        overload.shed
-    );
-    assert!(
-        overload.goodput_ratio >= 0.80,
-        "shed-mode goodput must stay at >= 80% of measured capacity \
-         (shedding protects throughput, it must not destroy it), got {:.0}%",
-        100.0 * overload.goodput_ratio
-    );
-    println!(
-        "overload high-priority p99: {:.3}ms = {:.2}x its uncontended p99 ({:.3}ms)",
-        overload.high_p99_ms, overload.high_p99_over_unc, overload.high_unc_p99_ms
-    );
-    assert!(
-        overload.high_p99_over_unc <= 2.0,
-        "queue-jumping high-priority p99 must stay within 2x its uncontended \
-         warm p99 even while normal traffic floods and sheds, got {:.2}x",
-        overload.high_p99_over_unc
-    );
-    assert!(
-        overload.rejected > 0 && overload.shed > 0,
-        "the shed phase must actually exercise both degradation paths \
-         (rejected {}, shed {})",
-        overload.rejected,
-        overload.shed
-    );
-    assert!(
-        overload.coalesce_realizations == 1 && overload.coalesce_cold_compiles == 1,
-        "a coalesced batch must compile once and realize once, got {} compiles / {} realizations",
-        overload.coalesce_cold_compiles,
-        overload.coalesce_realizations
-    );
-    assert_eq!(
-        overload.coalesce_fanout,
-        (overload.coalesce_clients - 1) as u64,
-        "every non-leader in the coalesced batch must be served by fan-out"
-    );
-    assert!(
-        overload.adaptive_peak > overload.adaptive_initial,
-        "the AIMD controller must discover a wider limit than its starting \
-         width under healthy saturated traffic, got {} -> {}",
-        overload.adaptive_initial,
-        overload.adaptive_peak
-    );
-    for s in &scaling {
+        println!("steady-state pool hit rate: {:.1}%", 100.0 * pool_hit_rate);
+        assert!(
+            pool_hit_rate > 0.90,
+            "steady-state requests must be served from the buffer pool \
+             (hit rate > 90%), got {:.1}%",
+            100.0 * pool_hit_rate
+        );
+        if full_tier {
+            assert!(
+                full_res.len() == APPS.len(),
+                "--full must measure every served app at 1080p"
+            );
+        }
         println!(
-            "{}: 4-client scaling {:.2}x over 1 client (raw-thread ceiling on this \
-             {}-core machine: {:.2}x; serving efficiency {:.0}% of raw)",
-            s.app,
-            s.rps[2] / s.rps[0],
-            halide_runtime::num_threads_default(),
-            s.raw_rps[2] / s.raw_rps[0],
-            100.0 * s.rps[2] / s.raw_rps[2]
+            "overload goodput: {:.0} req/s = {:.0}% of the {:.0} req/s capacity \
+             (rejected {}, shed {})",
+            overload.goodput_rps,
+            100.0 * overload.goodput_ratio,
+            overload.capacity_rps,
+            overload.rejected,
+            overload.shed
         );
-    }
-    println!(
-        "pool peaks across the scaling grid: {pool_peak_bytes} bytes in use, \
-         {pool_peak_outstanding} buffers outstanding"
-    );
-    assert!(
-        pool_peak_bytes > 0 && pool_peak_outstanding > 0,
-        "the scaling grid checks out pooled buffers, so the pool's peak \
-         gauges must have registered them"
-    );
-
-    if let Some(path) = trace_out {
-        let json = halide_trace::export_json();
-        halide_trace::validate_json_syntax(&json).expect("exported trace is well-formed JSON");
-        let events = halide_trace::global().events();
         assert!(
-            events.iter().any(|e| e.pid == halide_trace::PID_SERVE),
-            "a traced serving run must record request-lifecycle spans"
+            overload.goodput_ratio >= 0.80,
+            "shed-mode goodput must stay at >= 80% of measured capacity \
+             (shedding protects throughput, it must not destroy it), got {:.0}%",
+            100.0 * overload.goodput_ratio
         );
-        std::fs::write(&path, &json).expect("writing the trace export");
-        println!("wrote {path} ({} events)", events.len());
+        println!(
+            "overload high-priority p99: {:.3}ms = {:.2}x its uncontended p99 ({:.3}ms)",
+            overload.high_p99_ms, overload.high_p99_over_unc, overload.high_unc_p99_ms
+        );
+        assert!(
+            overload.high_p99_over_unc <= 2.0,
+            "queue-jumping high-priority p99 must stay within 2x its uncontended \
+             warm p99 even while normal traffic floods and sheds, got {:.2}x",
+            overload.high_p99_over_unc
+        );
+        assert!(
+            overload.rejected > 0 && overload.shed > 0,
+            "the shed phase must actually exercise both degradation paths \
+             (rejected {}, shed {})",
+            overload.rejected,
+            overload.shed
+        );
+        assert!(
+            overload.coalesce_realizations == 1 && overload.coalesce_cold_compiles == 1,
+            "a coalesced batch must compile once and realize once, got {} compiles / {} realizations",
+            overload.coalesce_cold_compiles,
+            overload.coalesce_realizations
+        );
+        assert_eq!(
+            overload.coalesce_fanout,
+            (overload.coalesce_clients - 1) as u64,
+            "every non-leader in the coalesced batch must be served by fan-out"
+        );
+        assert!(
+            overload.adaptive_peak > overload.adaptive_initial,
+            "the AIMD controller must discover a wider limit than its starting \
+             width under healthy saturated traffic, got {} -> {}",
+            overload.adaptive_initial,
+            overload.adaptive_peak
+        );
+        for s in scaling {
+            println!(
+                "{}: 4-client scaling {:.2}x over 1 client (raw-thread ceiling on this \
+                 {}-core machine: {:.2}x; serving efficiency {:.0}% of raw)",
+                s.app,
+                s.rps[2] / s.rps[0],
+                halide_runtime::num_threads_default(),
+                s.raw_rps[2] / s.raw_rps[0],
+                100.0 * s.rps[2] / s.raw_rps[2]
+            );
+        }
+        println!(
+            "pool peaks across the scaling grid: {pool_peak_bytes} bytes in use, \
+             {pool_peak_outstanding} buffers outstanding"
+        );
+        assert!(
+            pool_peak_bytes > 0 && pool_peak_outstanding > 0,
+            "the scaling grid checks out pooled buffers, so the pool's peak \
+             gauges must have registered them"
+        );
     }
 }
 
@@ -924,4 +996,32 @@ fn run_overload_scenario() -> OverloadReport {
         report.adaptive_peak,
     );
     report
+}
+
+#[cfg(test)]
+#[path = "../artifact_layout.rs"]
+mod artifact_layout;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick measurement with the repetition counts cut down: what it
+    /// writes parses back to the same document and has the sections, in
+    /// order and with the same keys, of the checked-in `BENCH_serve.json`
+    /// (which predates the `pool` gauges section).
+    #[test]
+    fn artifact_round_trips_and_matches_the_checked_in_layout() {
+        let cfg = ServeBenchConfig {
+            width: 64,
+            height: 32,
+            cold_reps: 1,
+            warm_reps: 2,
+            scaling_per_client: 2,
+            scaling_rounds: 1,
+        };
+        let doc = measure(cfg, Some((64, 32))).to_json();
+        let checked_in = include_str!("../../../../BENCH_serve.json");
+        artifact_layout::assert_matches_checked_in(&doc, checked_in, &["pool"]);
+    }
 }

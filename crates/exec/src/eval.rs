@@ -129,9 +129,9 @@ impl Context {
         self.gpu_used.load(Ordering::Relaxed)
     }
 
-    /// Marks the GPU as used; returns whether it already was.
-    pub(crate) fn mark_gpu_used(&self) -> bool {
-        self.gpu_used.swap(true, Ordering::Relaxed)
+    /// Marks the GPU as used.
+    pub(crate) fn mark_gpu_used(&self) {
+        self.gpu_used.store(true, Ordering::Relaxed);
     }
 }
 
@@ -584,9 +584,11 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
             // entry rather than once per iteration.
             let (hoisted, inner) = peel_invariant_lets(body, name);
             match kind {
-                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled => {
+                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled | ForKind::GpuThread => {
                     // Vectorized/unrolled loops only reach the executor when
                     // the corresponding pass was disabled; run them serially.
+                    // GPU threads within a block run serially too (their data
+                    // parallelism is already exposed by the block loop).
                     for (n, v) in &hoisted {
                         let value = eval_expr(v, frame, ctx)?;
                         frame.env.push(n.to_string(), value);
@@ -606,11 +608,16 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
                     }
                     Ok(())
                 }
-                ForKind::Parallel => {
+                ForKind::Parallel | ForKind::GpuBlock => {
+                    let mut base = frame.clone();
+                    // A GPU block loop is a parallel loop on the host pool
+                    // preceded by the simulated launch's accounting.
+                    if *kind == ForKind::GpuBlock && gpu_launch(body, frame, ctx) {
+                        base.env.push(IN_GPU_KERNEL, Value::bool(true));
+                    }
                     // Each hoisted value is evaluated against the frame
                     // extended so far, so later lets can reference earlier
                     // ones (and rebindings shadow correctly).
-                    let mut base = frame.clone();
                     for (n, v) in &hoisted {
                         let value = eval_expr(v, &base, ctx)?;
                         base.env.push(n.to_string(), value);
@@ -629,9 +636,6 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
                         Some(e) => Err(e),
                         None => Ok(()),
                     }
-                }
-                ForKind::GpuBlock | ForKind::GpuThread => {
-                    self_gpu_launch(name, min_v, extent_v, *kind, body, frame, ctx)
                 }
             }
         }
@@ -747,81 +751,33 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
     }
 }
 
-/// Executes a GPU block/thread loop nest as a simulated kernel launch: the
-/// device performs lazy copies for the buffers the kernel touches, the launch
-/// is counted, and the grid runs on the host thread pool.
-fn self_gpu_launch(
-    name: &str,
-    min_v: i64,
-    extent_v: i64,
-    kind: ForKind,
-    body: &Stmt,
-    frame: &mut Frame,
-    ctx: &Context,
-) -> Result<()> {
-    let launching = kind == ForKind::GpuBlock && !ctx.gpu_used.swap(true, Ordering::Relaxed);
-    // Count one launch per outermost block loop encountered while the device
-    // is idle; nested block loops of the same kernel do not relaunch.
-    let is_outer_block = kind == ForKind::GpuBlock && !frame.env.contains("__in_gpu_kernel");
-    if is_outer_block {
-        ctx.gpu.launch(&ctx.counters);
-        let (reads, writes) = buffers_touched(body);
-        for r in &reads {
-            if let Ok(buf) = frame.buffer(r) {
-                ctx.gpu
-                    .ensure_on_device(r, buf.size_bytes() as u64, &ctx.counters);
-            }
-        }
-        for w in &writes {
-            if let Ok(buf) = frame.buffer(w) {
-                ctx.gpu.mark_device_dirty(w, buf.size_bytes() as u64);
-            }
-        }
-    }
-    let _ = launching;
+/// Environment marker bound inside a simulated kernel, so nested block
+/// loops of the same kernel do not relaunch.
+const IN_GPU_KERNEL: &str = "__in_gpu_kernel";
 
-    // Hoist the body's leading invariant (and load-free) lets: computed once
-    // per launch, visible to every block/thread.
-    let (hoisted, inner) = peel_invariant_lets(body, name);
-    let base = {
-        let mut f = frame.clone();
-        if is_outer_block {
-            f.env.push("__in_gpu_kernel", Value::bool(true));
-        }
-        // Evaluate against the frame extended so far, so chained hoisted
-        // lets (a later value referencing an earlier name) resolve.
-        for (n, v) in &hoisted {
-            let value = eval_expr(v, &f, ctx)?;
-            f.env.push(n.to_string(), value);
-        }
-        f
-    };
-    // Blocks run in parallel on the host pool; threads within a block run
-    // serially (their data parallelism is already exposed by the block loop).
-    if kind == ForKind::GpuBlock {
-        ctx.pool.parallel_for(min_v, extent_v, &ctx.counters, |i| {
-            if ctx.has_failed() {
-                return;
-            }
-            let mut f = base.clone();
-            f.env.push(name.to_string(), Value::int(i));
-            if let Err(e) = eval_stmt(inner, &mut f, ctx) {
-                ctx.record_error(e);
-            }
-        });
-        match ctx.take_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    } else {
-        let mut f = base;
-        f.env.push(name.to_string(), Value::int(0));
-        for i in min_v..min_v + extent_v {
-            *f.env.get_mut(name).expect("loop variable just pushed") = Value::int(i);
-            eval_stmt(inner, &mut f, ctx)?;
-        }
-        Ok(())
+/// The accounting prelude of a GPU block loop: marks the device in use
+/// and, for the outermost block loop of a kernel, counts one launch and
+/// performs the lazy copies for the buffers the kernel touches. Returns
+/// whether this loop launched the kernel.
+fn gpu_launch(body: &Stmt, frame: &Frame, ctx: &Context) -> bool {
+    ctx.mark_gpu_used();
+    if frame.env.contains(IN_GPU_KERNEL) {
+        return false;
     }
+    ctx.gpu.launch(&ctx.counters);
+    let (reads, writes) = buffers_touched(body);
+    for r in &reads {
+        if let Ok(buf) = frame.buffer(r) {
+            ctx.gpu
+                .ensure_on_device(r, buf.size_bytes() as u64, &ctx.counters);
+        }
+    }
+    for w in &writes {
+        if let Ok(buf) = frame.buffer(w) {
+            ctx.gpu.mark_device_dirty(w, buf.size_bytes() as u64);
+        }
+    }
+    true
 }
 
 #[cfg(test)]

@@ -1196,9 +1196,11 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let min_v = eval(prog, min, m, ctx)?.as_int()?;
             let extent_v = eval(prog, extent, m, ctx)?.as_int()?;
             match kind {
-                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled => {
+                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled | ForKind::GpuThread => {
                     // Vectorized/unrolled loops only reach execution when the
-                    // corresponding pass was disabled; run them serially.
+                    // corresponding pass was disabled; run them serially. GPU
+                    // threads within a block run serially too (their data
+                    // parallelism is already exposed by the block loop).
                     for h in hoisted {
                         exec(prog, h, m, ctx)?;
                     }
@@ -1211,7 +1213,11 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                     }
                     Ok(())
                 }
-                ForKind::Parallel => {
+                ForKind::Parallel | ForKind::GpuBlock => {
+                    // A GPU block loop is a parallel loop on the host pool
+                    // preceded by the simulated launch's accounting.
+                    let launched =
+                        *kind == ForKind::GpuBlock && gpu_launch(prog, gpu.as_ref(), m, ctx);
                     for h in hoisted {
                         exec(prog, h, m, ctx)?;
                     }
@@ -1222,6 +1228,7 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                                 return;
                             }
                             let mut mm = base.clone();
+                            mm.in_gpu_kernel |= launched;
                             for i in start..end {
                                 mm.regs[*slot as usize] = CValue::S(Scalar::Int(i));
                                 if let Err(e) = exec(prog, body, &mut mm, ctx) {
@@ -1237,18 +1244,6 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                         None => Ok(()),
                     }
                 }
-                ForKind::GpuBlock | ForKind::GpuThread => gpu_launch(
-                    prog,
-                    *slot,
-                    min_v,
-                    extent_v,
-                    *kind,
-                    hoisted,
-                    body,
-                    gpu.as_ref(),
-                    m,
-                    ctx,
-                ),
             }
         }
         CStmt::Store { buf, value, index } => {
@@ -1394,90 +1389,41 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
     }
 }
 
-/// Executes a GPU block/thread loop as a simulated kernel launch, mirroring
-/// `eval::self_gpu_launch` but with the touched-buffer scan done at compile
-/// time.
-#[allow(clippy::too_many_arguments)]
+/// The accounting prelude of a GPU block loop, mirroring the interpreter's
+/// (`eval::gpu_launch`) but with the touched-buffer scan done at compile
+/// time: marks the device in use and, for the outermost block loop of a
+/// kernel, counts one launch and performs the lazy copies for the buffers
+/// the kernel touches. Returns whether this loop launched the kernel
+/// (nested block loops of the same kernel do not relaunch).
 fn gpu_launch(
     prog: &Program,
-    slot: u32,
-    min_v: i64,
-    extent_v: i64,
-    kind: ForKind,
-    hoisted: &[CStmt],
-    body: &CStmt,
     gpu: Option<&crate::compile::GpuTouch>,
-    m: &mut Machine,
+    m: &Machine,
     ctx: &Context,
-) -> Result<()> {
-    if kind == ForKind::GpuBlock {
-        ctx.mark_gpu_used();
+) -> bool {
+    ctx.mark_gpu_used();
+    if m.in_gpu_kernel {
+        return false;
     }
-    // Count one launch per outermost block loop encountered while the device
-    // is idle; nested block loops of the same kernel do not relaunch.
-    let is_outer_block = kind == ForKind::GpuBlock && !m.in_gpu_kernel;
-    if is_outer_block {
-        ctx.gpu.launch(&ctx.counters);
-        if let Some(touch) = gpu {
-            for r in &touch.reads {
-                if let Some(buf) = &m.bufs[*r as usize] {
-                    ctx.gpu.ensure_on_device(
-                        &prog.buf_names[*r as usize],
-                        buf.size_bytes() as u64,
-                        &ctx.counters,
-                    );
-                }
+    ctx.gpu.launch(&ctx.counters);
+    if let Some(touch) = gpu {
+        for r in &touch.reads {
+            if let Some(buf) = &m.bufs[*r as usize] {
+                ctx.gpu.ensure_on_device(
+                    &prog.buf_names[*r as usize],
+                    buf.size_bytes() as u64,
+                    &ctx.counters,
+                );
             }
-            for w in &touch.writes {
-                if let Some(buf) = &m.bufs[*w as usize] {
-                    ctx.gpu
-                        .mark_device_dirty(&prog.buf_names[*w as usize], buf.size_bytes() as u64);
-                }
+        }
+        for w in &touch.writes {
+            if let Some(buf) = &m.bufs[*w as usize] {
+                ctx.gpu
+                    .mark_device_dirty(&prog.buf_names[*w as usize], buf.size_bytes() as u64);
             }
         }
     }
-
-    // Hoisted invariant lets: computed once per launch, visible to every
-    // block/thread.
-    let mut base = m.clone();
-    if is_outer_block {
-        base.in_gpu_kernel = true;
-    }
-    for h in hoisted {
-        exec(prog, h, &mut base, ctx)?;
-    }
-    // Blocks run in parallel on the host pool; threads within a block run
-    // serially (their data parallelism is already exposed by the block loop).
-    if kind == ForKind::GpuBlock {
-        let base_ref: &Machine = &base;
-        ctx.pool
-            .parallel_for_chunks(min_v, extent_v, &ctx.counters, |start, end| {
-                if ctx.has_failed() {
-                    return;
-                }
-                let mut mm = base_ref.clone();
-                for i in start..end {
-                    mm.regs[slot as usize] = CValue::S(Scalar::Int(i));
-                    if let Err(e) = exec(prog, body, &mut mm, ctx) {
-                        ctx.record_error(e);
-                    }
-                    if ctx.has_failed() {
-                        return;
-                    }
-                }
-            });
-        match ctx.take_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    } else {
-        let mut mm = base;
-        for i in min_v..min_v + extent_v {
-            mm.regs[slot as usize] = CValue::S(Scalar::Int(i));
-            exec(prog, body, &mut mm, ctx)?;
-        }
-        Ok(())
-    }
+    true
 }
 
 #[cfg(test)]

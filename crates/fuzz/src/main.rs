@@ -9,15 +9,17 @@
 //! case written into `--corpus-dir` (default `tests/corpus/`) as
 //! `fuzz_seed_<seed>.case` — the file a `cargo test` replay then guards
 //! forever. Exits nonzero if any case failed. `--stats-out` additionally
-//! writes a small JSON stats report (used by the bench harness's
-//! `fuzz_stats` bin).
+//! writes a JSON stats report: throughput, per-phase time (generate /
+//! lower / differential matrix), and how often each grammar op and
+//! schedule directive was exercised.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use halide_fuzz::{corpus, grammar, run, shrink};
+use halide_trace::JsonValue;
 
 struct Args {
     cases: u64,
@@ -140,6 +142,8 @@ fn main() -> ExitCode {
     }
 
     let start = Instant::now();
+    let (mut gen_time, mut lower_time, mut matrix_time) =
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     let mut failures: Vec<(u64, String)> = Vec::new();
     let mut stage_count = 0usize;
     let mut op_hist: BTreeMap<&'static str, usize> = BTreeMap::new();
@@ -147,7 +151,9 @@ fn main() -> ExitCode {
 
     for i in 0..args.cases {
         let seed = args.seed + i;
+        let t = Instant::now();
         let case = grammar::generate(seed);
+        gen_time += t.elapsed();
         stage_count += case.stages.len();
         for s in &case.stages {
             *op_hist.entry(s.op.tag()).or_default() += 1;
@@ -155,7 +161,13 @@ fn main() -> ExitCode {
                 *dir_hist.entry(d.tag()).or_default() += 1;
             }
         }
-        match run::run_case(&case) {
+        let t = Instant::now();
+        let lowered = run::lower_case(&case);
+        lower_time += t.elapsed();
+        let t = Instant::now();
+        let outcome = lowered.and_then(|module| run::run_case_lowered(&case, &module));
+        matrix_time += t.elapsed();
+        match outcome {
             Ok(()) => {
                 if !args.quiet && (i + 1) % 100 == 0 {
                     eprintln!("[halide-fuzz] {}/{} cases ok", i + 1, args.cases);
@@ -194,7 +206,14 @@ fn main() -> ExitCode {
         per_sec,
         failures.len()
     );
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     if !args.quiet {
+        println!(
+            "  generate {:.1} ms, lower {:.1} ms, differential matrix {:.1} ms",
+            ms(gen_time),
+            ms(lower_time),
+            ms(matrix_time)
+        );
         let fmt = |h: &BTreeMap<&str, usize>| {
             h.iter()
                 .map(|(k, v)| format!("{k}={v}"))
@@ -206,24 +225,23 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.stats_out {
-        let hist_json = |h: &BTreeMap<&str, usize>| {
-            h.iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let json = format!(
-            "{{\n  \"cases\": {},\n  \"stages\": {},\n  \"failures\": {},\n  \
-             \"elapsed_ms\": {:.3},\n  \"cases_per_sec\": {:.2},\n  \
-             \"ops\": {{{}}},\n  \"directives\": {{{}}}\n}}\n",
-            args.cases,
-            stage_count,
-            failures.len(),
-            elapsed.as_secs_f64() * 1e3,
-            per_sec,
-            hist_json(&op_hist),
-            hist_json(&dir_hist),
-        );
+        let hist =
+            |h: &BTreeMap<&'static str, usize>| JsonValue::object(h.iter().map(|(k, v)| (*k, *v)));
+        let mut json = String::new();
+        JsonValue::object([
+            ("cases", JsonValue::from(args.cases)),
+            ("seed", args.seed.into()),
+            ("stages", stage_count.into()),
+            ("failures", failures.len().into()),
+            ("elapsed_ms", JsonValue::rounded(ms(elapsed), 3)),
+            ("gen_ms", JsonValue::rounded(ms(gen_time), 3)),
+            ("lower_ms", JsonValue::rounded(ms(lower_time), 3)),
+            ("matrix_ms", JsonValue::rounded(ms(matrix_time), 3)),
+            ("cases_per_sec", JsonValue::rounded(per_sec, 2)),
+            ("ops", hist(&op_hist)),
+            ("directives", hist(&dir_hist)),
+        ])
+        .write_pretty(&mut json);
         if let Err(e) = std::fs::write(path, json) {
             eprintln!(
                 "[halide-fuzz] cannot write stats to {}: {e}",

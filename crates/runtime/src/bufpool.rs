@@ -274,7 +274,7 @@ impl BufferPool {
 #[derive(Debug)]
 pub struct PooledBuffer {
     buf: Option<Buffer>,
-    pool: Option<Arc<BufferPool>>,
+    pool: Arc<BufferPool>,
 }
 
 impl PooledBuffer {
@@ -282,16 +282,7 @@ impl PooledBuffer {
     pub fn attached(pool: Arc<BufferPool>, buf: Buffer) -> Self {
         PooledBuffer {
             buf: Some(buf),
-            pool: Some(pool),
-        }
-    }
-
-    /// Wraps a buffer with no pool behind it (dropping the guard just drops
-    /// the buffer) — lets pooled and unpooled code paths share a type.
-    pub fn unpooled(buf: Buffer) -> Self {
-        PooledBuffer {
-            buf: Some(buf),
-            pool: None,
+            pool,
         }
     }
 
@@ -314,9 +305,7 @@ impl Deref for PooledBuffer {
 impl Drop for PooledBuffer {
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
-            if let Some(pool) = &self.pool {
-                pool.release(buf);
-            }
+            self.pool.release(buf);
         }
     }
 }
@@ -415,8 +404,7 @@ mod tests {
         let buf = a.detach();
         assert_eq!(pool.stats().returns, 0);
         assert_eq!(buf.len(), 8);
-        // An unpooled guard drops its buffer silently.
-        drop(PooledBuffer::unpooled(buf));
+        drop(buf);
         assert_eq!(pool.stats().returns, 0);
     }
 

@@ -67,8 +67,6 @@ pub struct ServeConfig {
     pub backend: Backend,
     /// Optimizer level programs are compiled at (part of the cache key).
     pub opt: OptLevel,
-    /// Serve outputs from (and return them to) the shared buffer pool.
-    pub pooling: bool,
     /// Idle bytes the buffer pool may retain.
     pub pool_max_bytes: usize,
     /// Coalesce concurrent identical requests onto one realization.
@@ -93,7 +91,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     /// Four concurrent requests, a 16-deep wait queue, one thread per
     /// request, the compiled backend at the environment's optimizer level
-    /// (`HALIDE_OPT`), pooling and coalescing on, no deadlines, an
+    /// (`HALIDE_OPT`), coalescing on, no deadlines, an
     /// unbounded cache, a fixed concurrency limit, the system clock.
     fn default() -> Self {
         ServeConfig {
@@ -102,7 +100,6 @@ impl Default for ServeConfig {
             threads_per_request: 1,
             backend: Backend::Compiled,
             opt: OptLevel::from_env(),
-            pooling: true,
             pool_max_bytes: 256 << 20,
             coalescing: true,
             default_deadline: None,
@@ -877,7 +874,7 @@ impl PipelineServer {
                                     counters,
                                 }),
                             );
-                            self.copy_output(&shared)
+                            self.buffer_pool.acquire_copy_of(&shared)
                         };
                         Ok(Response {
                             output,
@@ -939,21 +936,14 @@ impl PipelineServer {
             return Err(self.deadline_exceeded(submitted));
         }
 
-        // The output comes from the pool (or fresh when pooling is off) and
-        // goes back to it when the caller drops the Response. On a failed
-        // realization the allocation is dropped with the error instead of
-        // returning to the pool (`realize_into` consumes it); that loss is
-        // bounded by the error rate and the pool refills on the next
-        // successful request.
-        let (output, output_hit) = if self.config.pooling {
-            self.buffer_pool
-                .acquire_raw(entry.output_ty, &entry.output_extents)
-        } else {
-            (
-                Buffer::with_extents(entry.output_ty, &entry.output_extents),
-                false,
-            )
-        };
+        // The output comes from the pool and goes back to it when the caller
+        // drops the Response. On a failed realization the allocation is
+        // dropped with the error instead of returning to the pool
+        // (`realize_into` consumes it); that loss is bounded by the error
+        // rate and the pool refills on the next successful request.
+        let (output, output_hit) = self
+            .buffer_pool
+            .acquire_raw(entry.output_ty, &entry.output_extents);
 
         let mut realizer = match &entry.program {
             Some(program) => Realizer::with_program(&entry.module, Arc::clone(program)),
@@ -963,10 +953,8 @@ impl PipelineServer {
             .backend(self.config.backend)
             .instrument(false)
             .thread_pool(self.slot_pools[slot].clone())
+            .buffer_pool(Arc::clone(&self.buffer_pool))
             .input_shared(entry.input_name.clone(), Arc::clone(&req.input));
-        if self.config.pooling {
-            realizer = realizer.buffer_pool(Arc::clone(&self.buffer_pool));
-        }
         for (name, value) in &req.params {
             realizer = value.bind(realizer, name);
         }
@@ -980,7 +968,7 @@ impl PipelineServer {
         let mut counters = realization.counters;
         if output_hit {
             counters.pool_hits += 1;
-        } else if self.config.pooling {
+        } else {
             counters.pool_misses += 1;
         }
         self.realizations.fetch_add(1, Ordering::Relaxed);
@@ -1027,7 +1015,7 @@ impl PipelineServer {
             t.realized = Some(self.clock.now());
         }
         let shared = shared?;
-        let output = self.copy_output(&shared.output);
+        let output = self.buffer_pool.acquire_copy_of(&shared.output);
         self.coalesced.fetch_add(1, Ordering::Relaxed);
         Ok(Response {
             output,
@@ -1044,21 +1032,10 @@ impl PipelineServer {
         }
     }
 
-    /// Wraps a realized output for the caller, pooled or not.
+    /// Wraps a realized output so it returns to the pool when the caller
+    /// drops it.
     fn attach(&self, output: Buffer) -> PooledBuffer {
-        if self.config.pooling {
-            PooledBuffer::attached(Arc::clone(&self.buffer_pool), output)
-        } else {
-            PooledBuffer::unpooled(output)
-        }
-    }
-
-    fn copy_output(&self, shared: &PooledBuffer) -> PooledBuffer {
-        if self.config.pooling {
-            self.buffer_pool.acquire_copy_of(shared)
-        } else {
-            PooledBuffer::unpooled((**shared).clone())
-        }
+        PooledBuffer::attached(Arc::clone(&self.buffer_pool), output)
     }
 
     /// [`PipelineServer::call`] addressed through the registry by name.
@@ -1248,22 +1225,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.requests, 4);
         assert_eq!(stats.rejected, 0);
-    }
-
-    #[test]
-    fn pooling_can_be_disabled() {
-        let server = PipelineServer::with_registry(
-            ServeConfig {
-                pooling: false,
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        );
-        let req = blur_request(64, 32);
-        drop(server.call(&req).unwrap());
-        let resp = server.call(&req).unwrap();
-        assert_eq!(resp.counters.pool_hits, 0);
-        assert_eq!(server.stats().pool.hits + server.stats().pool.misses, 0);
     }
 
     #[test]

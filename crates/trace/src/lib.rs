@@ -22,9 +22,11 @@
 //! See `docs/observability.md` for the span taxonomy and the overhead
 //! methodology.
 
+mod json;
 mod profiler;
 mod sink;
 
+pub use json::JsonValue;
 pub use profiler::{FuncProfile, ProfileReport, Profiler, NO_FUNC};
 pub use sink::{current_tid, validate_json_syntax, TraceEvent, TraceSink, PID_COMPILE, PID_SERVE};
 

@@ -9,6 +9,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::JsonValue;
+
 /// `pid` used for compile-side spans (lowering, optimizer passes,
 /// realize-side profiling) whose timestamps come from `Instant`.
 pub const PID_COMPILE: u32 = 1;
@@ -129,44 +131,38 @@ impl TraceSink {
     /// events name the process rows. The output always passes
     /// [`validate_json_syntax`].
     pub fn export_json(&self) -> String {
-        let events = self.events();
-        let mut out = String::with_capacity(256 + events.len() * 160);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_COMPILE},\"tid\":0,\"args\":{{\"name\":\"compile+exec\"}}}}"
-        ));
-        out.push_str(&format!(
-            ",{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_SERVE},\"tid\":0,\"args\":{{\"name\":\"serve\"}}}}"
-        ));
-        for e in &events {
-            out.push_str(",{\"name\":\"");
-            escape_into(&e.name, &mut out);
-            out.push_str("\",\"cat\":\"");
-            escape_into(e.cat, &mut out);
-            out.push_str(&format!(
-                "\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}",
-                e.ts_ns as f64 / 1000.0,
-                e.dur_ns as f64 / 1000.0,
-                e.pid,
-                e.tid
-            ));
-            if !e.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in e.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_into(k, &mut out);
-                    out.push_str("\":\"");
-                    escape_into(v, &mut out);
-                    out.push('"');
-                }
-                out.push('}');
-            }
-            out.push('}');
+        let process_name = |pid: u32, name: &str| {
+            JsonValue::object([
+                ("name", JsonValue::from("process_name")),
+                ("ph", "M".into()),
+                ("pid", pid.into()),
+                ("tid", 0u32.into()),
+                ("args", JsonValue::object([("name", name)])),
+            ])
+        };
+        let mut trace_events = vec![
+            process_name(PID_COMPILE, "compile+exec"),
+            process_name(PID_SERVE, "serve"),
+        ];
+        for e in self.events() {
+            let args = (!e.args.is_empty()).then(|| ("args", JsonValue::object(e.args)));
+            let fields = [
+                ("name", JsonValue::from(e.name)),
+                ("cat", e.cat.into()),
+                ("ph", "X".into()),
+                ("ts", (e.ts_ns as f64 / 1000.0).into()),
+                ("dur", (e.dur_ns as f64 / 1000.0).into()),
+                ("pid", e.pid.into()),
+                ("tid", e.tid.into()),
+            ];
+            trace_events.push(JsonValue::object(fields.into_iter().chain(args)));
         }
-        out.push_str("]}");
+        let mut out = String::new();
+        JsonValue::object([
+            ("displayTimeUnit", JsonValue::from("ms")),
+            ("traceEvents", JsonValue::Array(trace_events)),
+        ])
+        .write(&mut out);
         out
     }
 }
@@ -174,20 +170,6 @@ impl TraceSink {
 impl Default for TraceSink {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -214,33 +196,30 @@ pub fn current_tid() -> u64 {
 ///
 /// Returns the number of events on success.
 pub fn validate_json_syntax(json: &str) -> Result<usize, String> {
-    let value = JsonParser::new(json).parse_document()?;
-    let JsonValue::Object(top) = value else {
+    let doc = JsonValue::parse(json)?;
+    if !matches!(doc, JsonValue::Object(_)) {
         return Err("top level is not an object".into());
-    };
-    let Some(JsonValue::Array(events)) =
-        top.iter().find(|(k, _)| k == "traceEvents").map(|(_, v)| v)
-    else {
+    }
+    let Some(JsonValue::Array(events)) = doc.get("traceEvents") else {
         return Err("missing traceEvents array".into());
     };
     for (i, ev) in events.iter().enumerate() {
-        let JsonValue::Object(fields) = ev else {
+        if !matches!(ev, JsonValue::Object(_)) {
             return Err(format!("event {i} is not an object"));
-        };
-        let get = |k: &str| fields.iter().find(|(fk, _)| fk == k).map(|(_, v)| v);
-        match get("name") {
+        }
+        match ev.get("name") {
             Some(JsonValue::String(n)) if !n.is_empty() => {}
             _ => return Err(format!("event {i} has no name")),
         }
-        let ph = match get("ph") {
-            Some(JsonValue::String(p)) => p.clone(),
-            _ => return Err(format!("event {i} has no phase")),
+        let Some(JsonValue::String(ph)) = ev.get("ph") else {
+            return Err(format!("event {i} has no phase"));
         };
         match ph.as_str() {
             "M" => {}
             "X" => {
                 for key in ["ts", "dur"] {
-                    match get(key) {
+                    match ev.get(key) {
+                        Some(JsonValue::Int(n)) if *n >= 0 => {}
                         Some(JsonValue::Number(n)) if *n >= 0.0 && n.is_finite() => {}
                         _ => return Err(format!("event {i} has invalid {key}")),
                     }
@@ -252,201 +231,6 @@ pub fn validate_json_syntax(json: &str) -> Result<usize, String> {
         }
     }
     Ok(events.len())
-}
-
-enum JsonValue {
-    Null,
-    Bool,
-    Number(f64),
-    String(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_document(mut self) -> Result<JsonValue, String> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", JsonValue::Bool),
-            Some(b'f') => self.parse_lit("false", JsonValue::Bool),
-            Some(b'n') => self.parse_lit("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Number)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad unicode escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                }
-                _ => {
-                    // Re-assemble UTF-8 multibyte sequences byte-by-byte.
-                    let len = match b {
-                        0x00..=0x7f => 0,
-                        0xc0..=0xdf => 1,
-                        0xe0..=0xef => 2,
-                        _ => 3,
-                    };
-                    let start = self.pos - 1;
-                    self.pos += len;
-                    let chunk = self
-                        .bytes
-                        .get(start..self.pos)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or("bad utf-8 in string")?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected , or ] at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(format!("expected , or }} at offset {}", self.pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@
 //! The caller supplies an *evaluator* that compiles and runs a scheduled
 //! pipeline and reports its runtime (or `None` when the candidate is invalid
 //! or produces wrong output); the tuner is agnostic to how pipelines are
-//! executed, which keeps it reusable across the CPU and simulated-GPU
-//! targets.
+//! executed.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,8 +43,6 @@ pub struct TuneOptions {
     pub crossover_fraction: f64,
     /// Fraction of each new generation produced by mutation.
     pub mutation_fraction: f64,
-    /// Tune for the simulated GPU target (adds the GPU template).
-    pub gpu: bool,
     /// RNG seed, for reproducible searches.
     pub seed: u64,
 }
@@ -58,7 +55,6 @@ impl Default for TuneOptions {
             elitism: 4,
             crossover_fraction: 0.4,
             mutation_fraction: 0.4,
-            gpu: false,
             seed: 0x9e3779b9,
         }
     }
@@ -155,7 +151,7 @@ impl Autotuner {
             let genome = if rng.gen_bool(0.5) {
                 reasonable_genome(pipeline, &mut rng)
             } else {
-                random_genome(pipeline, opts.gpu, &mut rng)
+                random_genome(pipeline, &mut rng)
             };
             if let Some(t) = score(&genome, &mut evaluated, &mut rejected, &mut evaluate) {
                 population.push((genome, t));
@@ -194,7 +190,7 @@ impl Autotuner {
                 } else if rng.gen_bool(0.5) {
                     reasonable_genome(pipeline, &mut rng)
                 } else {
-                    random_genome(pipeline, opts.gpu, &mut rng)
+                    random_genome(pipeline, &mut rng)
                 };
                 if let Some(t) = score(&candidate, &mut evaluated, &mut rejected, &mut evaluate) {
                     next.push((candidate, t));
@@ -246,7 +242,7 @@ impl Autotuner {
             }
             // 2. replace with a freshly random schedule
             1 => {
-                let s = space::random_schedule(pipeline, &target, is_output, self.options.gpu, rng);
+                let s = space::random_schedule(pipeline, &target, is_output, rng);
                 out.insert(target, s);
             }
             // 3. copy another function's schedule
@@ -294,13 +290,7 @@ impl Autotuner {
                 let s = match rng.gen_range(0..3) {
                     0 => space::parallel_y_vector_x(&args, rng),
                     1 => space::fully_parallel_tiled(&args, rng),
-                    _ => {
-                        if self.options.gpu {
-                            space::gpu_tiled(&args, rng)
-                        } else {
-                            halide_schedule::FuncSchedule::default_for_args(&args)
-                        }
-                    }
+                    _ => halide_schedule::FuncSchedule::default_for_args(&args),
                 };
                 let mut s = s;
                 if !is_output && rng.gen_bool(0.2) && func.updates().is_empty() {
@@ -486,8 +476,8 @@ mod tests {
     fn crossover_and_mutation_preserve_genome_shape() {
         let (pipeline, _) = blur_pipeline();
         let mut rng = StdRng::seed_from_u64(9);
-        let a = random_genome(&pipeline, false, &mut rng);
-        let b = random_genome(&pipeline, false, &mut rng);
+        let a = random_genome(&pipeline, &mut rng);
+        let b = random_genome(&pipeline, &mut rng);
         let c = crossover(&a, &b, &mut rng);
         assert_eq!(c.len(), a.len());
         let tuner = Autotuner::new(TuneOptions::default());

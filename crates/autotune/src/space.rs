@@ -83,30 +83,12 @@ pub fn parallel_y_vector_x(args: &[String], rng: &mut StdRng) -> FuncSchedule {
     s
 }
 
-/// A GPU-tiled template (used when tuning for the simulated GPU target).
-pub fn gpu_tiled(args: &[String], rng: &mut StdRng) -> FuncSchedule {
-    let mut s = FuncSchedule::default_for_args(args);
-    if args.len() >= 2 {
-        let t = pick(rng, &[8i64, 16, 32]);
-        let x = &args[0];
-        let y = &args[1];
-        if s.tile(x, y, "bx", "by", "tx", "ty", t, t).is_ok() {
-            let _ = s.gpu_block("by");
-            let _ = s.gpu_block("bx");
-            let _ = s.gpu_thread("ty");
-            let _ = s.gpu_thread("tx");
-        }
-    }
-    s
-}
-
 /// Generates a random schedule for one function, possibly placing its
 /// computation inside one of its consumers.
 pub fn random_schedule(
     pipeline: &Pipeline,
     func: &str,
     is_output: bool,
-    gpu: bool,
     rng: &mut StdRng,
 ) -> FuncSchedule {
     let f = pipeline
@@ -115,17 +97,11 @@ pub fn random_schedule(
     let args = f.args();
     let has_updates = !f.updates().is_empty();
 
+    // The tiled template is drawn with twice the weight of the others.
     let mut s = match rng.gen_range(0..4) {
         0 => FuncSchedule::default_for_args(&args),
-        1 => fully_parallel_tiled(&args, rng),
         2 => parallel_y_vector_x(&args, rng),
-        _ => {
-            if gpu {
-                gpu_tiled(&args, rng)
-            } else {
-                fully_parallel_tiled(&args, rng)
-            }
-        }
+        _ => fully_parallel_tiled(&args, rng),
     };
 
     if !is_output {
@@ -160,13 +136,13 @@ pub fn random_schedule(
 
 /// A random genome: each function scheduled independently (used both for the
 /// random-individual fraction of each generation and as a mutation).
-pub fn random_genome(pipeline: &Pipeline, gpu: bool, rng: &mut StdRng) -> Genome {
+pub fn random_genome(pipeline: &Pipeline, rng: &mut StdRng) -> Genome {
     let output = pipeline.output().name();
     pipeline
         .funcs()
         .map(|f| {
             let name = f.name();
-            let s = random_schedule(pipeline, &name, name == output, gpu, rng);
+            let s = random_schedule(pipeline, &name, name == output, rng);
             (name, s)
         })
         .collect()
@@ -243,7 +219,7 @@ mod tests {
         let p = small_pipeline();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            let g = random_genome(&p, false, &mut rng);
+            let g = random_genome(&p, &mut rng);
             assert_eq!(g.len(), p.len());
             for s in g.values() {
                 // local validity always holds; global validity is checked by lowering
@@ -260,7 +236,7 @@ mod tests {
     fn apply_and_read_back() {
         let p = small_pipeline();
         let mut rng = StdRng::seed_from_u64(7);
-        let g = random_genome(&p, false, &mut rng);
+        let g = random_genome(&p, &mut rng);
         apply_genome(&p, &g);
         let back = current_genome(&p);
         assert_eq!(g, back);
@@ -286,11 +262,11 @@ mod tests {
             .dims
             .iter()
             .any(|d| d.kind == halide_schedule::ForKind::Parallel));
-        let g = gpu_tiled(&args, &mut rng);
-        assert!(g.validate().is_ok());
-        assert!(g
+        let v = parallel_y_vector_x(&args, &mut rng);
+        assert!(v.validate().is_ok());
+        assert!(v
             .dims
             .iter()
-            .any(|d| d.kind == halide_schedule::ForKind::GpuThread));
+            .any(|d| d.kind == halide_schedule::ForKind::Vectorized));
     }
 }

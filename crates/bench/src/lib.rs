@@ -2,7 +2,7 @@
 //!
 //! Harnesses that regenerate every table and figure of the paper's
 //! evaluation (Sec. 6). The `repro` binary prints one table per
-//! subcommand (`fig3 fig6 fig7 fig7-gpu fig8 sec31 sec5 sec61 ablation`),
+//! subcommand (`fig3 fig6 fig7 fig8 sec31 sec5 sec61 ablation`),
 //! each a [`Table`] built by a function in this crate; `bench_exec` and
 //! `bench_serve` regenerate the `BENCH_*.json` artifacts and hold the CI
 //! perf gates.
@@ -221,8 +221,8 @@ impl Table {
 }
 
 /// The `repro` subcommands, in the paper's order.
-pub const SUBCOMMANDS: [&str; 9] = [
-    "fig3", "fig6", "fig7", "fig7-gpu", "fig8", "sec31", "sec5", "sec61", "ablation",
+pub const SUBCOMMANDS: [&str; 8] = [
+    "fig3", "fig6", "fig7", "fig8", "sec31", "sec5", "sec61", "ablation",
 ];
 
 /// Builds the table(s) of one `repro` subcommand, or `None` for a name
@@ -232,7 +232,6 @@ pub fn tables(subcommand: &str, cfg: &HarnessConfig) -> Option<Vec<Table>> {
         "fig3" => vec![blur_strategy_table(cfg)],
         "fig6" => vec![app_properties_table()],
         "fig7" => vec![app_performance_table(cfg)],
-        "fig7-gpu" => vec![gpu_table(cfg)],
         "fig8" => vec![cross_resolution_table(cfg)],
         "sec31" => vec![blur_speedup_table(cfg)],
         "sec5" => vec![search_space_table()],
@@ -402,31 +401,6 @@ fn run_app(
         .run_with_backend(cfg.width, cfg.height, schedule, threads, cfg.backend)
         .expect("built-in schedule lowers");
     result.expect("built-in schedule runs")
-}
-
-/// The CUDA half of Fig. 7 on the simulated GPU device: the same
-/// algorithms scheduled as graphs of kernel launches, with host<->device
-/// copy and launch statistics.
-fn gpu_table(cfg: &HarnessConfig) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Fig. 7 (GPU, simulated) — CPU-tuned vs GPU schedules ({}x{})",
-            cfg.width, cfg.height
-        ),
-        "Application | CPU tuned (ms) | GPU schedule (ms) | kernel launches | device bytes copied",
-    );
-    for app in AppKind::ALL.into_iter().filter(AppKind::has_gpu_schedule) {
-        let cpu = run_app(app, cfg, ScheduleChoice::Tuned, cfg.threads);
-        let gpu = run_app(app, cfg, ScheduleChoice::Gpu, cfg.threads);
-        t.rows.push(vec![
-            app.name().to_string(),
-            ms(cpu.wall_time),
-            ms(gpu.wall_time),
-            gpu.counters.kernel_launches.to_string(),
-            gpu.counters.device_bytes_copied.to_string(),
-        ]);
-    }
-    t
 }
 
 /// Autotunes blur at `size` with the harness's population and generations.
@@ -679,13 +653,11 @@ mod tests {
     #[test]
     fn every_repro_subcommand_produces_its_table() {
         let cfg = tiny();
-        let gpu_apps = AppKind::ALL.iter().filter(|a| a.has_gpu_schedule()).count();
         #[rustfmt::skip]
         let expect = [
             ("fig3", "Strategy | Span (tasks) | Peak live bytes | Work ampl. | Time (ms)", BlurSchedule::ALL.len()),
             ("fig6", "Application | # functions | # stencils | structure", 5),
             ("fig7", "Application | Naive (ms) | Tuned (ms) | Speedup | Hand-written ref (ms)", AppKind::PAPER_APPS.len()),
-            ("fig7-gpu", "Application | CPU tuned (ms) | GPU schedule (ms) | kernel launches | device bytes copied", gpu_apps),
             ("fig8", "Application | Source size | Target size | Cross-tested (ms) | Tuned on target (ms) | Slowdown", 2),
             ("sec31", "Strategy | Time (ms) | Peak live bytes | Speedup | Working-set reduction", 2),
             ("sec5", "Pipeline | Stages | # schedules", 3),
@@ -708,10 +680,6 @@ mod tests {
         assert!(tables("fig9", &cfg).is_none());
 
         // Spot checks that the cells carry the measurements, not filler.
-        assert!(built["fig7-gpu"][0]
-            .rows
-            .iter()
-            .all(|r| cell::<u64>(&r[3]) > 0));
         assert_eq!(built["sec31"][0].rows[0][0], "Breadth-first");
         assert_eq!(cell::<f64>(&built["sec31"][0].rows[0][3]), 1.0);
         assert_eq!(built["sec61"][1].headers, ["Func", "Schedule"]);
@@ -778,10 +746,12 @@ mod tests {
             subcommands: &SUBCOMMANDS,
             ..SPEC
         };
-        let a = parse("--quick fig7-gpu --threads 1", &spec).unwrap();
-        assert_eq!(a.subcommand(), Some("fig7-gpu"));
+        let a = parse("--quick fig8 --threads 1", &spec).unwrap();
+        assert_eq!(a.subcommand(), Some("fig8"));
         assert!(parse("", &spec).unwrap_err().contains("missing subcommand"));
         assert!(parse("fig9", &spec).unwrap_err().contains("fig9"));
+        // A removed subcommand is an error, not a silent no-op.
+        assert!(parse("fig7-gpu", &spec).unwrap_err().contains("fig7-gpu"));
         assert!(parse("fig3 fig6", &spec).unwrap_err().contains("fig6"));
     }
 }

@@ -157,14 +157,6 @@ pub(crate) enum CExpr {
     Intrinsic { f: CIntrinsic, args: Vec<CExpr> },
 }
 
-/// Buffers a GPU kernel body touches, resolved to indices at compile time
-/// (the interpreter re-scans the body on every launch).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GpuTouch {
-    pub(crate) reads: Vec<u32>,
-    pub(crate) writes: Vec<u32>,
-}
-
 /// A compiled statement node.
 #[derive(Debug)]
 pub(crate) enum CStmt {
@@ -176,8 +168,7 @@ pub(crate) enum CStmt {
     Assert { cond: CExpr, message: String },
     /// A loop. `hoisted` is the loop-invariant code region: statements run
     /// once per loop entry (peeled loop-leading lets plus whatever LICM
-    /// moved there), visible to every iteration; `gpu` is populated for
-    /// `GpuBlock` loops.
+    /// moved there), visible to every iteration.
     For {
         slot: u32,
         min: CExpr,
@@ -185,7 +176,6 @@ pub(crate) enum CStmt {
         kind: ForKind,
         hoisted: Vec<CStmt>,
         body: Box<CStmt>,
-        gpu: Option<GpuTouch>,
     },
     /// Store to a buffer at a flat index.
     Store {
@@ -253,7 +243,7 @@ pub struct Program {
     pub(crate) n_slots: usize,
     /// Buffer table size.
     pub(crate) n_bufs: usize,
-    /// Buffer index → buffer name (diagnostics and the GPU residency map).
+    /// Buffer index → buffer name (diagnostics and profiler attribution).
     pub(crate) buf_names: Vec<String>,
     /// Free scalar symbols: name → slot. All must be bound before running.
     pub(crate) free_slots: HashMap<String, u32>,

@@ -520,7 +520,6 @@ impl Emitter<'_> {
                     kind,
                     header,
                     body,
-                    gpu,
                 } => {
                     let (min_e, _) = cx.take(*min);
                     let (ext_e, _) = cx.take(*extent);
@@ -532,7 +531,6 @@ impl Emitter<'_> {
                         kind: *kind,
                         hoisted: self.block_stmts(*header)?,
                         body: Box::new(self.block_stmt(*body)?),
-                        gpu: gpu.clone(),
                     });
                 }
                 POp::Alloc {

@@ -3,7 +3,7 @@
 //! This is the repository's substitute for the paper's LLVM backend
 //! (Sec. 4.6): every scheduling decision made by the compiler — loop
 //! structure, producer/consumer interleaving, allocation lifetimes and sizes,
-//! parallel / vectorized / unrolled / GPU loops — is preserved in the
+//! parallel / vectorized / unrolled loops — is preserved in the
 //! statement and faithfully executed here, so schedule-to-schedule
 //! comparisons exercise exactly the tradeoffs the paper studies.
 
@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 
 use halide_ir::{CallType, Expr, ExprNode, ForKind, ScalarType, Scope, Stmt, StmtNode};
 use halide_runtime::{
-    binary_op, compare_op, select_op, Buffer, BufferPool, Counters, GpuDevice, ThreadPool, Value,
+    binary_op, compare_op, select_op, Buffer, BufferPool, Counters, ThreadPool, Value,
 };
 
 use crate::error::{ExecError, Result};
@@ -25,12 +25,10 @@ pub struct Context {
     pub pool: ThreadPool,
     /// Instrumentation counters.
     pub counters: Counters,
-    /// The simulated GPU device.
-    pub gpu: GpuDevice,
     /// When false, the per-operation counters (arithmetic, loads, stores) are
     /// skipped to keep multi-threaded wall-clock measurements free of shared
-    /// atomic contention. Structural counters (allocations, tasks, kernels,
-    /// copies) are always maintained.
+    /// atomic contention. Structural counters (allocations, tasks) are always
+    /// maintained.
     pub instrument: bool,
     /// When present, `Allocate` statements acquire their scratch buffers
     /// from this pool (and return them on scope exit) instead of hitting the
@@ -42,7 +40,6 @@ pub struct Context {
     /// untouched: the cost of an unattached profiler is one pointer-sized
     /// branch per produce entry, never per operation.
     pub profiler: Option<Arc<halide_trace::Profiler>>,
-    gpu_used: AtomicBool,
     error: Mutex<Option<ExecError>>,
     failed: AtomicBool,
 }
@@ -53,11 +50,9 @@ impl Context {
         Context {
             pool,
             counters: Counters::new(),
-            gpu: GpuDevice::new(),
             instrument,
             buffer_pool: None,
             profiler: None,
-            gpu_used: AtomicBool::new(false),
             error: Mutex::new(None),
             failed: AtomicBool::new(false),
         }
@@ -97,7 +92,7 @@ impl Context {
 
     /// Hands a scratch buffer's allocation back to the pool, if a pool is
     /// configured and this was the last reference (a buffer still referenced
-    /// elsewhere — e.g. mirrored on the simulated GPU — just drops normally).
+    /// elsewhere just drops normally).
     pub(crate) fn release_scratch(&self, buf: Arc<Buffer>) {
         if let Some(pool) = &self.buffer_pool {
             if let Some(buf) = Arc::into_inner(buf) {
@@ -121,17 +116,6 @@ impl Context {
 
     pub(crate) fn has_failed(&self) -> bool {
         self.failed.load(Ordering::Relaxed)
-    }
-
-    /// True once a GPU kernel has launched in this context (loads/stores
-    /// then consult the simulated device's residency map).
-    pub(crate) fn gpu_in_use(&self) -> bool {
-        self.gpu_used.load(Ordering::Relaxed)
-    }
-
-    /// Marks the GPU as used.
-    pub(crate) fn mark_gpu_used(&self) {
-        self.gpu_used.store(true, Ordering::Relaxed);
     }
 }
 
@@ -374,9 +358,6 @@ pub fn eval_expr(e: &Expr, frame: &Frame, ctx: &Context) -> Result<Value> {
                 None => None,
             };
             let buf = frame.buffer(name)?;
-            if ctx.gpu_used.load(Ordering::Relaxed) {
-                ctx.gpu.ensure_on_host(name, &ctx.counters);
-            }
             let lanes = idx.lanes();
             if ctx.instrument {
                 ctx.counters.add_load(lanes as u64);
@@ -502,39 +483,6 @@ pub(crate) fn peel_invariant_lets<'a>(
     (hoisted, cur)
 }
 
-/// Names of buffers loaded from (reads) and stored to (writes) in a statement.
-pub(crate) fn buffers_touched(stmt: &Stmt) -> (Vec<String>, Vec<String>) {
-    use halide_ir::IrVisitor;
-    struct Touch {
-        reads: Vec<String>,
-        writes: Vec<String>,
-    }
-    impl IrVisitor for Touch {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprNode::Load { name, .. } = e.node() {
-                if !self.reads.contains(name) {
-                    self.reads.push(name.clone());
-                }
-            }
-            halide_ir::visit_expr_children(self, e);
-        }
-        fn visit_stmt(&mut self, s: &Stmt) {
-            if let StmtNode::Store { name, .. } = s.node() {
-                if !self.writes.contains(name) {
-                    self.writes.push(name.clone());
-                }
-            }
-            halide_ir::visit_stmt_children(self, s);
-        }
-    }
-    let mut t = Touch {
-        reads: Vec::new(),
-        writes: Vec::new(),
-    };
-    t.visit_stmt(stmt);
-    (t.reads, t.writes)
-}
-
 /// Executes a statement.
 pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
     if ctx.has_failed() {
@@ -584,11 +532,9 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
             // entry rather than once per iteration.
             let (hoisted, inner) = peel_invariant_lets(body, name);
             match kind {
-                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled | ForKind::GpuThread => {
+                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled => {
                     // Vectorized/unrolled loops only reach the executor when
                     // the corresponding pass was disabled; run them serially.
-                    // GPU threads within a block run serially too (their data
-                    // parallelism is already exposed by the block loop).
                     for (n, v) in &hoisted {
                         let value = eval_expr(v, frame, ctx)?;
                         frame.env.push(n.to_string(), value);
@@ -608,13 +554,8 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
                     }
                     Ok(())
                 }
-                ForKind::Parallel | ForKind::GpuBlock => {
+                ForKind::Parallel => {
                     let mut base = frame.clone();
-                    // A GPU block loop is a parallel loop on the host pool
-                    // preceded by the simulated launch's accounting.
-                    if *kind == ForKind::GpuBlock && gpu_launch(body, frame, ctx) {
-                        base.env.push(IN_GPU_KERNEL, Value::bool(true));
-                    }
                     // Each hoisted value is evaluated against the frame
                     // extended so far, so later lets can reference earlier
                     // ones (and rebindings shadow correctly).
@@ -648,9 +589,6 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
             let idx = eval_expr(index, frame, ctx)?;
             let val = eval_expr(value, frame, ctx)?;
             let buf = frame.buffer(name)?;
-            if ctx.gpu_used.load(Ordering::Relaxed) {
-                ctx.gpu.mark_host_dirty(name);
-            }
             let lanes = idx.lanes().max(val.lanes());
             let idx = idx.broadcast(lanes);
             let mask = match predicate {
@@ -749,35 +687,6 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
             format!("{name:?} was not flattened before execution"),
         )),
     }
-}
-
-/// Environment marker bound inside a simulated kernel, so nested block
-/// loops of the same kernel do not relaunch.
-const IN_GPU_KERNEL: &str = "__in_gpu_kernel";
-
-/// The accounting prelude of a GPU block loop: marks the device in use
-/// and, for the outermost block loop of a kernel, counts one launch and
-/// performs the lazy copies for the buffers the kernel touches. Returns
-/// whether this loop launched the kernel.
-fn gpu_launch(body: &Stmt, frame: &Frame, ctx: &Context) -> bool {
-    ctx.mark_gpu_used();
-    if frame.env.contains(IN_GPU_KERNEL) {
-        return false;
-    }
-    ctx.gpu.launch(&ctx.counters);
-    let (reads, writes) = buffers_touched(body);
-    for r in &reads {
-        if let Ok(buf) = frame.buffer(r) {
-            ctx.gpu
-                .ensure_on_device(r, buf.size_bytes() as u64, &ctx.counters);
-        }
-    }
-    for w in &writes {
-        if let Ok(buf) = frame.buffer(w) {
-            ctx.gpu.mark_device_dirty(w, buf.size_bytes() as u64);
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1000,30 +909,5 @@ mod tests {
                 .as_f64(),
             std::f64::consts::FRAC_PI_4
         );
-    }
-
-    #[test]
-    fn gpu_loops_count_launches_and_copies() {
-        let c = ctx();
-        let mut f = frame_with_buffer("src", 16);
-        f.insert_buffer(
-            "dst".to_string(),
-            Arc::new(Buffer::with_extents(ScalarType::Float(32), &[16])),
-        );
-        let body = Stmt::store(
-            "dst",
-            Expr::load(
-                Type::f32(),
-                "src",
-                Expr::var_i32("bx") * 4 + Expr::var_i32("tx"),
-            ),
-            Expr::var_i32("bx") * 4 + Expr::var_i32("tx"),
-        );
-        let threads = Stmt::for_loop("tx", Expr::int(0), Expr::int(4), ForKind::GpuThread, body);
-        let blocks = Stmt::for_loop("bx", Expr::int(0), Expr::int(4), ForKind::GpuBlock, threads);
-        eval_stmt(&blocks, &mut f, &c).unwrap();
-        let snap = c.counters.snapshot();
-        assert_eq!(snap.kernel_launches, 1);
-        assert!(snap.device_copies >= 1);
     }
 }

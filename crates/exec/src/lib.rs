@@ -5,7 +5,7 @@
 //! fully lowered statement into a register-machine [`Program`] — variable
 //! names resolved to frame slots, buffers to indices, intrinsics to function
 //! pointers, scalars unboxed — and executes it against the runtime: loops
-//! (serial, parallel, GPU-simulated), vector values, buffer allocation and
+//! (serial, parallel), vector values, buffer allocation and
 //! indexing, and instrumentation counters.
 //!
 //! A tree-walking interpreter ([`eval`]) is kept as the executable reference

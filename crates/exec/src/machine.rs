@@ -253,9 +253,6 @@ fn classify_store_index(idx: &CValue, lanes: usize) -> AccessPattern {
 pub(crate) struct Machine {
     pub(crate) regs: Vec<CValue>,
     pub(crate) bufs: Vec<Option<Arc<Buffer>>>,
-    /// Set inside a simulated GPU kernel so nested block loops of the same
-    /// kernel do not count as fresh launches.
-    in_gpu_kernel: bool,
 }
 
 impl Machine {
@@ -264,7 +261,6 @@ impl Machine {
         Machine {
             regs: vec![CValue::S(Scalar::Int(0)); prog.n_slots],
             bufs: vec![None; prog.n_bufs],
-            in_gpu_kernel: false,
         }
     }
 
@@ -453,10 +449,6 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
         CExpr::Load { buf, index } => {
             let idx = eval(prog, index, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            if ctx.gpu_in_use() {
-                ctx.gpu
-                    .ensure_on_host(&prog.buf_names[*buf as usize], &ctx.counters);
-            }
             let lanes = idx.lanes();
             if ctx.instrument {
                 count_load(ctx, &idx, lanes);
@@ -491,10 +483,6 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
             let lanes = *lanes as usize;
             let base_v = eval(prog, base, m, ctx)?.as_int()?;
             let buffer = m.buffer(prog, *buf)?;
-            if ctx.gpu_in_use() {
-                ctx.gpu
-                    .ensure_on_host(&prog.buf_names[*buf as usize], &ctx.counters);
-            }
             if ctx.instrument {
                 ctx.counters.add_load(lanes as u64);
                 if lanes > 1 {
@@ -513,10 +501,6 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
             let idx = eval(prog, index, m, ctx)?;
             let mv = eval(prog, mask, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            if ctx.gpu_in_use() {
-                ctx.gpu
-                    .ensure_on_host(&prog.buf_names[*buf as usize], &ctx.counters);
-            }
             let lanes = idx.lanes();
             if ctx.instrument {
                 count_load(ctx, &idx, lanes);
@@ -944,10 +928,6 @@ fn clamped_load(
     ctx: &Context,
 ) -> Result<CValue> {
     let buffer = m.buffer(prog, buf)?;
-    if ctx.gpu_in_use() {
-        ctx.gpu
-            .ensure_on_host(&prog.buf_names[buf as usize], &ctx.counters);
-    }
     let lanes = idx.lanes();
     if ctx.instrument {
         ctx.counters.add_arith(2);
@@ -1191,16 +1171,13 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             kind,
             hoisted,
             body,
-            gpu,
         } => {
             let min_v = eval(prog, min, m, ctx)?.as_int()?;
             let extent_v = eval(prog, extent, m, ctx)?.as_int()?;
             match kind {
-                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled | ForKind::GpuThread => {
+                ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled => {
                     // Vectorized/unrolled loops only reach execution when the
-                    // corresponding pass was disabled; run them serially. GPU
-                    // threads within a block run serially too (their data
-                    // parallelism is already exposed by the block loop).
+                    // corresponding pass was disabled; run them serially.
                     for h in hoisted {
                         exec(prog, h, m, ctx)?;
                     }
@@ -1213,11 +1190,7 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                     }
                     Ok(())
                 }
-                ForKind::Parallel | ForKind::GpuBlock => {
-                    // A GPU block loop is a parallel loop on the host pool
-                    // preceded by the simulated launch's accounting.
-                    let launched =
-                        *kind == ForKind::GpuBlock && gpu_launch(prog, gpu.as_ref(), m, ctx);
+                ForKind::Parallel => {
                     for h in hoisted {
                         exec(prog, h, m, ctx)?;
                     }
@@ -1228,7 +1201,6 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                                 return;
                             }
                             let mut mm = base.clone();
-                            mm.in_gpu_kernel |= launched;
                             for i in start..end {
                                 mm.regs[*slot as usize] = CValue::S(Scalar::Int(i));
                                 if let Err(e) = exec(prog, body, &mut mm, ctx) {
@@ -1250,9 +1222,6 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let idx = eval(prog, index, m, ctx)?;
             let val = eval(prog, value, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            if ctx.gpu_in_use() {
-                ctx.gpu.mark_host_dirty(&prog.buf_names[*buf as usize]);
-            }
             let lanes = idx.lanes().max(val.lanes());
             if ctx.instrument {
                 count_store(ctx, &idx, lanes);
@@ -1279,9 +1248,6 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let val = eval(prog, value, m, ctx)?;
             let mv = eval(prog, mask, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            if ctx.gpu_in_use() {
-                ctx.gpu.mark_host_dirty(&prog.buf_names[*buf as usize]);
-            }
             let lanes = idx.lanes().max(val.lanes());
             if ctx.instrument {
                 count_store(ctx, &idx, lanes);
@@ -1299,9 +1265,6 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let base_v = eval(prog, base, m, ctx)?.as_int()?;
             let val = eval(prog, value, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            if ctx.gpu_in_use() {
-                ctx.gpu.mark_host_dirty(&prog.buf_names[*buf as usize]);
-            }
             let lanes = ramp_lanes.max(val.lanes());
             if ctx.instrument {
                 ctx.counters.add_store(lanes as u64);
@@ -1387,43 +1350,6 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
         }
         CStmt::NoOp => Ok(()),
     }
-}
-
-/// The accounting prelude of a GPU block loop, mirroring the interpreter's
-/// (`eval::gpu_launch`) but with the touched-buffer scan done at compile
-/// time: marks the device in use and, for the outermost block loop of a
-/// kernel, counts one launch and performs the lazy copies for the buffers
-/// the kernel touches. Returns whether this loop launched the kernel
-/// (nested block loops of the same kernel do not relaunch).
-fn gpu_launch(
-    prog: &Program,
-    gpu: Option<&crate::compile::GpuTouch>,
-    m: &Machine,
-    ctx: &Context,
-) -> bool {
-    ctx.mark_gpu_used();
-    if m.in_gpu_kernel {
-        return false;
-    }
-    ctx.gpu.launch(&ctx.counters);
-    if let Some(touch) = gpu {
-        for r in &touch.reads {
-            if let Some(buf) = &m.bufs[*r as usize] {
-                ctx.gpu.ensure_on_device(
-                    &prog.buf_names[*r as usize],
-                    buf.size_bytes() as u64,
-                    &ctx.counters,
-                );
-            }
-        }
-        for w in &touch.writes {
-            if let Some(buf) = &m.bufs[*w as usize] {
-                ctx.gpu
-                    .mark_device_dirty(&prog.buf_names[*w as usize], buf.size_bytes() as u64);
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1636,22 +1562,6 @@ mod tests {
             let s = Stmt::for_loop("i", Expr::int(0), Expr::int(16), kind, body.clone());
             assert_backends_agree(&s, &[("out", 16)]);
         }
-    }
-
-    #[test]
-    fn gpu_launches_agree() {
-        let body = Stmt::store(
-            "out",
-            Expr::load(
-                Type::f32(),
-                "src",
-                Expr::var_i32("bx") * 4 + Expr::var_i32("tx"),
-            ) * 2.0f32,
-            Expr::var_i32("bx") * 4 + Expr::var_i32("tx"),
-        );
-        let threads = Stmt::for_loop("tx", Expr::int(0), Expr::int(4), ForKind::GpuThread, body);
-        let blocks = Stmt::for_loop("bx", Expr::int(0), Expr::int(4), ForKind::GpuBlock, threads);
-        assert_backends_agree(&blocks, &[("src", 16), ("out", 16)]);
     }
 
     /// Fills `src[j] = j * 1.5 - 3.0` for j in [0, n) — gives loads real

@@ -29,12 +29,12 @@
 //! weight 0; the `Count` left at the original site restores the per-
 //! iteration total).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use halide_ir::{BinOp, CallType, CmpOp, Expr, ExprNode, ForKind, ScalarType, Stmt, StmtNode};
 
-use crate::compile::{CIntrinsic, GpuTouch};
+use crate::compile::CIntrinsic;
 use crate::error::{ExecError, Result};
 use crate::eval::peel_invariant_lets;
 
@@ -158,7 +158,6 @@ pub(crate) enum POp {
         kind: ForKind,
         header: BlockId,
         body: BlockId,
-        gpu: Option<GpuTouch>,
     },
     /// A scoped allocation region.
     Alloc {
@@ -613,17 +612,10 @@ fn print_inst(inst: &PInst) -> String {
             kind,
             header,
             body,
-            gpu,
-        } => {
-            let gpu = match gpu {
-                Some(_) => " gpu",
-                None => "",
-            };
-            write!(
-                s,
-                "for r{var} in [r{min}, r{min}+r{extent}) {kind:?} header L{header} body L{body}{gpu}"
-            )
-        }
+        } => write!(
+            s,
+            "for r{var} in [r{min}, r{min}+r{extent}) {kind:?} header L{header} body L{body}"
+        ),
         POp::Alloc {
             buf,
             ty,
@@ -730,27 +722,6 @@ fn dense_ramp(index: &Expr) -> Option<(&Expr, u16)> {
     None
 }
 
-/// Names of buffers a statement allocates anywhere inside itself.
-fn allocated_names(stmt: &Stmt) -> HashSet<String> {
-    use halide_ir::IrVisitor;
-    struct Alloc {
-        names: HashSet<String>,
-    }
-    impl IrVisitor for Alloc {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            if let StmtNode::Allocate { name, .. } | StmtNode::Realize { name, .. } = s.node() {
-                self.names.insert(name.clone());
-            }
-            halide_ir::visit_stmt_children(self, s);
-        }
-    }
-    let mut a = Alloc {
-        names: HashSet::new(),
-    };
-    a.visit_stmt(stmt);
-    a.names
-}
-
 /// Resolves an intrinsic name to its compiled form and arity.
 pub(crate) fn resolve_intrinsic(name: &str) -> Option<(CIntrinsic, usize)> {
     fn powf(x: f64, y: f64) -> f64 {
@@ -782,8 +753,8 @@ pub(crate) fn resolve_intrinsic(name: &str) -> Option<(CIntrinsic, usize)> {
 /// Flattens a lowered statement into PIR. Replicates every compile-time
 /// decision the old single-pass compiler made (broadcast folding, dense
 /// ramp fusion, clamped-gather fusion, loop-invariant let peeling into the
-/// loop header, GPU touch-set resolution, free-on-first-reference symbol
-/// interning), so emitting unoptimized PIR reproduces the old programs.
+/// loop header, free-on-first-reference symbol interning), so emitting
+/// unoptimized PIR reproduces the old programs.
 pub(crate) fn linearize(stmt: &Stmt) -> Result<PirProgram> {
     let mut lz = Linearizer::default();
     lz.prog.blocks.push(Vec::new());
@@ -1284,29 +1255,6 @@ impl Linearizer {
             } => {
                 let rmin = self.expr(min)?;
                 let rext = self.expr(extent)?;
-                // GPU block loops pre-resolve the buffers the kernel touches
-                // (for the simulated device's lazy copies). This looks at the
-                // *full* body, like the interpreter does — but buffers the
-                // kernel allocates itself are not in scope at launch time,
-                // so they are excluded rather than registered as free.
-                let gpu = if *kind == ForKind::GpuBlock {
-                    let (reads, writes) = crate::eval::buffers_touched(body);
-                    let inside = allocated_names(body);
-                    Some(GpuTouch {
-                        reads: reads
-                            .iter()
-                            .filter(|n| !inside.contains(*n))
-                            .map(|n| self.buf(n))
-                            .collect(),
-                        writes: writes
-                            .iter()
-                            .filter(|n| !inside.contains(*n))
-                            .map(|n| self.buf(n))
-                            .collect(),
-                    })
-                } else {
-                    None
-                };
                 // Peel the loop-invariant leading lets into the header block
                 // (evaluated once per loop entry). Each value sees the
                 // hoisted names bound before it.
@@ -1351,7 +1299,6 @@ impl Linearizer {
                         kind: *kind,
                         header,
                         body: body_blk,
-                        gpu,
                     },
                 );
             }

@@ -217,8 +217,8 @@ impl<'m> Realizer<'m> {
     /// [`BufferPool`] (returned on scope exit), so steady-state
     /// re-realizations do no large allocations. Pool hits and misses are
     /// recorded in the realization's counters. The interpreting backend also
-    /// acquires from the pool; buffers still referenced at scope exit (e.g.
-    /// mirrored on the simulated GPU) are dropped instead of returned.
+    /// acquires from the pool; buffers still referenced at scope exit are
+    /// dropped instead of returned.
     pub fn buffer_pool(mut self, pool: Arc<BufferPool>) -> Self {
         self.buffer_pool = Some(pool);
         self
@@ -395,17 +395,12 @@ impl<'m> Realizer<'m> {
         }
         let start = Instant::now();
         let run = eval_stmt(&module.stmt, &mut frame, &ctx);
-        let mut err = run.err().or_else(|| ctx.take_error());
-        if err.is_none() {
-            // If a GPU schedule produced the output on the simulated device,
-            // copy it back before handing it to the caller.
-            ctx.gpu.ensure_on_host(out_name, &ctx.counters);
-        }
+        let err = run.err().or_else(|| ctx.take_error());
         let wall_time = start.elapsed();
         if let Some(p) = &ctx.profiler {
             p.end_run(wall_time);
         }
-        if let Some(e) = err.take() {
+        if let Some(e) = err {
             return Err(e);
         }
 
@@ -483,15 +478,12 @@ impl<'m> Realizer<'m> {
         }
         let start = Instant::now();
         let run = exec(&prog, &prog.body, &mut machine, &ctx);
-        let mut err = run.err().or_else(|| ctx.take_error());
-        if err.is_none() {
-            ctx.gpu.ensure_on_host(out_name, &ctx.counters);
-        }
+        let err = run.err().or_else(|| ctx.take_error());
         let wall_time = start.elapsed();
         if let Some(p) = &ctx.profiler {
             p.end_run(wall_time);
         }
-        if let Some(e) = err.take() {
+        if let Some(e) = err {
             return Err(e);
         }
 

@@ -444,7 +444,7 @@ impl Simplifier {
                 // what collapses the `min(0, max(extent - factor, 0))` guards
                 // produced by the shift-inwards split strategy; without it,
                 // bounds expressions grow multiplicatively through chains of
-                // split stages (e.g. GPU-tiled pyramids).
+                // split stages (e.g. tiled pyramids).
                 if !ty.is_float() {
                     let dual = if op == BinOp::Min {
                         BinOp::Max

@@ -24,24 +24,12 @@ pub enum ForKind {
     /// The loop body is replicated `extent` times; the extent must be a
     /// compile-time constant.
     Unrolled,
-    /// Maps to the grid (block) dimension of a simulated GPU kernel launch.
-    GpuBlock,
-    /// Maps to the thread dimension within a simulated GPU kernel launch.
-    GpuThread,
 }
 
 impl ForKind {
-    /// True for the two GPU loop kinds.
-    pub fn is_gpu(self) -> bool {
-        matches!(self, ForKind::GpuBlock | ForKind::GpuThread)
-    }
-
-    /// True if iterations may run concurrently (parallel, GPU).
+    /// True if iterations may run concurrently.
     pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            ForKind::Parallel | ForKind::GpuBlock | ForKind::GpuThread
-        )
+        self == ForKind::Parallel
     }
 }
 
@@ -52,8 +40,6 @@ impl fmt::Display for ForKind {
             ForKind::Parallel => "parallel for",
             ForKind::Vectorized => "vectorized for",
             ForKind::Unrolled => "unrolled for",
-            ForKind::GpuBlock => "gpu_block for",
-            ForKind::GpuThread => "gpu_thread for",
         };
         write!(f, "{s}")
     }
@@ -540,10 +526,8 @@ mod tests {
 
     #[test]
     fn kinds_classify() {
-        assert!(ForKind::GpuBlock.is_gpu());
         assert!(ForKind::Parallel.is_parallel());
         assert!(!ForKind::Serial.is_parallel());
-        assert!(!ForKind::Vectorized.is_gpu());
     }
 
     #[test]

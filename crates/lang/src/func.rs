@@ -361,26 +361,6 @@ impl Func {
         self.edit_schedule(|s| s.tile(x, y, xo, yo, xi, yi, xfactor, yfactor))
     }
 
-    /// Maps the `x`/`y` dimensions onto the simulated GPU: tiles them and
-    /// marks the outer loops as GPU blocks and the inner loops as GPU threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension does not exist or names collide.
-    pub fn gpu_tile(&self, x: &str, y: &str, xfactor: i64, yfactor: i64) -> &Self {
-        let bx = format!("{x}.block");
-        let by = format!("{y}.block");
-        let tx = format!("{x}.thread");
-        let ty = format!("{y}.thread");
-        self.edit_schedule(|s| {
-            s.tile(x, y, &bx, &by, &tx, &ty, xfactor, yfactor)?;
-            s.gpu_block(&by)?;
-            s.gpu_block(&bx)?;
-            s.gpu_thread(&ty)?;
-            s.gpu_thread(&tx)
-        })
-    }
-
     /// Computes this function at the root level (breadth-first), storing it
     /// at root as well.
     pub fn compute_root(&self) -> &Self {
@@ -542,19 +522,6 @@ mod tests {
         assert_eq!(fs.store_level, LoopLevel::at(g.name(), "y"));
         f.store_root();
         assert_eq!(f.schedule().store_level, LoopLevel::Root);
-    }
-
-    #[test]
-    fn gpu_tile_sets_kinds() {
-        let (x, y) = xy();
-        let f = Func::new("func_test_gpu_tile");
-        f.define(&[x, y], Expr::f32(0.0));
-        f.gpu_tile("x", "y", 16, 16);
-        let s = f.schedule();
-        assert!(s.validate().is_ok());
-        let kinds: Vec<_> = s.dims.iter().map(|d| d.kind).collect();
-        use halide_schedule::ForKind::*;
-        assert_eq!(kinds, vec![GpuBlock, GpuBlock, GpuThread, GpuThread]);
     }
 
     #[test]

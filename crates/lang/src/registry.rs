@@ -16,11 +16,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::func::FuncInner;
 
-type Table = HashMap<String, Arc<Mutex<FuncInner>>>;
+#[derive(Default)]
+struct Table {
+    funcs: HashMap<String, Arc<Mutex<FuncInner>>>,
+    /// Per requested name, the first `$n` suffix not yet known to be taken.
+    /// Names are never removed, so every suffix below it stays taken and a
+    /// registration resumes here instead of probing from `$1`.
+    next_suffix: HashMap<String, usize>,
+}
 
 fn table() -> &'static Mutex<Table> {
     static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
+    TABLE.get_or_init(Mutex::default)
 }
 
 /// Registers a function under `requested` name, returning the (possibly
@@ -34,20 +41,25 @@ fn table() -> &'static Mutex<Table> {
 /// and schedule, a few kilobytes per stage.
 pub(crate) fn register(requested: &str, inner: Arc<Mutex<FuncInner>>) -> String {
     let mut t = table().lock().expect("func registry poisoned");
-    let mut name = requested.to_string();
-    let mut n = 0usize;
-    while t.contains_key(&name) {
-        n += 1;
-        name = format!("{requested}${n}");
+    let Table { funcs, next_suffix } = &mut *t;
+    let n = next_suffix.entry(requested.to_string()).or_insert(0);
+    loop {
+        let name = match *n {
+            0 => requested.to_string(),
+            n => format!("{requested}${n}"),
+        };
+        *n += 1;
+        if !funcs.contains_key(&name) {
+            funcs.insert(name.clone(), inner);
+            return name;
+        }
     }
-    t.insert(name.clone(), inner);
-    name
 }
 
 /// Looks up a registered function by its unique name.
 pub(crate) fn lookup(name: &str) -> Option<Arc<Mutex<FuncInner>>> {
     let t = table().lock().expect("func registry poisoned");
-    t.get(name).cloned()
+    t.funcs.get(name).cloned()
 }
 
 #[cfg(test)]
@@ -67,5 +79,25 @@ mod tests {
         assert!(super::lookup(&a.name()).is_some());
         assert!(super::lookup(&b.name()).is_some());
         assert!(super::lookup("registry_test_does_not_exist").is_none());
+
+        // Successive registrations of one name count up without gaps.
+        let names: Vec<String> = (0..1000)
+            .map(|_| Func::new("registry_test_seq").name())
+            .collect();
+        assert_eq!(names[0], "registry_test_seq");
+        for (i, name) in names.iter().enumerate().skip(1) {
+            assert_eq!(*name, format!("registry_test_seq${i}"));
+        }
+
+        // A name already taken literally is skipped, not reused.
+        assert_eq!(
+            Func::new("registry_test_lit$3").name(),
+            "registry_test_lit$3"
+        );
+        let names: Vec<String> = (0..5)
+            .map(|_| Func::new("registry_test_lit").name())
+            .collect();
+        let want = ["", "$1", "$2", "$4", "$5"].map(|s| format!("registry_test_lit{s}"));
+        assert_eq!(names, want);
     }
 }

@@ -592,14 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn gpu_schedule_lowers_with_gpu_loops() {
-        let (_in, blurx, out) = blur("lower_gpu");
-        out.gpu_tile("x", "y", 16, 16);
-        blurx.compute_at(&out, "x.block");
+    fn tiled_schedule_lowers_with_parallel_tiles() {
+        let (_in, blurx, out) = blur("lower_tiled");
+        out.tile_dims("x", "y", "xo", "yo", "xi", "yi", 16, 16)
+            .parallelize("yo");
+        blurx.compute_at(&out, "xo");
         let module = lower(&Pipeline::new(&out)).unwrap();
         let text = module.pretty();
-        assert!(text.contains("gpu_block for"));
-        assert!(text.contains("gpu_thread for"));
+        assert!(text.contains(&format!("parallel for {}.yo", out.name())));
     }
 
     #[test]

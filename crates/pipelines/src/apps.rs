@@ -16,8 +16,6 @@ pub enum ScheduleChoice {
     Naive,
     /// A hand-crafted schedule in the spirit of the paper's tuned results.
     Tuned,
-    /// A simulated-GPU schedule (only available for some apps).
-    Gpu,
 }
 
 /// The applications of the paper's evaluation (Fig. 6 / Fig. 7).
@@ -68,12 +66,6 @@ impl AppKind {
             AppKind::Interpolate => "Interpolate",
             AppKind::LocalLaplacian => "Local Laplacian",
         }
-    }
-
-    /// True if a GPU schedule is provided for this app (mirrors the CUDA
-    /// half of Fig. 7).
-    pub fn has_gpu_schedule(&self) -> bool {
-        matches!(self, AppKind::BilateralGrid | AppKind::Interpolate)
     }
 
     /// A short, stable, URL/key-friendly identifier (`blur`, `camera-pipe`,
@@ -139,7 +131,7 @@ impl AppKind {
                 let app = blur::BlurApp::new();
                 let s = match schedule {
                     ScheduleChoice::Naive => blur::BlurSchedule::BreadthFirst,
-                    _ => blur::BlurSchedule::ParallelTiledVector,
+                    ScheduleChoice::Tuned => blur::BlurSchedule::ParallelTiledVector,
                 };
                 let module = app.compile(s)?;
                 (
@@ -162,10 +154,8 @@ impl AppKind {
             }
             AppKind::BilateralGrid => {
                 let app = bilateral_grid::BilateralGridApp::new();
-                match schedule {
-                    ScheduleChoice::Naive => {}
-                    ScheduleChoice::Tuned => app.schedule_good(),
-                    ScheduleChoice::Gpu => app.schedule_gpu(),
+                if schedule != ScheduleChoice::Naive {
+                    app.schedule_good();
                 }
                 let module = app.compile()?;
                 (
@@ -189,10 +179,8 @@ impl AppKind {
             AppKind::Interpolate => {
                 let levels = pyramid_levels(width, height);
                 let app = interpolate::InterpolateApp::new(levels);
-                match schedule {
-                    ScheduleChoice::Naive => {}
-                    ScheduleChoice::Tuned => app.schedule_good(),
-                    ScheduleChoice::Gpu => app.schedule_gpu(),
+                if schedule != ScheduleChoice::Naive {
+                    app.schedule_good();
                 }
                 let module = app.compile()?;
                 (
@@ -250,8 +238,7 @@ impl AppKind {
     /// [`AppKind::run`] on an explicit execution backend — the benchmark
     /// harnesses route their `--backend` flag through this. Runs with the
     /// per-operation counters **off** (this is the wall-clock path; the
-    /// structural counters — allocations, tasks, kernel launches, copies —
-    /// are always collected). Use [`AppKind::run_instrumented`] when the
+    /// structural counters — allocations, tasks — are always collected). Use [`AppKind::run_instrumented`] when the
     /// per-op counts are the point.
     ///
     /// # Errors
@@ -388,15 +375,6 @@ mod tests {
                 assert!(stats.functions >= 2, "{} too small", app.name());
                 assert!(!realization.output.is_empty());
             }
-        }
-    }
-
-    #[test]
-    fn gpu_apps_launch_kernels() {
-        for app in AppKind::ALL.iter().filter(|a| a.has_gpu_schedule()) {
-            let (result, _) = app.run(32, 32, ScheduleChoice::Gpu, 2).unwrap();
-            let realization = result.unwrap();
-            assert!(realization.counters.kernel_launches > 0, "{}", app.name());
         }
     }
 

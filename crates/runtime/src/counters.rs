@@ -2,8 +2,7 @@
 //!
 //! The executor counts the work it performs so the benchmark harnesses can
 //! report the quantities of Fig. 3 of the paper (work amplification, locality
-//! proxies, available parallelism) in addition to wall-clock time, and so the
-//! simulated GPU backend can report copies and kernel launches.
+//! proxies, available parallelism) in addition to wall-clock time.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,9 +68,6 @@ pub struct Counters {
     peak_bytes_live: AtomicU64,
     bytes_live: AtomicU64,
     parallel_tasks: AtomicU64,
-    kernel_launches: AtomicU64,
-    device_copies: AtomicU64,
-    device_bytes_copied: AtomicU64,
 }
 
 impl Counters {
@@ -182,17 +178,6 @@ impl Counters {
         self.parallel_tasks.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records a simulated GPU kernel launch.
-    pub fn add_kernel_launch(&self) {
-        self.kernel_launches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a simulated host↔device copy of `bytes` bytes.
-    pub fn add_device_copy(&self, bytes: u64) {
-        self.device_copies.fetch_add(1, Ordering::Relaxed);
-        self.device_bytes_copied.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Takes a consistent-enough snapshot for reporting (individual counters
     /// are read independently; tiny skew between them is irrelevant for
     /// benchmarking purposes).
@@ -218,9 +203,6 @@ impl Counters {
             bytes_allocated: self.bytes_allocated.load(Ordering::Relaxed),
             peak_bytes_live: self.peak_bytes_live.load(Ordering::Relaxed),
             parallel_tasks: self.parallel_tasks.load(Ordering::Relaxed),
-            kernel_launches: self.kernel_launches.load(Ordering::Relaxed),
-            device_copies: self.device_copies.load(Ordering::Relaxed),
-            device_bytes_copied: self.device_bytes_copied.load(Ordering::Relaxed),
         }
     }
 }
@@ -270,12 +252,6 @@ pub struct CounterSnapshot {
     /// Tasks submitted to the thread pool (an available-parallelism proxy,
     /// the "span" column of Fig. 3).
     pub parallel_tasks: u64,
-    /// Simulated GPU kernel launches.
-    pub kernel_launches: u64,
-    /// Simulated host↔device copies.
-    pub device_copies: u64,
-    /// Bytes moved by simulated host↔device copies.
-    pub device_bytes_copied: u64,
 }
 
 impl CounterSnapshot {
@@ -312,9 +288,6 @@ impl CounterSnapshot {
             bytes_allocated: self.bytes_allocated - earlier.bytes_allocated,
             peak_bytes_live: self.peak_bytes_live.max(earlier.peak_bytes_live),
             parallel_tasks: self.parallel_tasks - earlier.parallel_tasks,
-            kernel_launches: self.kernel_launches - earlier.kernel_launches,
-            device_copies: self.device_copies - earlier.device_copies,
-            device_bytes_copied: self.device_bytes_copied - earlier.device_bytes_copied,
         }
     }
 }
@@ -323,7 +296,7 @@ impl fmt::Display for CounterSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "arith={} loads={} (dense={} strided={} gather={}) stores={} (dense={} strided={} scatter={}) masked_sel={} masked_ld={} masked_st={} alloc={} ({} B, peak live {} B, pool {}/{}) tasks={} kernels={} copies={} ({} B)",
+            "arith={} loads={} (dense={} strided={} gather={}) stores={} (dense={} strided={} scatter={}) masked_sel={} masked_ld={} masked_st={} alloc={} ({} B, peak live {} B, pool {}/{}) tasks={}",
             self.arith_ops,
             self.loads,
             self.dense_loads,
@@ -341,10 +314,7 @@ impl fmt::Display for CounterSnapshot {
             self.peak_bytes_live,
             self.pool_hits,
             self.pool_misses,
-            self.parallel_tasks,
-            self.kernel_launches,
-            self.device_copies,
-            self.device_bytes_copied
+            self.parallel_tasks
         )
     }
 }
@@ -363,8 +333,6 @@ mod tests {
         c.add_allocation(50);
         c.add_free(100);
         c.add_parallel_tasks(8);
-        c.add_kernel_launch();
-        c.add_device_copy(256);
         let s = c.snapshot();
         assert_eq!(s.arith_ops, 10);
         assert_eq!(s.loads, 1);
@@ -374,8 +342,6 @@ mod tests {
         assert_eq!(s.bytes_allocated, 150);
         assert_eq!(s.peak_bytes_live, 150);
         assert_eq!(s.parallel_tasks, 8);
-        assert_eq!(s.kernel_launches, 1);
-        assert_eq!(s.device_bytes_copied, 256);
         assert!(s.to_string().contains("arith=10"));
     }
 

@@ -2,13 +2,12 @@
 //!
 //! The runtime substrate for the halide-rs reproduction: typed pixel
 //! [`Buffer`]s, the data-parallel [`ThreadPool`], instrumentation
-//! [`Counters`], the simulated [`GpuDevice`], and the runtime [`Value`]
-//! representation the executor evaluates expressions to.
+//! [`Counters`], and the runtime [`Value`] representation the executor
+//! evaluates expressions to.
 //!
 //! The paper's generated code relies on a small runtime (a task queue
-//! consumed by a thread pool, buffer management, and CUDA driver calls for
-//! the GPU backend); this crate plays that role for the closure-compiling
-//! backend in `halide-exec`.
+//! consumed by a thread pool, and buffer management); this crate plays that
+//! role for the closure-compiling backend in `halide-exec`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -16,14 +15,12 @@
 pub mod buffer;
 pub mod bufpool;
 pub mod counters;
-pub mod gpu;
 pub mod pool;
 pub mod value;
 
 pub use buffer::{Buffer, BufferDim};
 pub use bufpool::{BufferPool, PoolStats, PooledBuffer};
 pub use counters::{classify_flat_indices, AccessPattern, CounterSnapshot, Counters};
-pub use gpu::{GpuDevice, Residency};
 pub use pool::{num_threads_default, ThreadPool};
 pub use value::{
     binary_op, binary_op_owned, cast_owned, compare_op, compare_op_owned, not_op_owned,

@@ -351,8 +351,8 @@ impl PipelineInfo {
     /// `compute_at(consumer, var)` under this pipeline's call graph — the
     /// conservative enclosure rule: every effective consumer is `consumer`
     /// itself, every call site is in its pure definition, `var` is a live
-    /// loop dimension of `consumer`, and no vectorized/unrolled/GPU loop
-    /// encloses it.
+    /// loop dimension of `consumer`, and no vectorized/unrolled loop encloses
+    /// it.
     pub fn compute_at_legal(&self, producer: &str, consumer: &str, var: &str) -> bool {
         self.check_compute_at(producer, consumer, var).is_ok()
     }
@@ -382,7 +382,7 @@ impl PipelineInfo {
             if !matches!(dim.kind, ForKind::Serial | ForKind::Parallel) {
                 return fail(format!(
                     "loop {:?} enclosing the compute level is {:?}; producers cannot be \
-                     realized inside vectorized, unrolled, or GPU loops",
+                     realized inside vectorized or unrolled loops",
                     dim.name, dim.kind
                 ));
             }

@@ -5,8 +5,7 @@
 //!
 //! * **domain order** — in what order is the required region of each function
 //!   traversed? Dimensions can be split, reordered, and marked serial,
-//!   parallel, vectorized, unrolled, or mapped to simulated GPU block/thread
-//!   dimensions.
+//!   parallel, vectorized, or unrolled.
 //! * **call schedule** — at what loop level of its consumers is each function
 //!   computed, and at what (equal or coarser) level is its storage allocated?
 //!
@@ -387,24 +386,6 @@ impl FuncSchedule {
         self.set_kind(name, ForKind::Unrolled)
     }
 
-    /// Maps a dimension to the simulated GPU grid (block index).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the dimension does not exist.
-    pub fn gpu_block(&mut self, name: &str) -> Result<()> {
-        self.set_kind(name, ForKind::GpuBlock)
-    }
-
-    /// Maps a dimension to the simulated GPU thread index.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the dimension does not exist.
-    pub fn gpu_thread(&mut self, name: &str) -> Result<()> {
-        self.set_kind(name, ForKind::GpuThread)
-    }
-
     /// The canonical tiling helper: splits `x` and `y` by the given factors
     /// and reorders so the tile loops (`yo`, `xo`) are outermost and the
     /// within-tile loops (`yi`, `xi`) are innermost.
@@ -436,9 +417,8 @@ impl FuncSchedule {
     ///
     /// # Errors
     ///
-    /// Fails if dimension names are duplicated, a GPU thread loop is not
-    /// nested inside a GPU block loop, storage is at a level finer than
-    /// compute, or an inline function has a non-default domain order.
+    /// Fails if dimension names are duplicated, storage is at a level finer
+    /// than compute, or an inline function has a non-default domain order.
     pub fn validate(&self) -> Result<()> {
         let mut seen = HashSet::new();
         for d in &self.dims {
@@ -448,31 +428,6 @@ impl FuncSchedule {
                     d.name
                 )));
             }
-        }
-        // GPU sanity: thread loops must appear inside (after) a block loop,
-        // with no non-GPU loop in between (Sec. 4.6, GPU code generation).
-        let kinds: Vec<ForKind> = self.dims.iter().map(|d| d.kind).collect();
-        let first_thread = kinds.iter().position(|k| *k == ForKind::GpuThread);
-        let last_block = kinds.iter().rposition(|k| *k == ForKind::GpuBlock);
-        match (first_thread, last_block) {
-            (Some(t), Some(b)) => {
-                if b > t {
-                    return Err(ScheduleError::new(
-                        "gpu thread dimension appears outside a gpu block dimension",
-                    ));
-                }
-                if kinds[b + 1..t].iter().any(|k| !k.is_gpu()) {
-                    return Err(ScheduleError::new(
-                        "gpu block and thread dimensions must be contiguous",
-                    ));
-                }
-            }
-            (Some(_), None) => {
-                return Err(ScheduleError::new(
-                    "gpu thread dimension requires an enclosing gpu block dimension",
-                ));
-            }
-            _ => {}
         }
         // Storage must be at the compute level or coarser. We can check the
         // obvious violation locally: computing at root but storing at an
@@ -508,8 +463,6 @@ impl FuncSchedule {
                     ForKind::Parallel => "par ",
                     ForKind::Vectorized => "vec ",
                     ForKind::Unrolled => "unroll ",
-                    ForKind::GpuBlock => "gpu_block ",
-                    ForKind::GpuThread => "gpu_thread ",
                 };
                 format!("{k}{}", d.name)
             })
@@ -610,21 +563,6 @@ mod tests {
         s.serial("y").unwrap();
         assert_eq!(s.dims[0].kind, ForKind::Serial);
         assert!(s.unroll("q").is_err());
-    }
-
-    #[test]
-    fn gpu_validation() {
-        let mut s = xy();
-        s.gpu_thread("x").unwrap();
-        assert!(s.validate().is_err());
-        s.gpu_block("y").unwrap();
-        assert!(s.validate().is_ok());
-
-        // block inside thread is invalid
-        let mut s2 = xy();
-        s2.gpu_block("x").unwrap();
-        s2.gpu_thread("y").unwrap();
-        assert!(s2.validate().is_err());
     }
 
     #[test]

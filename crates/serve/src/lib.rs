@@ -7,7 +7,7 @@
 //! overload:
 //!
 //! * a [`Registry`] of **named** pipeline variants (every paper app ×
-//!   naive/tuned schedule, plus GPU variants where defined);
+//!   naive/tuned schedule);
 //! * a [`ProgramCache`] keyed by *(app, schedule, backend, shape, parameter
 //!   signature)* holding shared `Arc<Program>`s, so each distinct pipeline
 //!   compiles **once** — and, under a configured budget, a **cost-aware

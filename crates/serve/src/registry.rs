@@ -32,7 +32,6 @@ pub fn canonical_name(app: AppKind, schedule: ScheduleChoice) -> String {
     let variant = match schedule {
         ScheduleChoice::Naive => "naive",
         ScheduleChoice::Tuned => "tuned",
-        ScheduleChoice::Gpu => "gpu",
     };
     format!("{}/{variant}", app.slug())
 }
@@ -43,21 +42,13 @@ impl Registry {
         Self::default()
     }
 
-    /// A registry preloaded with every paper pipeline in both CPU variants
-    /// (`blur/naive`, `blur/tuned`, …, `local-laplacian/tuned`), plus the
-    /// GPU variants where an app defines one.
+    /// A registry preloaded with every paper pipeline in both variants
+    /// (`blur/naive`, `blur/tuned`, …, `local-laplacian/tuned`).
     pub fn with_paper_apps() -> Self {
         let mut r = Registry::new();
         for app in AppKind::ALL {
             for schedule in [ScheduleChoice::Naive, ScheduleChoice::Tuned] {
                 r.register(canonical_name(app, schedule), app, schedule);
-            }
-            if app.has_gpu_schedule() {
-                r.register(
-                    canonical_name(app, ScheduleChoice::Gpu),
-                    app,
-                    ScheduleChoice::Gpu,
-                );
             }
         }
         r
@@ -94,15 +85,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_registry_covers_every_app_twice_plus_gpu() {
+    fn paper_registry_covers_every_app_twice() {
         let r = Registry::with_paper_apps();
-        let gpu_apps = AppKind::ALL.iter().filter(|a| a.has_gpu_schedule()).count();
-        assert_eq!(r.len(), AppKind::ALL.len() * 2 + gpu_apps);
+        assert_eq!(r.len(), AppKind::ALL.len() * 2);
         let spec = r.get("blur/tuned").unwrap();
         assert_eq!(spec.app, AppKind::Blur);
         assert_eq!(spec.schedule, ScheduleChoice::Tuned);
-        assert!(r.get("bilateral-grid/gpu").is_some());
-        assert!(r.get("blur/gpu").is_none());
         assert!(r.get("sharpen/tuned").is_none());
         assert!(!r.is_empty());
     }

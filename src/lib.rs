@@ -13,7 +13,7 @@
 //! * [`lower`] — the compiler: lowering, bounds inference, sliding window,
 //!   storage folding, flattening, vectorization (Sec. 4);
 //! * [`exec`] — the backend: [`Realizer`] runs compiled pipelines on the
-//!   multithreaded runtime with a simulated GPU device (Sec. 4.6 substitute);
+//!   multithreaded runtime (Sec. 4.6 substitute);
 //! * [`autotune`] — the stochastic schedule search (Sec. 5);
 //! * [`pipelines`] — the paper's benchmark applications (Sec. 6);
 //! * [`serve`] — the compile-once / realize-many pipeline server (program

@@ -254,17 +254,15 @@ fn odd_extents_with_fused_producer_agree_across_backends() {
     }
 }
 
-/// A deep multi-stage app: interpolate, under its three schedule flavours
-/// (including the simulated-GPU one, which must also report identical
-/// kernel-launch and copy counters).
+/// A deep multi-stage app: interpolate, under its three schedule flavours.
 #[test]
 fn interpolate_agrees_across_backends_on_every_schedule() {
     let input = interpolate::make_input(64, 48);
-    for flavour in ["naive", "tuned", "gpu"] {
+    for flavour in ["naive", "tuned", "tiled"] {
         let app = InterpolateApp::new(3);
         match flavour {
             "tuned" => app.schedule_good(),
-            "gpu" => app.schedule_gpu(),
+            "tiled" => app.schedule_tiled(),
             _ => {}
         }
         let module = halide::lower(&app.pipeline()).expect("interpolate lowers");

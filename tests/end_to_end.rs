@@ -101,22 +101,25 @@ fn counters_reflect_the_tradeoff_space() {
     assert!(sliding.peak_bytes_live < breadth_first.peak_bytes_live / 4);
 }
 
-/// The GPU execution model: the same algorithm scheduled for the simulated
-/// device produces identical results and reports launches/copies.
+/// 16x16 tiles processed in parallel, with the producer computed per tile,
+/// produce the same image as the 32x32 `Tiled` schedule.
 #[test]
-fn gpu_schedules_match_cpu_results() {
+fn parallel_tiles_match_tiled_results() {
     let input = make_input(64, 64);
-    let cpu = BlurApp::new();
-    let cpu_module = cpu.compile(BlurSchedule::Tiled).unwrap();
-    let cpu_result = cpu.run(&cpu_module, &input, 2, false).unwrap();
+    let reference_app = BlurApp::new();
+    let reference_module = reference_app.compile(BlurSchedule::Tiled).unwrap();
+    let expected = reference_app
+        .run(&reference_module, &input, 2, false)
+        .unwrap();
 
-    let gpu = BlurApp::new();
-    gpu.out.gpu_tile("x", "y", 16, 16);
-    gpu.blurx.compute_at(&gpu.out, "x.block");
-    let gpu_module = lower(&gpu.pipeline()).unwrap();
-    let gpu_result = gpu.run(&gpu_module, &input, 2, false).unwrap();
+    let app = BlurApp::new();
+    app.out
+        .tile_dims("x", "y", "xo", "yo", "xi", "yi", 16, 16)
+        .parallelize("yo");
+    app.blurx.compute_at(&app.out, "xo");
+    let module = lower(&app.pipeline()).unwrap();
+    let result = app.run(&module, &input, 2, false).unwrap();
 
-    assert!(cpu_result.output.max_abs_diff(&gpu_result.output) < 1e-4);
-    assert!(gpu_result.counters.kernel_launches >= 1);
-    assert!(gpu_result.counters.device_bytes_copied > 0);
+    assert!(expected.output.max_abs_diff(&result.output) < 1e-4);
+    assert!(result.counters.parallel_tasks > 0);
 }

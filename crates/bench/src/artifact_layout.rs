@@ -17,10 +17,9 @@ fn layout(v: &JsonValue) -> String {
 }
 
 /// Asserts that `doc` reads back from its pretty form unchanged, and that
-/// it has every section of the `checked_in` artifact, in the same order and
-/// with the same keys (`newer` names top-level sections the checked-in file
-/// predates).
-pub fn assert_matches_checked_in(doc: &JsonValue, checked_in: &str, newer: &[&str]) {
+/// it has exactly the sections of the `checked_in` artifact, in the same
+/// order and with the same keys.
+pub fn assert_matches_checked_in(doc: &JsonValue, checked_in: &str) {
     let mut text = String::new();
     doc.write_pretty(&mut text);
     assert_eq!(JsonValue::parse(&text).as_ref(), Ok(doc));
@@ -29,15 +28,7 @@ pub fn assert_matches_checked_in(doc: &JsonValue, checked_in: &str, newer: &[&st
     let JsonValue::Object(sections) = &checked_in else {
         panic!("the checked-in artifact is an object");
     };
-    let JsonValue::Object(emitted) = doc else {
-        panic!("the regenerated artifact is an object");
-    };
-    let shared: Vec<&str> = emitted
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !newer.contains(k))
-        .collect();
-    assert_eq!(shared.join(","), layout(&checked_in));
+    assert_eq!(layout(doc), layout(&checked_in));
     for (name, old) in sections {
         let new = doc.get(name).expect("every checked-in section is emitted");
         assert_eq!(layout(new), layout(old), "{name}");

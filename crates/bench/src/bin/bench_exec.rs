@@ -9,6 +9,11 @@
 //! cargo run --release -p halide-bench --bin bench_exec -- --full --12mp   # dev machines
 //! ```
 //!
+//! Per-op counts, instruction counts and optimizer reports are the
+//! repository benchmark's (`benchmark/`, `exec.*` metrics), and their
+//! deterministic gates run under `cargo test` (`tests/differential.rs`);
+//! this emitter keeps only what that benchmark leaves out.
+//!
 //! The interp-vs-compiled comparison rows always run at the quick size
 //! (192x128): interpreter rows at production sizes would take hours, and
 //! the relative speedups are size-stable. `--full` instead adds the
@@ -18,29 +23,15 @@
 //!
 //! Per (app, schedule) the wall time of each backend is the best of
 //! several runs (instrumentation off); the JSON carries per-row and
-//! per-app speedups plus the headline `blur_speedup`. A separate
-//! instrumented pass over every tuned schedule records the per-op table
-//! (dense/strided/gather loads, dense/strided/scatter stores, masked
-//! selects, masked loads/stores) so a speedup change is attributable to
-//! the operations that moved — see the counter table in
-//! `docs/execution.md`.
+//! per-app speedups plus the headline `blur_speedup`.
 //!
 //! The emitter is also the perf gate: it asserts the compiled engine's
 //! speedup over the interpreter on blur (whole app) and on the tuned
 //! camera pipe and bilateral grid schedules — the select/gather-heavy
-//! rows the predicated vector paths exist for — plus the pre-codegen
-//! optimizer's contract: on every app the optimized instruction count is
-//! no larger than the unoptimized one, and on the tuned camera pipe the
-//! optimizer removes at least 10% of the instructions. Two gates guard
-//! the predicated-tail vectorizer specifically: every tuned schedule
-//! must report `dense_loads > 0` (no silently-scalar "tuned" schedules),
-//! and on the pyramid apps (interpolate, local Laplacian) — whose odd,
-//! halving extents only vectorize through tail strategies — the tuned
-//! compiled schedule must beat the scalar naive one by at least 2x.
-//!
-//! `--dump-pir` additionally prints each app's optimized linear program IR
-//! (the final snapshot of `Program::compile_traced`) to stdout; see
-//! `examples/pir_stages.rs` for the stage-by-stage view.
+//! rows the predicated vector paths exist for — and, on the pyramid apps
+//! (interpolate, local Laplacian), whose odd, halving extents only
+//! vectorize through tail strategies, that the tuned compiled schedule
+//! beats the scalar naive one by at least 2x.
 //!
 //! The **observability tier** always runs last: the tuned camera pipe is
 //! timed with the per-Func profiler + trace sink off and then on
@@ -56,9 +47,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use halide_bench::{Args, CliSpec, HarnessConfig};
-use halide_exec::{Backend, OptLevel, OptReport, Program, Realizer};
+use halide_exec::{Backend, Realizer};
 use halide_pipelines::{apps::ScheduleChoice, AppKind};
-use halide_runtime::CounterSnapshot;
 use halide_trace::JsonValue;
 
 /// Timing repetitions per (app, schedule, backend): the best run is
@@ -95,36 +85,44 @@ struct Report {
     cfg: HarnessConfig,
     reps: usize,
     rows: Vec<Row>,
-    /// Per-op counters of every tuned schedule.
-    ops: Vec<(&'static str, CounterSnapshot)>,
-    /// The optimizer's report for every tuned schedule.
-    pir: Vec<(&'static str, OptReport)>,
     full_res: Vec<FullResRow>,
 }
 
-fn best_time(
+/// Builds `app` at `width`x`height` once, then returns the best wall time
+/// of `reps` uninstrumented realizations on each of `backends`.
+fn best_times<const N: usize>(
     app: AppKind,
-    cfg: &HarnessConfig,
-    reps: usize,
+    (width, height): (i64, i64),
     schedule: ScheduleChoice,
-    backend: Backend,
-) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let (result, _) = app
-            .run_with_backend(cfg.width, cfg.height, schedule, cfg.threads, backend)
-            .expect("benchmark schedule lowers");
-        let r = result.expect("benchmark schedule runs");
-        best = best.min(r.wall_time);
-    }
-    best
+    threads: usize,
+    reps: usize,
+    backends: [Backend; N],
+) -> [Duration; N] {
+    let built = app
+        .build(width, height, schedule)
+        .expect("benchmark schedule lowers");
+    let input = Arc::new(app.make_input(width, height));
+    let extents = app.output_extents(width, height);
+    backends.map(|backend| {
+        let realizer = Realizer::new(&built.module)
+            .input_shared(built.input_name.clone(), Arc::clone(&input))
+            .threads(threads)
+            .instrument(false)
+            .backend(backend);
+        (0..reps)
+            .map(|_| {
+                let r = realizer.realize(&extents).expect("benchmark schedule runs");
+                r.wall_time
+            })
+            .min()
+            .expect("at least one rep")
+    })
 }
 
 const SPEC: CliSpec = CliSpec {
-    usage: "bench_exec [--quick|--full] [--12mp] [--threads N] [--out FILE] \
-            [--trace FILE] [--dump-pir]",
+    usage: "bench_exec [--quick|--full] [--12mp] [--threads N] [--out FILE] [--trace FILE]",
     subcommands: &[],
-    switches: &["--12mp", "--dump-pir"],
+    switches: &["--12mp"],
     valued: &["--out", "--trace"],
 };
 
@@ -146,7 +144,7 @@ fn main() {
             full_res_sizes.push((4000, 3000));
         }
     }
-    let report = measure(&cfg, REPS, &full_res_sizes, args.switch("--dump-pir"));
+    let report = measure(&cfg, REPS, &full_res_sizes);
 
     let out_path = args.value("--out").unwrap_or("BENCH_exec.json");
     let mut json = String::new();
@@ -158,25 +156,28 @@ fn main() {
     observability_tier(&cfg, args.value("--trace"));
 }
 
-/// Runs the comparison rows, the instrumented pass, the optimizer reports
-/// and (for each of `full_res_sizes`) the full-resolution tier.
-fn measure(
-    cfg: &HarnessConfig,
-    reps: usize,
-    full_res_sizes: &[(i64, i64)],
-    dump_pir: bool,
-) -> Report {
+/// Runs the comparison rows and (for each of `full_res_sizes`) the
+/// full-resolution tier.
+fn measure(cfg: &HarnessConfig, reps: usize, full_res_sizes: &[(i64, i64)]) -> Report {
     let mut rows: Vec<Row> = Vec::new();
     for app in AppKind::ALL {
         for (schedule, label) in [
             (ScheduleChoice::Naive, "naive"),
             (ScheduleChoice::Tuned, "tuned"),
         ] {
+            let [interp, compiled] = best_times(
+                app,
+                (cfg.width, cfg.height),
+                schedule,
+                cfg.threads,
+                reps,
+                [Backend::Interp, Backend::Compiled],
+            );
             let row = Row {
                 app: app.name(),
                 schedule: label,
-                interp: best_time(app, cfg, reps, schedule, Backend::Interp),
-                compiled: best_time(app, cfg, reps, schedule, Backend::Compiled),
+                interp,
+                compiled,
             };
             eprintln!(
                 "{:<20} {:<6} interp {:>10.2?}ms  compiled {:>10.2?}ms  speedup {:.2}x",
@@ -190,63 +191,22 @@ fn measure(
         }
     }
 
-    // Per-op counters for every tuned schedule, from one instrumented
-    // compiled run (the interpreter's counts are identical by the
-    // differential-test contract, so one engine suffices).
-    let mut ops: Vec<(&'static str, CounterSnapshot)> = Vec::new();
-    for app in AppKind::ALL {
-        let (result, _) = app
-            .run_instrumented(
-                cfg.width,
-                cfg.height,
-                ScheduleChoice::Tuned,
-                cfg.threads,
-                Backend::Compiled,
-            )
-            .expect("tuned schedule lowers");
-        let c = result.expect("tuned schedule runs").counters;
-        eprintln!("{:<20} tuned  {c}", app.name());
-        ops.push((app.name(), c));
-    }
-
-    // The optimizer's report for every tuned schedule: instruction counts
-    // before/after the pass pipeline and which passes did the eliminating.
-    // Compilation is pure (no execution), so this adds negligible time.
-    let mut pir: Vec<(&'static str, OptReport)> = Vec::new();
-    for app in AppKind::ALL {
-        let built = app
-            .build(cfg.width, cfg.height, ScheduleChoice::Tuned)
-            .expect("tuned schedule lowers");
-        let (program, stages) = Program::compile_traced(&built.module, OptLevel::Default)
-            .expect("tuned schedule compiles");
-        let report = program.opt_report().clone();
-        eprintln!(
-            "{:<20} tuned  pir {} -> {} insts in {} iteration(s)",
-            app.name(),
-            report.before_insts,
-            report.after_insts,
-            report.iterations
-        );
-        if dump_pir {
-            let last = stages.last().expect("the trace records the linearization");
-            println!("=== {} (tuned) optimized PIR ===", app.name());
-            print!("{}", last.pir);
-        }
-        pir.push((app.name(), report));
-    }
-
     // Full-resolution tier: tuned schedules on the compiled backend at the
     // sizes real traffic ships. One rep each — a 12MP local Laplacian runs
     // for tens of seconds, which buries scheduling noise on its own.
     let mut full_res: Vec<FullResRow> = Vec::new();
     for app in AppKind::ALL {
         for &(w, h) in full_res_sizes {
-            let (result, _) = app
-                .run_with_backend(w, h, ScheduleChoice::Tuned, cfg.threads, Backend::Compiled)
-                .expect("tuned schedule lowers at full resolution");
-            let r = result.expect("tuned schedule runs at full resolution");
-            let ms = r.wall_time.as_secs_f64() * 1e3;
-            let mpix = (w * h) as f64 / 1e6 / r.wall_time.as_secs_f64().max(1e-12);
+            let [wall] = best_times(
+                app,
+                (w, h),
+                ScheduleChoice::Tuned,
+                cfg.threads,
+                1,
+                [Backend::Compiled],
+            );
+            let ms = wall.as_secs_f64() * 1e3;
+            let mpix = (w * h) as f64 / 1e6 / wall.as_secs_f64().max(1e-12);
             eprintln!(
                 "{:<20} tuned  {w}x{h} compiled {ms:>10.2}ms  ({mpix:.1} MPix/s)",
                 app.name()
@@ -265,8 +225,6 @@ fn measure(
         cfg: *cfg,
         reps,
         rows,
-        ops,
-        pir,
         full_res,
     }
 }
@@ -309,35 +267,6 @@ impl Report {
                 ])
             })
             .collect();
-        let tuned_ops = self.ops.iter().map(|(name, c)| {
-            let counters = JsonValue::object([
-                ("arith", c.arith_ops),
-                ("loads", c.loads),
-                ("dense_loads", c.dense_loads),
-                ("strided_loads", c.strided_loads),
-                ("gather_loads", c.gather_loads),
-                ("masked_loads", c.masked_loads),
-                ("stores", c.stores),
-                ("dense_stores", c.dense_stores),
-                ("strided_stores", c.strided_stores),
-                ("scatter_stores", c.scatter_stores),
-                ("masked_stores", c.masked_stores),
-                ("masked_selects", c.masked_selects),
-            ]);
-            (*name, counters)
-        });
-        let pir = self.pir.iter().map(|(name, r)| {
-            let report = JsonValue::object([
-                ("before_insts", JsonValue::from(r.before_insts)),
-                ("after_insts", r.after_insts.into()),
-                ("iterations", r.iterations.into()),
-                (
-                    "passes",
-                    JsonValue::object(r.passes.iter().map(|p| (p.name, p.changes))),
-                ),
-            ]);
-            (*name, report)
-        });
         let full_res: Vec<JsonValue> = self
             .full_res
             .iter()
@@ -365,8 +294,6 @@ impl Report {
                 ]),
             ),
             ("rows", rows.into()),
-            ("tuned_ops", JsonValue::object(tuned_ops)),
-            ("pir", JsonValue::object(pir)),
             ("full_res", full_res.into()),
             ("app_speedups", JsonValue::object(app_speedups)),
             (
@@ -397,19 +324,6 @@ impl Report {
                 "the compiled backend must be at least 5x faster than the interpreter on the tuned {app} schedule, got {s:.2}x"
             );
         }
-        // No silently-scalar "tuned" schedules: every app's tuned schedule must
-        // issue dense vector loads. The pyramid apps sat at zero for several
-        // releases because their odd, halving extents defeated divisibility-only
-        // vectorization; predicated tails removed that excuse.
-        for (name, c) in &self.ops {
-            println!("{name} tuned dense loads: {}", c.dense_loads);
-            assert!(
-                c.dense_loads > 0,
-                "the tuned {name} schedule performs no dense vector loads — it is \
-                 silently scalar; vectorize it (non-dividing extents take a tail \
-                 strategy: guard_with_if, predicate, or round_up)"
-            );
-        }
         // The pyramid apps only vectorize through tail strategies; the tuned
         // schedule must beat the scalar naive one by >= 2x on the compiled
         // backend or the predicated-tail path has regressed.
@@ -430,35 +344,6 @@ impl Report {
                 "--full must measure every app at 1080p"
             );
         }
-        // The optimizer's gates: it must never grow a program, and on the tuned
-        // camera pipe (the schedule the pass pipeline was sized against) it must
-        // remove at least 10% of the instructions.
-        for (name, r) in &self.pir {
-            assert!(
-                r.after_insts <= r.before_insts,
-                "the optimizer grew {name}: {} -> {} instructions",
-                r.before_insts,
-                r.after_insts
-            );
-        }
-        let cam = &self
-            .pir
-            .iter()
-            .find(|(name, _)| *name == "Camera pipe")
-            .expect("camera pipe was compiled")
-            .1;
-        let reduction = 1.0 - cam.after_insts as f64 / cam.before_insts.max(1) as f64;
-        println!(
-            "camera pipe tuned instruction reduction: {:.1}% ({} -> {})",
-            reduction * 100.0,
-            cam.before_insts,
-            cam.after_insts
-        );
-        assert!(
-            reduction >= 0.10,
-            "the optimizer must remove at least 10% of the tuned camera pipe's instructions, got {:.1}%",
-            reduction * 100.0
-        );
     }
 }
 
@@ -565,8 +450,8 @@ mod tests {
             threads: 1,
             ..Args::parse([], &SPEC).unwrap().config()
         };
-        let doc = measure(&cfg, 1, &[(64, 32)], false).to_json();
+        let doc = measure(&cfg, 1, &[(64, 32)]).to_json();
         let checked_in = include_str!("../../../../BENCH_exec.json");
-        artifact_layout::assert_matches_checked_in(&doc, checked_in, &[]);
+        artifact_layout::assert_matches_checked_in(&doc, checked_in);
     }
 }

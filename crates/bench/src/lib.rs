@@ -18,9 +18,9 @@
 use std::time::Duration;
 
 use halide_autotune::{apply_genome, search_space_log10, Autotuner, TuneOptions};
-use halide_exec::{Backend, Realizer};
+use halide_exec::{Backend, Realization, Realizer};
 use halide_lang::analyze;
-use halide_lower::{lower_with_options, LowerOptions};
+use halide_lower::{lower, lower_with_options, LowerOptions, Module};
 use halide_pipelines::bilateral_grid::BilateralGridApp;
 use halide_pipelines::blur::{BlurApp, BlurSchedule};
 use halide_pipelines::camera_pipe::CameraPipeApp;
@@ -262,10 +262,18 @@ fn blur_strategy_rows(cfg: &HarnessConfig) -> Vec<BlurStrategyRow> {
     let mut baseline_ops: Option<u64> = None;
     for schedule in BlurSchedule::ALL {
         let app = BlurApp::new();
-        let module = app.compile(schedule).expect("built-in schedule lowers");
-        let result = app
-            .run_on(&module, &input, cfg.threads, true, cfg.backend)
-            .expect("built-in schedule runs");
+        schedule.apply(&app);
+        let module = lower(&app.pipeline()).expect("built-in schedule lowers");
+        let extents = [cfg.width, cfg.height];
+        let result = realize(
+            &module,
+            app.input.name(),
+            &input,
+            &extents,
+            cfg.threads,
+            cfg,
+            true,
+        );
         let ops = result.counters.arith_ops;
         let baseline = *baseline_ops.get_or_insert(ops);
         rows.push(BlurStrategyRow {
@@ -372,9 +380,25 @@ fn app_performance_table(cfg: &HarnessConfig) -> Table {
         ),
         "Application | Naive (ms) | Tuned (ms) | Speedup | Hand-written ref (ms)",
     );
+    let (w, h) = (cfg.width, cfg.height);
     for app in AppKind::PAPER_APPS {
-        let naive = run_app(app, cfg, ScheduleChoice::Naive, 1);
-        let tuned = run_app(app, cfg, ScheduleChoice::Tuned, cfg.threads);
+        let run = |schedule, threads| {
+            let built = app.build(w, h, schedule).expect("built-in schedule lowers");
+            let input = app.make_input(w, h);
+            let extents = app.output_extents(w, h);
+            // Counters off: this table is about wall time.
+            realize(
+                &built.module,
+                &built.input_name,
+                &input,
+                &extents,
+                threads,
+                cfg,
+                false,
+            )
+        };
+        let naive = run(ScheduleChoice::Naive, 1);
+        let tuned = run(ScheduleChoice::Tuned, cfg.threads);
         let reference = app.reference_time(cfg.width, cfg.height, cfg.threads);
         t.rows.push(vec![
             app.name().to_string(),
@@ -390,17 +414,25 @@ fn app_performance_table(cfg: &HarnessConfig) -> Table {
     t
 }
 
-/// Runs one built-in schedule of `app` at the harness size.
-fn run_app(
-    app: AppKind,
-    cfg: &HarnessConfig,
-    schedule: ScheduleChoice,
+/// Realizes `module` once on the harness's backend, `input` bound as
+/// `input_name`; `instrument` turns the per-op counters on (they cost wall
+/// time).
+fn realize(
+    module: &Module,
+    input_name: &str,
+    input: &Buffer,
+    extents: &[i64],
     threads: usize,
-) -> halide_exec::Realization {
-    let (result, _) = app
-        .run_with_backend(cfg.width, cfg.height, schedule, threads, cfg.backend)
-        .expect("built-in schedule lowers");
-    result.expect("built-in schedule runs")
+    cfg: &HarnessConfig,
+    instrument: bool,
+) -> Realization {
+    Realizer::new(module)
+        .input(input_name, input.clone())
+        .threads(threads)
+        .instrument(instrument)
+        .backend(cfg.backend)
+        .realize(extents)
+        .expect("built-in schedule runs")
 }
 
 /// Autotunes blur at `size` with the harness's population and generations.
@@ -552,9 +584,8 @@ fn ablation_table(cfg: &HarnessConfig) -> Table {
         let app = BlurApp::new();
         BlurSchedule::SlidingWindow.apply(&app);
         let module = lower_with_options(&app.pipeline(), &opts).expect("lowers");
-        let result = app
-            .run_on(&module, &input, 1, true, cfg.backend)
-            .expect("runs");
+        let extents = [cfg.width, cfg.height];
+        let result = realize(&module, app.input.name(), &input, &extents, 1, cfg, true);
         t.rows.push(vec![
             label.to_string(),
             ms(result.wall_time),

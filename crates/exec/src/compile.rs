@@ -27,9 +27,8 @@
 //!
 //! Symbols and buffers the statement does not bind internally become the
 //! program's *free* slots; [`crate::Realizer`] binds them from the module's
-//! inputs, parameters, and output metadata before execution
-//! ([`halide_lower::Module::free_symbols`] documents the same contract on
-//! the lowering side).
+//! inputs, parameters, and output metadata before execution, and rejects a
+//! realization that leaves any of them unbound.
 //!
 //! Execution of a compiled program lives in [`crate::machine`].
 
@@ -257,9 +256,8 @@ pub struct Program {
 }
 
 impl Program {
-    /// Compiles a lowered module into a register-machine program, at the
-    /// optimization level selected by the environment
-    /// ([`OptLevel::from_env`]; `HALIDE_OPT=none` disables the optimizer).
+    /// Compiles a lowered module into a register-machine program at
+    /// [`OptLevel::Default`].
     ///
     /// # Errors
     ///
@@ -299,9 +297,9 @@ impl Program {
     }
 
     /// Compiles a bare statement (the module-independent core, also used by
-    /// unit tests) at the environment-selected level.
+    /// unit tests) at [`OptLevel::Default`].
     pub(crate) fn compile_stmt(stmt: &Stmt) -> Result<Program> {
-        Program::compile_stmt_with(stmt, OptLevel::from_env())
+        Program::compile_stmt_with(stmt, OptLevel::Default)
     }
 
     /// Compiles a bare statement at an explicit [`OptLevel`]: linearize to

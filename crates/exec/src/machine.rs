@@ -1356,6 +1356,7 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
 mod tests {
     use super::*;
     use crate::eval::{eval_stmt, Frame};
+    use crate::opt::OptLevel;
     use halide_ir::ScalarType;
     use halide_ir::{Expr, Stmt, Type};
     use halide_runtime::ThreadPool;
@@ -1378,40 +1379,42 @@ mod tests {
             interp_bufs.push(b);
         }
         eval_stmt(s, &mut frame, &ictx).unwrap();
-
-        // Compiled.
-        let prog = Program::compile_stmt(s).unwrap();
-        let cctx = ctx();
-        let mut m = Machine::new(&prog);
-        let mut compiled_bufs = Vec::new();
-        for (name, len) in buffers {
-            let b = Arc::new(Buffer::with_extents(ScalarType::Float(32), &[*len]));
-            if let Some(idx) = prog.free_buf(name) {
-                m.set_buf(idx, Arc::clone(&b));
-            }
-            compiled_bufs.push(b);
-        }
-        exec(&prog, &prog.body, &mut m, &cctx).unwrap();
-
-        for ((name, _), (a, b)) in buffers.iter().zip(interp_bufs.iter().zip(&compiled_bufs)) {
-            let av = a.to_f64_vec();
-            let bv = b.to_f64_vec();
-            assert_eq!(av.len(), bv.len());
-            for (i, (x, y)) in av.iter().zip(bv.iter()).enumerate() {
-                assert!(
-                    x.to_bits() == y.to_bits(),
-                    "buffer {name}[{i}]: interp {x} != compiled {y}"
-                );
-            }
-        }
         // `peak_bytes_live` depends on how many parallel iterations happen
         // to overlap, which is scheduling- not semantics-dependent; compare
         // everything else exactly.
         let mut ic = ictx.counters.snapshot();
-        let mut cc = cctx.counters.snapshot();
         ic.peak_bytes_live = 0;
-        cc.peak_bytes_live = 0;
-        assert_eq!(ic, cc, "counters diverge between backends");
+
+        // Compiled, with and without the optimizer.
+        for level in [OptLevel::None, OptLevel::Default] {
+            let prog = Program::compile_stmt_with(s, level).unwrap();
+            let cctx = ctx();
+            let mut m = Machine::new(&prog);
+            let mut compiled_bufs = Vec::new();
+            for (name, len) in buffers {
+                let b = Arc::new(Buffer::with_extents(ScalarType::Float(32), &[*len]));
+                if let Some(idx) = prog.free_buf(name) {
+                    m.set_buf(idx, Arc::clone(&b));
+                }
+                compiled_bufs.push(b);
+            }
+            exec(&prog, &prog.body, &mut m, &cctx).unwrap();
+
+            for ((name, _), (a, b)) in buffers.iter().zip(interp_bufs.iter().zip(&compiled_bufs)) {
+                let av = a.to_f64_vec();
+                let bv = b.to_f64_vec();
+                assert_eq!(av.len(), bv.len());
+                for (i, (x, y)) in av.iter().zip(bv.iter()).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits(),
+                        "buffer {name}[{i}]: interp {x} != compiled {y} at {level:?}"
+                    );
+                }
+            }
+            let mut cc = cctx.counters.snapshot();
+            cc.peak_bytes_live = 0;
+            assert_eq!(ic, cc, "counters diverge between backends at {level:?}");
+        }
     }
 
     /// Store `value(i)` for i in [0, n) — a loop wrapping an expression so

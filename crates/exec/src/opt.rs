@@ -32,12 +32,9 @@ use halide_runtime::{scalar_binary_op, scalar_compare_op, Scalar};
 
 use crate::pir::{BlockId, PInst, PKind, POp, PirProgram, Reg};
 
-/// How hard the compile pipeline optimizes.
-///
-/// The default is read from the `HALIDE_OPT` environment variable
-/// (`none`/`0` or `default`/`full`/`1`), falling back to
-/// [`OptLevel::Default`]; CI runs the whole suite once under
-/// `HALIDE_OPT=none` as a differential job.
+/// How hard the compile pipeline optimizes. Everything compiles at
+/// [`OptLevel::Default`] unless a caller asks for `None` explicitly (the
+/// differential tests run every engine-agreement check at both levels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
     /// Linearize and emit only — no optimization passes. Observationally
@@ -54,30 +51,6 @@ impl OptLevel {
         match self {
             OptLevel::None => "none",
             OptLevel::Default => "default",
-        }
-    }
-
-    /// Parses a level name as accepted by `HALIDE_OPT`.
-    pub fn from_name(s: &str) -> Option<OptLevel> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" | "0" => Some(OptLevel::None),
-            "default" | "full" | "1" => Some(OptLevel::Default),
-            _ => None,
-        }
-    }
-
-    /// The process-wide default: `HALIDE_OPT` if set and valid, else
-    /// [`OptLevel::Default`].
-    pub fn from_env() -> OptLevel {
-        match std::env::var("HALIDE_OPT") {
-            Ok(v) => match OptLevel::from_name(&v) {
-                Some(l) => l,
-                None => {
-                    eprintln!("warning: unknown HALIDE_OPT value {v:?}; using \"default\"");
-                    OptLevel::Default
-                }
-            },
-            Err(_) => OptLevel::Default,
         }
     }
 }

@@ -126,7 +126,7 @@ impl<'m> Realizer<'m> {
             threads: halide_runtime::num_threads_default(),
             instrument: true,
             backend: Backend::default(),
-            opt: OptLevel::from_env(),
+            opt: OptLevel::Default,
             thread_pool: None,
             buffer_pool: None,
             profiling: false,
@@ -195,9 +195,8 @@ impl<'m> Realizer<'m> {
     }
 
     /// Selects the pre-codegen optimization level for the compiled backend
-    /// (default: [`OptLevel::from_env`], i.e. [`OptLevel::Default`] unless
-    /// `HALIDE_OPT=none`). Has no effect on an already-compiled program
-    /// supplied via [`Realizer::with_program`].
+    /// (default: [`OptLevel::Default`]). Has no effect on an already-compiled
+    /// program supplied via [`Realizer::with_program`].
     pub fn opt_level(mut self, level: OptLevel) -> Self {
         self.opt = level;
         self
@@ -665,41 +664,6 @@ mod tests {
             .realize(&[4, 4])
             .unwrap_err();
         assert!(err.to_string().contains("missing_gain"), "got: {err}");
-    }
-
-    /// The lowering-side interface metadata (`Module::free_symbols` /
-    /// `external_buffers`) and the exec-side compile pass independently
-    /// derive the same binding contract; this pins them together so the two
-    /// analyses cannot silently drift.
-    #[test]
-    fn compiled_free_sets_match_module_interface() {
-        let input = ImageParam::new("realize_iface_in", Type::f32(), 2);
-        let gain = halide_lang::Param::new("iface_gain", Type::f32());
-        let (x, y) = (Var::new("x"), Var::new("y"));
-        let blurx = Func::new("realize_iface_blurx");
-        blurx.define(
-            &[x.clone(), y.clone()],
-            input.at_clamped(vec![x.expr() - 1, y.expr()])
-                + input.at_clamped(vec![x.expr() + 1, y.expr()]),
-        );
-        let out = Func::new("realize_iface_out");
-        out.define(
-            &[x.clone(), y.clone()],
-            blurx.at(vec![x.expr(), y.expr()]) * gain.expr(),
-        );
-        out.tile_dims("x", "y", "xo", "yo", "xi", "yi", 16, 8)
-            .parallelize("yo");
-        blurx.compute_at(&out, "xo");
-        let module = lower(&Pipeline::new(&out)).unwrap();
-        let prog = Program::compile(&module).unwrap();
-
-        let mut prog_slots: Vec<String> = prog.free_slots.keys().cloned().collect();
-        prog_slots.sort();
-        assert_eq!(prog_slots, module.free_symbols);
-
-        let mut prog_bufs: Vec<String> = prog.free_bufs.keys().cloned().collect();
-        prog_bufs.sort();
-        assert_eq!(prog_bufs, module.external_buffers);
     }
 
     /// Two realizers sharing one pre-compiled program (the serving layer's

@@ -110,14 +110,6 @@ pub struct Module {
     pub env: BTreeMap<String, FuncDef>,
     /// What the sliding-window/storage-folding pass did.
     pub sliding_report: SlidingReport,
-    /// Every scalar symbol the statement references but does not bind itself
-    /// (buffer layout symbols, the output's bounds names, scalar parameters),
-    /// sorted. A backend must bind all of these before executing `stmt`.
-    pub free_symbols: Vec<String>,
-    /// Buffers the statement loads from or stores to without allocating them
-    /// itself (the input images plus the output buffer), sorted. A backend
-    /// must bind all of these before executing `stmt`.
-    pub external_buffers: Vec<String>,
 }
 
 impl Module {
@@ -207,7 +199,6 @@ pub fn lower_with_options(pipeline: &Pipeline, options: &LowerOptions) -> Result
     };
 
     let out_def = &env[&output];
-    let (free_symbols, external_buffers) = stmt_interface(&stmt);
     Ok(Module {
         name: output.clone(),
         output: OutputMeta {
@@ -219,173 +210,7 @@ pub fn lower_with_options(pipeline: &Pipeline, options: &LowerOptions) -> Result
         stmt,
         env,
         sliding_report,
-        free_symbols,
-        external_buffers,
     })
-}
-
-/// Computes the binding interface of a lowered statement: the scalar symbols
-/// it references without binding (free variables) and the buffers it touches
-/// without allocating. This is the contract a backend must satisfy before
-/// running the statement — the compiled execution engine in `halide-exec`
-/// resolves exactly these names to frame slots and buffer indices.
-pub fn stmt_interface(stmt: &Stmt) -> (Vec<String>, Vec<String>) {
-    use halide_ir::{ExprNode, StmtNode};
-    use std::collections::BTreeSet;
-
-    #[derive(Default)]
-    struct Walk {
-        bound: halide_ir::Scope<()>,
-        allocated: halide_ir::Scope<()>,
-        free: BTreeSet<String>,
-        external: BTreeSet<String>,
-    }
-
-    impl Walk {
-        fn touch_var(&mut self, name: &str) {
-            if !self.bound.contains(name) {
-                self.free.insert(name.to_string());
-            }
-        }
-        fn touch_buffer(&mut self, name: &str) {
-            if !self.allocated.contains(name) {
-                self.external.insert(name.to_string());
-            }
-        }
-        fn expr(&mut self, e: &halide_ir::Expr) {
-            match e.node() {
-                ExprNode::Var { name, .. } => self.touch_var(name),
-                ExprNode::Let { name, value, body } => {
-                    self.expr(value);
-                    self.bound.push(name.clone(), ());
-                    self.expr(body);
-                    self.bound.pop(name);
-                }
-                ExprNode::Load {
-                    name,
-                    index,
-                    predicate,
-                    ..
-                } => {
-                    self.touch_buffer(name);
-                    self.expr(index);
-                    if let Some(p) = predicate {
-                        self.expr(p);
-                    }
-                }
-                _ => {
-                    let mut children = Vec::new();
-                    collect_expr_children(e, &mut children);
-                    for c in children {
-                        self.expr(&c);
-                    }
-                }
-            }
-        }
-        fn stmt(&mut self, s: &Stmt) {
-            match s.node() {
-                StmtNode::LetStmt { name, value, body } => {
-                    self.expr(value);
-                    self.bound.push(name.clone(), ());
-                    self.stmt(body);
-                    self.bound.pop(name);
-                }
-                StmtNode::For {
-                    name,
-                    min,
-                    extent,
-                    body,
-                    ..
-                } => {
-                    self.expr(min);
-                    self.expr(extent);
-                    self.bound.push(name.clone(), ());
-                    self.stmt(body);
-                    self.bound.pop(name);
-                }
-                StmtNode::Allocate {
-                    name, size, body, ..
-                } => {
-                    self.expr(size);
-                    self.allocated.push(name.clone(), ());
-                    self.stmt(body);
-                    self.allocated.pop(name);
-                }
-                StmtNode::Store {
-                    name,
-                    value,
-                    index,
-                    predicate,
-                } => {
-                    self.touch_buffer(name);
-                    self.expr(value);
-                    self.expr(index);
-                    if let Some(p) = predicate {
-                        self.expr(p);
-                    }
-                }
-                StmtNode::Assert { condition, .. } => self.expr(condition),
-                StmtNode::Producer { body, .. } => self.stmt(body),
-                StmtNode::Block { stmts } => {
-                    for s in stmts {
-                        self.stmt(s);
-                    }
-                }
-                StmtNode::IfThenElse {
-                    condition,
-                    then_case,
-                    else_case,
-                } => {
-                    self.expr(condition);
-                    self.stmt(then_case);
-                    if let Some(e) = else_case {
-                        self.stmt(e);
-                    }
-                }
-                StmtNode::Evaluate { value } => self.expr(value),
-                StmtNode::NoOp => {}
-                StmtNode::Provide { name, args, value } => {
-                    // Pre-flattening forms should not reach a backend, but
-                    // report their interface faithfully anyway.
-                    self.touch_buffer(name);
-                    for a in args {
-                        self.expr(a);
-                    }
-                    self.expr(value);
-                }
-                StmtNode::Realize {
-                    name, bounds, body, ..
-                } => {
-                    for r in bounds {
-                        self.expr(&r.min);
-                        self.expr(&r.extent);
-                    }
-                    self.allocated.push(name.clone(), ());
-                    self.stmt(body);
-                    self.allocated.pop(name);
-                }
-            }
-        }
-    }
-
-    fn collect_expr_children(e: &halide_ir::Expr, out: &mut Vec<halide_ir::Expr>) {
-        struct C<'a> {
-            out: &'a mut Vec<halide_ir::Expr>,
-        }
-        impl halide_ir::IrVisitor for C<'_> {
-            fn visit_expr(&mut self, e: &halide_ir::Expr) {
-                self.out.push(e.clone());
-            }
-        }
-        halide_ir::visit_expr_children(&mut C { out }, e);
-    }
-
-    let mut w = Walk::default();
-    w.stmt(stmt);
-    (
-        w.free.into_iter().collect(),
-        w.external.into_iter().collect(),
-    )
 }
 
 /// Replaces vectorized/unrolled loop kinds with serial loops (used when
@@ -460,34 +285,6 @@ mod tests {
         assert_eq!(module.output.ty, Type::f32());
         assert_eq!(module.inputs, vec!["lower_bf_in".to_string()]);
         assert_eq!(module.output.args, vec!["x".to_string(), "y".to_string()]);
-    }
-
-    #[test]
-    fn module_reports_its_binding_interface() {
-        let (_in, blurx, out) = blur("lower_iface");
-        out.tile_dims("x", "y", "xo", "yo", "xi", "yi", 32, 8)
-            .parallelize("yo");
-        blurx.compute_at(&out, "xo");
-        let module = lower(&Pipeline::new(&out)).unwrap();
-        // External buffers are exactly the input image and the output.
-        assert_eq!(
-            module.external_buffers,
-            vec!["lower_iface_in".to_string(), "lower_iface_out".to_string()]
-        );
-        // Free symbols include the input's layout lets and the output bounds.
-        assert!(module
-            .free_symbols
-            .iter()
-            .any(|s| s.starts_with("lower_iface_in.")));
-        assert!(module
-            .free_symbols
-            .contains(&"lower_iface_out.x.min".to_string()));
-        assert!(module
-            .free_symbols
-            .contains(&"lower_iface_out.y.extent".to_string()));
-        // Nothing bound inside the statement leaks out.
-        assert!(!module.free_symbols.iter().any(|s| s == "xi" || s == "yo"));
-        assert!(!module.external_buffers.contains(&blurx.name().to_string()));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! A uniform interface over the paper's benchmark applications, used by the
 //! figure/table harnesses in `halide-bench` (Fig. 6, Fig. 7, Fig. 8).
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_lang::{analyze, PipelineStats};
-use halide_lower::{Module, Result as LowerResult};
+use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 use crate::{bilateral_grid, blur, camera_pipe, histogram, interpolate, local_laplacian};
@@ -126,179 +125,59 @@ impl AppKind {
         height: i64,
         schedule: ScheduleChoice,
     ) -> LowerResult<BuiltApp> {
-        let (module, input_name, stats) = match self {
+        let tuned = schedule == ScheduleChoice::Tuned;
+        let (pipeline, input) = match self {
             AppKind::Blur => {
                 let app = blur::BlurApp::new();
-                let s = match schedule {
+                match schedule {
                     ScheduleChoice::Naive => blur::BlurSchedule::BreadthFirst,
                     ScheduleChoice::Tuned => blur::BlurSchedule::ParallelTiledVector,
-                };
-                let module = app.compile(s)?;
-                (
-                    module,
-                    app.input.name().to_string(),
-                    analyze(&app.pipeline()),
-                )
+                }
+                .apply(&app);
+                (app.pipeline(), app.input)
             }
             AppKind::Histogram => {
                 let app = histogram::HistogramApp::new(width as i32, height as i32);
-                if schedule != ScheduleChoice::Naive {
+                if tuned {
                     app.schedule_good();
                 }
-                let module = app.compile()?;
-                (
-                    module,
-                    app.input.name().to_string(),
-                    analyze(&app.pipeline()),
-                )
+                (app.pipeline(), app.input)
             }
             AppKind::BilateralGrid => {
                 let app = bilateral_grid::BilateralGridApp::new();
-                if schedule != ScheduleChoice::Naive {
+                if tuned {
                     app.schedule_good();
                 }
-                let module = app.compile()?;
-                (
-                    module,
-                    app.input.name().to_string(),
-                    analyze(&app.pipeline()),
-                )
+                (app.pipeline(), app.input)
             }
             AppKind::CameraPipe => {
                 let app = camera_pipe::CameraPipeApp::new(2.2, 0.8);
-                if schedule != ScheduleChoice::Naive {
+                if tuned {
                     app.schedule_good();
                 }
-                let module = app.compile()?;
-                (
-                    module,
-                    app.input.name().to_string(),
-                    analyze(&app.pipeline()),
-                )
+                (app.pipeline(), app.input)
             }
             AppKind::Interpolate => {
-                let levels = pyramid_levels(width, height);
-                let app = interpolate::InterpolateApp::new(levels);
-                if schedule != ScheduleChoice::Naive {
+                let app = interpolate::InterpolateApp::new(pyramid_levels(width, height));
+                if tuned {
                     app.schedule_good();
                 }
-                let module = app.compile()?;
-                (
-                    module,
-                    app.input.name().to_string(),
-                    analyze(&app.pipeline()),
-                )
+                (app.pipeline(), app.input)
             }
             AppKind::LocalLaplacian => {
                 let levels = pyramid_levels(width, height).min(4);
                 let app = local_laplacian::LocalLaplacianApp::new(levels, 8, 1.0, 0.7);
-                if schedule != ScheduleChoice::Naive {
+                if tuned {
                     app.schedule_good();
                 }
-                let module = app.compile()?;
-                (
-                    module,
-                    app.input.name().to_string(),
-                    analyze(&app.pipeline()),
-                )
+                (app.pipeline(), app.input)
             }
         };
         Ok(BuiltApp {
-            module,
-            input_name,
-            stats,
+            module: lower(&pipeline)?,
+            input_name: input.name().to_string(),
+            stats: analyze(&pipeline),
         })
-    }
-
-    /// Builds the app's pipeline (with the chosen schedule applied), a
-    /// synthetic input, and runs it at the given size, returning the
-    /// realization and the pipeline statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors; execution errors are returned in the inner
-    /// result.
-    #[allow(clippy::type_complexity)]
-    pub fn run(
-        &self,
-        width: i64,
-        height: i64,
-        schedule: ScheduleChoice,
-        threads: usize,
-    ) -> LowerResult<(ExecResult<Realization>, PipelineStats)> {
-        self.run_with_backend(
-            width,
-            height,
-            schedule,
-            threads,
-            halide_exec::Backend::default(),
-        )
-    }
-
-    /// [`AppKind::run`] on an explicit execution backend — the benchmark
-    /// harnesses route their `--backend` flag through this. Runs with the
-    /// per-operation counters **off** (this is the wall-clock path; the
-    /// structural counters — allocations, tasks — are always collected). Use [`AppKind::run_instrumented`] when the
-    /// per-op counts are the point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors; execution errors are returned in the inner
-    /// result.
-    #[allow(clippy::type_complexity)]
-    pub fn run_with_backend(
-        &self,
-        width: i64,
-        height: i64,
-        schedule: ScheduleChoice,
-        threads: usize,
-        backend: halide_exec::Backend,
-    ) -> LowerResult<(ExecResult<Realization>, PipelineStats)> {
-        self.run_full(width, height, schedule, threads, false, backend)
-    }
-
-    /// [`AppKind::run_with_backend`] with the per-operation counters **on**:
-    /// the realization's [`CounterSnapshot`](halide_runtime::CounterSnapshot)
-    /// carries exact arithmetic/load/store counts plus the access-pattern
-    /// breakdown (dense/strided/gather loads, dense/strided/scatter stores,
-    /// masked selects). Wall times from this path include the counting
-    /// overhead — don't benchmark with it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors; execution errors are returned in the inner
-    /// result.
-    #[allow(clippy::type_complexity)]
-    pub fn run_instrumented(
-        &self,
-        width: i64,
-        height: i64,
-        schedule: ScheduleChoice,
-        threads: usize,
-        backend: halide_exec::Backend,
-    ) -> LowerResult<(ExecResult<Realization>, PipelineStats)> {
-        self.run_full(width, height, schedule, threads, true, backend)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_full(
-        &self,
-        width: i64,
-        height: i64,
-        schedule: ScheduleChoice,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> LowerResult<(ExecResult<Realization>, PipelineStats)> {
-        let built = self.build(width, height, schedule)?;
-        let input = self.make_input(width, height);
-        let result = Realizer::new(&built.module)
-            .input(built.input_name.clone(), input)
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&self.output_extents(width, height));
-        Ok((result, built.stats))
     }
 
     /// Runs the hand-written reference ("expert") implementation where one is
@@ -367,12 +246,15 @@ mod tests {
     fn every_app_runs_under_naive_and_tuned_schedules() {
         for app in AppKind::ALL {
             for schedule in [ScheduleChoice::Naive, ScheduleChoice::Tuned] {
-                let (result, stats) = app
-                    .run(64, 64, schedule, 2)
+                let built = app
+                    .build(64, 64, schedule)
                     .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", app.name()));
-                let realization =
-                    result.unwrap_or_else(|e| panic!("{}: execution failed: {e}", app.name()));
-                assert!(stats.functions >= 2, "{} too small", app.name());
+                let realization = halide_exec::Realizer::new(&built.module)
+                    .input(built.input_name, app.make_input(64, 64))
+                    .threads(2)
+                    .realize(&app.output_extents(64, 64))
+                    .unwrap_or_else(|e| panic!("{}: execution failed: {e}", app.name()));
+                assert!(built.stats.functions >= 2, "{} too small", app.name());
                 assert!(!realization.output.is_empty());
             }
         }

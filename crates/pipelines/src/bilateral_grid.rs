@@ -3,10 +3,8 @@
 //! stencils (blurring the grid), and a data-dependent trilinear gather
 //! (slicing).
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, RDom, Var};
-use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 /// Spatial sampling rate of the grid (pixels per grid cell).
@@ -182,55 +180,6 @@ impl BilateralGridApp {
             .split_dim("xi", "xio", "xii", 8)
             .vectorize_dim("xii");
     }
-
-    /// Compiles with the current schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors.
-    pub fn compile(&self) -> LowerResult<Module> {
-        lower(&self.pipeline())
-    }
-
-    /// Runs a compiled module.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run(&self, module: &Module, input: &Buffer, threads: usize) -> ExecResult<Realization> {
-        self.run_on(
-            module,
-            input,
-            threads,
-            true,
-            halide_exec::Backend::default(),
-        )
-    }
-
-    /// Runs on an explicit execution [`Backend`](halide_exec::Backend)
-    /// (the benchmark harnesses compare engines through this). `instrument`
-    /// toggles the per-operation counters; pass `false` when the wall time
-    /// matters (see [`halide_exec::Realizer::instrument`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run_on(
-        &self,
-        module: &Module,
-        input: &Buffer,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> ExecResult<Realization> {
-        let (w, h) = (input.dims()[0].extent, input.dims()[1].extent);
-        Realizer::new(module)
-            .input(self.input.name(), input.clone())
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&[w, h])
-    }
 }
 
 impl Default for BilateralGridApp {
@@ -363,8 +312,7 @@ mod tests {
         let input = make_input(40, 32);
         let app = BilateralGridApp::new();
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[40, 32], 2);
         let expected = reference(&input);
         let diff = result.output.max_abs_diff(&expected);
         assert!(
@@ -378,8 +326,7 @@ mod tests {
         let input = make_input(48, 32);
         let app = BilateralGridApp::new();
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[48, 32], 2);
         // texture variance within each half is reduced
         let spread = |buf: &Buffer, x0: i64, x1: i64| {
             let mut min = f64::MAX;

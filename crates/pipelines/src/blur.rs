@@ -2,10 +2,8 @@
 //! together with the five schedules of Fig. 3 and hand-written reference
 //! implementations.
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_ir::{ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, Var};
-use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 /// The blur pipeline's frontend objects (kept so schedules can be applied).
@@ -50,62 +48,6 @@ impl BlurApp {
     /// The pipeline rooted at the output stage.
     pub fn pipeline(&self) -> Pipeline {
         Pipeline::new(&self.out)
-    }
-
-    /// Applies a schedule and compiles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors (none of the built-in schedules should
-    /// produce any).
-    pub fn compile(&self, schedule: BlurSchedule) -> LowerResult<Module> {
-        schedule.apply(self);
-        lower(&self.pipeline())
-    }
-
-    /// Runs a compiled blur module on `input`, producing an output of the
-    /// same size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run(
-        &self,
-        module: &Module,
-        input: &Buffer,
-        threads: usize,
-        instrument: bool,
-    ) -> ExecResult<Realization> {
-        self.run_on(
-            module,
-            input,
-            threads,
-            instrument,
-            halide_exec::Backend::default(),
-        )
-    }
-
-    /// Runs on an explicit execution [`Backend`](halide_exec::Backend)
-    /// (the benchmark harnesses compare engines through this).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run_on(
-        &self,
-        module: &Module,
-        input: &Buffer,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> ExecResult<Realization> {
-        let (w, h) = (input.dims()[0].extent, input.dims()[1].extent);
-        Realizer::new(module)
-            .input(self.input.name(), input.clone())
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&[w, h])
     }
 }
 
@@ -306,6 +248,15 @@ pub fn reference_optimized(input: &Buffer, threads: usize) -> Buffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halide_exec::Realization;
+
+    /// A fresh blur under `schedule`, realized once over all of `input`.
+    fn run(schedule: BlurSchedule, input: &Buffer, threads: usize) -> Realization {
+        let app = BlurApp::new();
+        schedule.apply(&app);
+        let extents = [input.dims()[0].extent, input.dims()[1].extent];
+        crate::realize(&app.pipeline(), &app.input, input, &extents, threads)
+    }
 
     /// Every schedule of Fig. 3 must compute exactly the same image as the
     /// hand-written reference: schedules change performance, never results.
@@ -314,9 +265,7 @@ mod tests {
         let input = make_input(67, 41);
         let expected = reference(&input);
         for schedule in BlurSchedule::ALL {
-            let app = BlurApp::new();
-            let module = app.compile(schedule).unwrap();
-            let result = app.run(&module, &input, 2, true).unwrap();
+            let result = run(schedule, &input, 2);
             let diff = result.output.max_abs_diff(&expected);
             assert!(
                 diff < 1e-4,
@@ -337,13 +286,8 @@ mod tests {
     #[test]
     fn full_fusion_does_more_work_than_breadth_first() {
         let input = make_input(64, 64);
-        let app_bf = BlurApp::new();
-        let m_bf = app_bf.compile(BlurSchedule::BreadthFirst).unwrap();
-        let bf = app_bf.run(&m_bf, &input, 1, true).unwrap();
-
-        let app_fused = BlurApp::new();
-        let m_fused = app_fused.compile(BlurSchedule::FullFusion).unwrap();
-        let fused = app_fused.run(&m_fused, &input, 1, true).unwrap();
+        let bf = run(BlurSchedule::BreadthFirst, &input, 1);
+        let fused = run(BlurSchedule::FullFusion, &input, 1);
 
         let amplification = fused.counters.work_amplification(&bf.counters);
         assert!(
@@ -355,13 +299,8 @@ mod tests {
     #[test]
     fn sliding_window_avoids_redundant_work() {
         let input = make_input(64, 64);
-        let app_bf = BlurApp::new();
-        let m_bf = app_bf.compile(BlurSchedule::BreadthFirst).unwrap();
-        let bf = app_bf.run(&m_bf, &input, 1, true).unwrap();
-
-        let app_sw = BlurApp::new();
-        let m_sw = app_sw.compile(BlurSchedule::SlidingWindow).unwrap();
-        let sw = app_sw.run(&m_sw, &input, 1, true).unwrap();
+        let bf = run(BlurSchedule::BreadthFirst, &input, 1);
+        let sw = run(BlurSchedule::SlidingWindow, &input, 1);
 
         let amplification = sw.counters.work_amplification(&bf.counters);
         assert!(
@@ -375,13 +314,8 @@ mod tests {
     #[test]
     fn tiled_schedule_recomputes_only_tile_edges() {
         let input = make_input(128, 128);
-        let app_bf = BlurApp::new();
-        let m_bf = app_bf.compile(BlurSchedule::BreadthFirst).unwrap();
-        let bf = app_bf.run(&m_bf, &input, 1, true).unwrap();
-
-        let app_t = BlurApp::new();
-        let m_t = app_t.compile(BlurSchedule::Tiled).unwrap();
-        let t = app_t.run(&m_t, &input, 1, true).unwrap();
+        let bf = run(BlurSchedule::BreadthFirst, &input, 1);
+        let t = run(BlurSchedule::Tiled, &input, 1);
 
         let amplification = t.counters.work_amplification(&bf.counters);
         assert!(

@@ -8,10 +8,8 @@
 //! structure (documented substitution in `DESIGN.md`), with a simplified
 //! bilinear demosaic.
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, Var};
-use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 /// Raw sensor white level (10-bit sensor).
@@ -243,49 +241,6 @@ impl CameraPipeApp {
                 .vectorize_dim("xi");
         }
     }
-
-    /// Compiles with the current schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors.
-    pub fn compile(&self) -> LowerResult<Module> {
-        lower(&self.pipeline())
-    }
-
-    /// Runs a compiled module; the output has 3 channels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run(&self, module: &Module, raw: &Buffer, threads: usize) -> ExecResult<Realization> {
-        self.run_on(module, raw, threads, true, halide_exec::Backend::default())
-    }
-
-    /// Runs on an explicit execution [`Backend`](halide_exec::Backend)
-    /// (the benchmark harnesses compare engines through this). `instrument`
-    /// toggles the per-operation counters; pass `false` when the wall time
-    /// matters (see [`halide_exec::Realizer::instrument`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run_on(
-        &self,
-        module: &Module,
-        raw: &Buffer,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> ExecResult<Realization> {
-        let (w, h) = (raw.dims()[0].extent, raw.dims()[1].extent);
-        Realizer::new(module)
-            .input(self.input.name(), raw.clone())
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&[w, h, 3])
-    }
 }
 
 /// A synthetic 10-bit GRBG Bayer raw image of a colorful gradient scene.
@@ -312,8 +267,7 @@ mod tests {
         let raw = make_raw_input(64, 48);
         let app = CameraPipeApp::new(2.2, 0.8);
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &raw, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &raw, &[64, 48, 3], 2);
         assert_eq!(result.output.dims().len(), 3);
         // all values are valid u8 and the red channel increases left to right
         let left_r = result.output.at_f64(&[8, 24, 0]);
@@ -331,11 +285,11 @@ mod tests {
     fn fused_schedule_matches_breadth_first() {
         let raw = make_raw_input(48, 48);
         let bf = CameraPipeApp::new(2.2, 0.8);
-        let bf_out = bf.run(&bf.compile().unwrap(), &raw, 1).unwrap();
+        let bf_out = crate::realize(&bf.pipeline(), &bf.input, &raw, &[48, 48, 3], 1);
 
         let fused = CameraPipeApp::new(2.2, 0.8);
         fused.schedule_good();
-        let fused_out = fused.run(&fused.compile().unwrap(), &raw, 2).unwrap();
+        let fused_out = crate::realize(&fused.pipeline(), &fused.input, &raw, &[48, 48, 3], 2);
         assert_eq!(bf_out.output.max_abs_diff(&fused_out.output), 0.0);
         // the fused schedule keeps far less intermediate data live
         assert!(fused_out.counters.peak_bytes_live < bf_out.counters.peak_bytes_live);

@@ -2,10 +2,8 @@
 //! a scattering reduction builds a histogram, a recursive scan integrates it
 //! into a CDF, and a point-wise, data-dependent gather remaps the input.
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, RDom, Var};
-use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 /// Number of intensity bins (8-bit input).
@@ -105,55 +103,6 @@ impl HistogramApp {
             self.out.split_dim("x", "xo", "xi", 8).vectorize_dim("xi");
         }
     }
-
-    /// Compiles the pipeline with the current schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors.
-    pub fn compile(&self) -> LowerResult<Module> {
-        lower(&self.pipeline())
-    }
-
-    /// Runs a compiled module on the given 8-bit input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run(&self, module: &Module, input: &Buffer, threads: usize) -> ExecResult<Realization> {
-        self.run_on(
-            module,
-            input,
-            threads,
-            true,
-            halide_exec::Backend::default(),
-        )
-    }
-
-    /// Runs on an explicit execution [`Backend`](halide_exec::Backend)
-    /// (the benchmark harnesses compare engines through this). `instrument`
-    /// toggles the per-operation counters; pass `false` when the wall time
-    /// matters (see [`halide_exec::Realizer::instrument`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run_on(
-        &self,
-        module: &Module,
-        input: &Buffer,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> ExecResult<Realization> {
-        let (w, h) = (input.dims()[0].extent, input.dims()[1].extent);
-        Realizer::new(module)
-            .input(self.input.name(), input.clone())
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&[w, h])
-    }
 }
 
 /// A synthetic low-contrast 8-bit input (values clustered in the middle of
@@ -201,8 +150,7 @@ mod tests {
         let input = make_input(48, 32);
         let app = HistogramApp::new(48, 32);
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[48, 32], 2);
         let expected = reference(&input);
         assert_eq!(result.output.max_abs_diff(&expected), 0.0);
     }
@@ -211,8 +159,7 @@ mod tests {
     fn equalization_stretches_contrast() {
         let input = make_input(64, 64);
         let app = HistogramApp::new(64, 64);
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 1).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[64, 64], 1);
         let values = result.output.to_f64_vec();
         let min = values.iter().cloned().fold(f64::MAX, f64::min);
         let max = values.iter().cloned().fold(f64::MIN, f64::max);
@@ -229,8 +176,7 @@ mod tests {
         let input = make_input(4, 4);
         let app = HistogramApp::new(4, 4);
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 1).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[4, 4], 1);
         assert_eq!(result.output.max_abs_diff(&reference(&input)), 0.0);
     }
 
@@ -238,8 +184,7 @@ mod tests {
     fn default_breadth_first_schedule_also_correct() {
         let input = make_input(33, 17);
         let app = HistogramApp::new(33, 17);
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 1).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[33, 17], 1);
         assert_eq!(result.output.max_abs_diff(&reference(&input)), 0.0);
     }
 }

@@ -6,10 +6,8 @@
 //! result is a smooth interpolation. Chains of `DOWN` stages propagate
 //! information globally; chains of `UP` stages redistribute it.
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, TailStrategy, Var};
-use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 use crate::pyramid::{downsample, upsample};
@@ -155,55 +153,6 @@ impl InterpolateApp {
         }
         tile(&self.out, 16);
     }
-
-    /// Compiles with the current schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors.
-    pub fn compile(&self) -> LowerResult<Module> {
-        lower(&self.pipeline())
-    }
-
-    /// Runs a compiled module.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run(&self, module: &Module, input: &Buffer, threads: usize) -> ExecResult<Realization> {
-        self.run_on(
-            module,
-            input,
-            threads,
-            true,
-            halide_exec::Backend::default(),
-        )
-    }
-
-    /// Runs on an explicit execution [`Backend`](halide_exec::Backend)
-    /// (the benchmark harnesses compare engines through this). `instrument`
-    /// toggles the per-operation counters; pass `false` when the wall time
-    /// matters (see [`halide_exec::Realizer::instrument`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run_on(
-        &self,
-        module: &Module,
-        input: &Buffer,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> ExecResult<Realization> {
-        let (w, h) = (input.dims()[0].extent, input.dims()[1].extent);
-        Realizer::new(module)
-            .input(self.input.name(), input.clone())
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&[w, h])
-    }
 }
 
 /// A synthetic input: channel 0 holds values, channel 1 holds alpha. A sparse
@@ -247,8 +196,7 @@ mod tests {
         let input = make_opaque_input(32, 32, |x, y| 0.25 + (x as f64) * 0.01 + (y as f64) * 0.005);
         let app = InterpolateApp::new(3);
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[32, 32], 2);
         for y in 0..32 {
             for x in 0..32 {
                 let expected = input.at_f64(&[x, y, 0]);
@@ -266,8 +214,7 @@ mod tests {
         let input = make_input(48, 48);
         let app = InterpolateApp::new(4);
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[48, 48], 2);
         // Every output pixel must lie within the range of the known samples
         // (no ringing beyond the data), and unknown pixels must be filled.
         for y in 0..48 {
@@ -296,7 +243,7 @@ mod tests {
         let lowered_len = |levels: usize| {
             let app = InterpolateApp::new(levels);
             app.schedule_tiled();
-            app.compile().unwrap().pretty().len()
+            halide_lower::lower(&app.pipeline()).unwrap().pretty().len()
         };
         let len3 = lowered_len(3);
         let len4 = lowered_len(4);

@@ -28,3 +28,21 @@ pub mod local_laplacian;
 pub mod pyramid;
 
 pub use apps::{AppKind, ScheduleChoice};
+
+/// Test support: lowers `pipeline` under its current schedule and realizes
+/// it once on the default backend, `buf` bound as `input`, per-op counters on.
+#[cfg(test)]
+fn realize(
+    pipeline: &halide_lang::Pipeline,
+    input: &halide_lang::ImageParam,
+    buf: &halide_runtime::Buffer,
+    extents: &[i64],
+    threads: usize,
+) -> halide_exec::Realization {
+    let module = halide_lower::lower(pipeline).expect("schedule lowers");
+    halide_exec::Realizer::new(&module)
+        .input(input.name(), buf.clone())
+        .threads(threads)
+        .realize(extents)
+        .expect("pipeline runs")
+}

@@ -7,10 +7,8 @@
 //! intensity levels `K`; at the paper's parameters (J = 8, K = 8) the graph
 //! has ~99 stages.
 
-use halide_exec::{Realization, Realizer, Result as ExecResult};
 use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, TailStrategy, Var};
-use halide_lower::{lower, Module, Result as LowerResult};
 use halide_runtime::Buffer;
 
 use crate::pyramid::{downsample, upsample};
@@ -214,55 +212,6 @@ impl LocalLaplacianApp {
             .split_dim_tail("x", "xo", "xi", 16, TailStrategy::GuardWithIf)
             .vectorize_dim("xi");
     }
-
-    /// Compiles with the current schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors.
-    pub fn compile(&self) -> LowerResult<Module> {
-        lower(&self.pipeline())
-    }
-
-    /// Runs a compiled module.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run(&self, module: &Module, input: &Buffer, threads: usize) -> ExecResult<Realization> {
-        self.run_on(
-            module,
-            input,
-            threads,
-            true,
-            halide_exec::Backend::default(),
-        )
-    }
-
-    /// Runs on an explicit execution [`Backend`](halide_exec::Backend)
-    /// (the benchmark harnesses compare engines through this). `instrument`
-    /// toggles the per-operation counters; pass `false` when the wall time
-    /// matters (see [`halide_exec::Realizer::instrument`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors.
-    pub fn run_on(
-        &self,
-        module: &Module,
-        input: &Buffer,
-        threads: usize,
-        instrument: bool,
-        backend: halide_exec::Backend,
-    ) -> ExecResult<Realization> {
-        let (w, h) = (input.dims()[0].extent, input.dims()[1].extent);
-        Realizer::new(module)
-            .input(self.input.name(), input.clone())
-            .threads(threads)
-            .instrument(instrument)
-            .backend(backend)
-            .realize(&[w, h])
-    }
 }
 
 /// A synthetic HDR-ish grayscale input in `[0, 1]` with low-contrast detail
@@ -288,8 +237,7 @@ mod tests {
         let input = make_input(32, 32);
         let app = LocalLaplacianApp::new(3, 4, 0.0, 1.0);
         app.schedule_good();
-        let module = app.compile().unwrap();
-        let result = app.run(&module, &input, 2).unwrap();
+        let result = crate::realize(&app.pipeline(), &app.input, &input, &[32, 32], 2);
         let diff = result.output.max_abs_diff(&input);
         assert!(
             diff < 0.02,
@@ -302,13 +250,11 @@ mod tests {
         let input = make_input(32, 32);
         let identity = LocalLaplacianApp::new(3, 4, 0.0, 1.0);
         identity.schedule_good();
-        let id_out = identity
-            .run(&identity.compile().unwrap(), &input, 2)
-            .unwrap();
+        let id_out = crate::realize(&identity.pipeline(), &identity.input, &input, &[32, 32], 2);
 
         let boost = LocalLaplacianApp::new(3, 4, 2.0, 1.0);
         boost.schedule_good();
-        let boost_out = boost.run(&boost.compile().unwrap(), &input, 2).unwrap();
+        let boost_out = crate::realize(&boost.pipeline(), &boost.input, &input, &[32, 32], 2);
 
         // local contrast proxy: mean absolute difference between neighbours
         let contrast = |b: &Buffer| {

@@ -348,13 +348,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
             })
             .collect()
     }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.map.clear();
-        st.bytes = 0;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -376,7 +369,7 @@ impl Default for ProgramCache {
 }
 
 impl ProgramCache {
-    /// An unbounded cache (entries live until [`ProgramCache::clear`]).
+    /// An unbounded cache: nothing is ever evicted.
     pub fn new() -> Self {
         Self::with_budget(usize::MAX, u64::MAX)
     }
@@ -480,11 +473,6 @@ impl ProgramCache {
             .into_iter()
             .map(|(k, _, cost)| (k, cost))
             .collect()
-    }
-
-    /// Drops every entry (subsequent requests recompile).
-    pub fn clear(&self) {
-        self.entries.clear();
     }
 }
 
@@ -607,9 +595,6 @@ mod tests {
         let report = d.program.as_ref().unwrap().opt_report();
         assert_eq!(report.level, OptLevel::None);
         assert_eq!(report.before_insts, report.after_insts);
-
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     const NS: Duration = Duration::from_nanos(1);

@@ -7,8 +7,12 @@ fn main() {
     let input = make_input(w, h);
     let app = HistogramApp::new(w as i32, h as i32);
     app.schedule_good();
-    let module = app.compile().expect("lowers");
-    let result = app.run(&module, &input, 4).expect("runs");
+    let module = halide::lower(&app.pipeline()).expect("lowers");
+    let result = halide::Realizer::new(&module)
+        .input(app.input.name(), input.clone())
+        .threads(4)
+        .realize(&[w, h])
+        .expect("runs");
     let expected = reference(&input);
     assert_eq!(result.output.max_abs_diff(&expected), 0.0);
 

@@ -16,8 +16,12 @@ fn main() {
     );
 
     app.schedule_good();
-    let module = app.compile().expect("lowers");
-    let result = app.run(&module, &input, 4).expect("runs");
+    let module = halide::lower(&app.pipeline()).expect("lowers");
+    let result = halide::Realizer::new(&module)
+        .input(app.input.name(), input)
+        .threads(4)
+        .realize(&[128, 128])
+        .expect("runs");
     println!(
         "enhanced a 128x128 image in {:.1} ms ({} allocations, peak live {} B)",
         result.wall_time.as_secs_f64() * 1e3,

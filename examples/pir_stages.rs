@@ -15,15 +15,16 @@
 //! the same sequence the fixed-point driver in `crates/exec/src/opt.rs`
 //! iterates until no pass fires. `--stats` prints, for every benchmark app
 //! at its tuned schedule, the executable instruction count before and
-//! after optimization and which passes did the eliminating; the same
-//! numbers land in `BENCH_exec.json` under `"pir"`.
+//! after optimization and which passes did the eliminating. The repository
+//! benchmark reports the same counts, summed per workload, as
+//! `exec.pir_insts_before` / `exec.pir_insts_after` / `exec.opt_changes.*`.
 
 use halide::exec::{OptLevel, Program};
 use halide::pipelines::{apps::ScheduleChoice, AppKind};
 
 /// Image size the modules are built at. Compilation never executes the
-/// loops, so the size only shapes loop bounds; this matches the
-/// `BENCH_exec.json --quick` configuration.
+/// loops, so the size only shapes loop bounds; this matches the size of
+/// `BENCH_exec.json`'s interp-vs-compiled rows.
 const SIZE: (i64, i64) = (192, 128);
 
 fn main() {

@@ -13,8 +13,13 @@ fn main() {
         BlurSchedule::ParallelTiledVector,
     ] {
         let app = BlurApp::new();
-        let module = app.compile(schedule).expect("schedule lowers");
-        let result = app.run(&module, &input, 4, true).expect("schedule runs");
+        schedule.apply(&app);
+        let module = halide::lower(&app.pipeline()).expect("schedule lowers");
+        let result = halide::Realizer::new(&module)
+            .input(app.input.name(), input.clone())
+            .threads(4)
+            .realize(&[256, 192])
+            .expect("schedule runs");
         assert!(
             result.output.max_abs_diff(&expected) < 1e-4,
             "results never change"

@@ -216,7 +216,8 @@ fn main() {
 
 /// Runs every walkthrough stage on both execution engines and prints the
 /// timing progression quoted (as a point-in-time snapshot) by
-/// `docs/scheduling.md`. Sizes match `BENCH_exec.json --quick`.
+/// `docs/scheduling.md`. Sizes match `BENCH_exec.json`'s interp-vs-compiled
+/// rows.
 fn time_stages() {
     use halide::exec::Backend;
     let (w, h, threads, reps) = (192i64, 128i64, 2usize, 3usize);
@@ -231,10 +232,13 @@ fn time_stages() {
         let module = halide::lower(&app.pipeline()).expect("stage lowers");
         let mut times = [f64::MAX; 2];
         for (b, backend) in [Backend::Interp, Backend::Compiled].into_iter().enumerate() {
+            let realizer = halide::Realizer::new(&module)
+                .input(app.input.name(), raw.clone())
+                .threads(threads)
+                .instrument(false)
+                .backend(backend);
             for _ in 0..reps {
-                let r = app
-                    .run_on(&module, &raw, threads, false, backend)
-                    .expect("stage runs");
+                let r = realizer.realize(&[w, h, 3]).expect("stage runs");
                 times[b] = times[b].min(r.wall_time.as_secs_f64());
             }
         }

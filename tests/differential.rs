@@ -14,15 +14,16 @@
 
 use proptest::prelude::*;
 
-use halide::exec::{Backend, OptLevel, Realizer};
+use halide::exec::{Backend, OptLevel, Program, Realizer};
 use halide::pipelines::blur::{make_input, BlurApp};
 use halide::pipelines::interpolate::{self, InterpolateApp};
-use halide::runtime::Buffer;
+use halide::runtime::{Buffer, CounterSnapshot};
 use halide::Module;
 
 /// Realizes `module` on the interpreter and on the compiled engine at both
 /// optimizer levels, with identical bindings, and asserts bit-identical
-/// outputs plus identical structural counters across all three.
+/// outputs plus identical structural counters across all three. Returns
+/// the counters of the optimized compiled realization.
 fn assert_backends_identical(
     module: &Module,
     input_name: &str,
@@ -30,7 +31,7 @@ fn assert_backends_identical(
     extents: &[i64],
     threads: usize,
     what: &str,
-) {
+) -> CounterSnapshot {
     let run = |backend: Backend, opt: OptLevel| {
         Realizer::new(module)
             .input(input_name.to_string(), input.clone())
@@ -48,6 +49,7 @@ fn assert_backends_identical(
     let mut r = interp.counters;
     r.peak_bytes_live = 0;
 
+    let mut counters = r;
     for (label, opt) in [
         ("opt=none", OptLevel::None),
         ("opt=default", OptLevel::Default),
@@ -71,7 +73,9 @@ fn assert_backends_identical(
             c, r,
             "{what} [{label}]: counters diverge between compiled and interpreting backends"
         );
+        counters = compiled.counters;
     }
+    counters
 }
 
 proptest! {
@@ -162,6 +166,10 @@ fn vectorized_bilateral_grid_agrees_across_backends() {
 /// Every benchmark app under its naive and tuned schedules, through the
 /// full backend × optimizer-level matrix. Odd sizes so split/vectorize
 /// boundary (tail) paths are exercised, not just whole tiles.
+///
+/// The same loop holds the deterministic gates on those programs: every
+/// tuned schedule issues dense vector loads, the optimizer never grows a
+/// program, and it removes at least 10% of the tuned camera pipe.
 #[test]
 fn every_app_agrees_across_backends_and_opt_levels() {
     use halide::pipelines::{apps::ScheduleChoice, AppKind};
@@ -175,7 +183,7 @@ fn every_app_agrees_across_backends_and_opt_levels() {
                 .build(w, h, schedule)
                 .unwrap_or_else(|e| panic!("{} ({label}): lowering failed: {e}", app.name()));
             let input = app.make_input(w, h);
-            assert_backends_identical(
+            let counters = assert_backends_identical(
                 &built.module,
                 &built.input_name,
                 &input,
@@ -183,6 +191,42 @@ fn every_app_agrees_across_backends_and_opt_levels() {
                 2,
                 &format!("{} ({label})", app.name()),
             );
+            // No silently-scalar "tuned" schedules. The pyramid apps sat at
+            // zero for several releases because their odd, halving extents
+            // defeated divisibility-only vectorization; predicated tails
+            // removed that excuse.
+            if schedule == ScheduleChoice::Tuned {
+                assert!(
+                    counters.dense_loads > 0,
+                    "the tuned {} schedule performs no dense vector loads — it is \
+                     silently scalar; vectorize it (non-dividing extents take a tail \
+                     strategy: guard_with_if, predicate, or round_up)",
+                    app.name()
+                );
+            }
+
+            let program = Program::compile_with(&built.module, OptLevel::Default)
+                .unwrap_or_else(|e| panic!("{} ({label}): compile failed: {e}", app.name()));
+            let r = program.opt_report();
+            assert!(
+                r.after_insts <= r.before_insts,
+                "the optimizer grew {} ({label}): {} -> {} instructions",
+                app.name(),
+                r.before_insts,
+                r.after_insts
+            );
+            // The schedule the pass pipeline was sized against.
+            if app == AppKind::CameraPipe && schedule == ScheduleChoice::Tuned {
+                let reduction = 1.0 - r.after_insts as f64 / r.before_insts as f64;
+                assert!(
+                    reduction >= 0.10,
+                    "the optimizer must remove at least 10% of the tuned camera pipe's \
+                     instructions, got {:.1}% ({} -> {})",
+                    reduction * 100.0,
+                    r.before_insts,
+                    r.after_insts
+                );
+            }
         }
     }
 }

@@ -1,10 +1,29 @@
 //! Cross-crate integration tests: algorithm definition → scheduling →
 //! compilation → execution, exercised through the public facade crate.
 
+use halide::exec::Realization;
 use halide::ir::{ScalarType, Type};
 use halide::pipelines::blur::{make_input, reference, BlurApp, BlurSchedule};
 use halide::runtime::Buffer;
 use halide::{lower, Func, ImageParam, Pipeline, Realizer, Var};
+
+/// Lowers `app` under its current schedule and realizes it over all of
+/// `input`.
+fn run(app: &BlurApp, input: &Buffer, threads: usize) -> Realization {
+    let module = lower(&app.pipeline()).unwrap();
+    Realizer::new(&module)
+        .input(app.input.name(), input.clone())
+        .threads(threads)
+        .realize(&[input.dims()[0].extent, input.dims()[1].extent])
+        .unwrap()
+}
+
+/// A fresh blur under `schedule`.
+fn blur(schedule: BlurSchedule) -> BlurApp {
+    let app = BlurApp::new();
+    schedule.apply(&app);
+    app
+}
 
 /// The central property of the paper: schedules change performance, never
 /// results. Every schedule of Fig. 3 produces the reference image.
@@ -13,10 +32,9 @@ fn schedules_never_change_results() {
     let input = make_input(96, 70);
     let expected = reference(&input);
     for schedule in BlurSchedule::ALL {
-        let app = BlurApp::new();
-        let module = app.compile(schedule).unwrap();
+        let app = blur(schedule);
         for threads in [1, 4] {
-            let result = app.run(&module, &input, threads, false).unwrap();
+            let result = run(&app, &input, threads);
             assert!(
                 result.output.max_abs_diff(&expected) < 1e-4,
                 "{} with {threads} threads diverged",
@@ -69,8 +87,8 @@ fn errors_are_reported_not_ignored() {
     app.blurx.compute_at(&app.out, "does_not_exist");
     assert!(lower(&app.pipeline()).is_err());
 
-    let app2 = BlurApp::new();
-    let module = app2.compile(BlurSchedule::BreadthFirst).unwrap();
+    let app2 = blur(BlurSchedule::BreadthFirst);
+    let module = lower(&app2.pipeline()).unwrap();
     // missing input binding
     assert!(Realizer::new(&module).realize(&[16, 16]).is_err());
     // wrong output dimensionality
@@ -86,14 +104,10 @@ fn errors_are_reported_not_ignored() {
 #[test]
 fn counters_reflect_the_tradeoff_space() {
     let input = make_input(128, 96);
-    let run = |schedule| {
-        let app = BlurApp::new();
-        let module = app.compile(schedule).unwrap();
-        app.run(&module, &input, 1, true).unwrap().counters
-    };
-    let breadth_first = run(BlurSchedule::BreadthFirst);
-    let fused = run(BlurSchedule::FullFusion);
-    let sliding = run(BlurSchedule::SlidingWindow);
+    let counters = |schedule| run(&blur(schedule), &input, 1).counters;
+    let breadth_first = counters(BlurSchedule::BreadthFirst);
+    let fused = counters(BlurSchedule::FullFusion);
+    let sliding = counters(BlurSchedule::SlidingWindow);
 
     assert!(fused.arith_ops as f64 > breadth_first.arith_ops as f64 * 1.5);
     assert!(fused.peak_bytes_live < breadth_first.peak_bytes_live / 8);
@@ -106,19 +120,14 @@ fn counters_reflect_the_tradeoff_space() {
 #[test]
 fn parallel_tiles_match_tiled_results() {
     let input = make_input(64, 64);
-    let reference_app = BlurApp::new();
-    let reference_module = reference_app.compile(BlurSchedule::Tiled).unwrap();
-    let expected = reference_app
-        .run(&reference_module, &input, 2, false)
-        .unwrap();
+    let expected = run(&blur(BlurSchedule::Tiled), &input, 2);
 
     let app = BlurApp::new();
     app.out
         .tile_dims("x", "y", "xo", "yo", "xi", "yi", 16, 16)
         .parallelize("yo");
     app.blurx.compute_at(&app.out, "xo");
-    let module = lower(&app.pipeline()).unwrap();
-    let result = app.run(&module, &input, 2, false).unwrap();
+    let result = run(&app, &input, 2);
 
     assert!(expected.output.max_abs_diff(&result.output) < 1e-4);
     assert!(result.counters.parallel_tasks > 0);

@@ -9,11 +9,12 @@
 
 use proptest::prelude::*;
 
-use halide::exec::{eval_expr, Context, Frame};
+use halide::exec::{eval_expr, Backend, Context, Frame, OptLevel, Realization, Realizer};
 use halide::ir::interval::bounds_of_expr_in_scope;
 use halide::ir::{simplify, Expr, Interval, Scope};
 use halide::pipelines::blur::{make_input, reference, BlurApp};
-use halide::runtime::{ThreadPool, Value};
+use halide::runtime::{Buffer, ThreadPool, Value};
+use halide::Module;
 
 /// Builds a random integer expression over variables `a` and `b`.
 fn arb_expr() -> impl Strategy<Value = Expr> {
@@ -38,6 +39,23 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner, (1i32..8)).prop_map(|(x, d)| x % d),
         ]
     })
+}
+
+/// Realizes a lowered blur over all of `input` on one engine.
+fn realize(
+    module: &Module,
+    app: &BlurApp,
+    input: &Buffer,
+    backend: Backend,
+    opt: OptLevel,
+) -> Realization {
+    Realizer::new(module)
+        .input(app.input.name(), input.clone())
+        .threads(2)
+        .backend(backend)
+        .opt_level(opt)
+        .realize(&[input.dims()[0].extent, input.dims()[1].extent])
+        .expect("valid schedule must run")
 }
 
 fn eval_with(e: &Expr, a: i64, b: i64) -> i64 {
@@ -117,16 +135,16 @@ proptest! {
         }
 
         let module = halide::lower(&app.pipeline()).expect("valid schedule must lower");
-        let result = app.run(&module, &input, 2, false).expect("valid schedule must run");
+        let result = realize(&module, &app, &input, Backend::Compiled, OptLevel::Default);
         prop_assert!(result.output.max_abs_diff(&expected) < 1e-4);
     }
 
     /// Predicated-tail schedules — splits whose factor does not divide the
     /// extent, with a guard_with_if or predicate tail and a vectorized
     /// inner — produce bit-identical results on the interpreter and the
-    /// compiled machine, and match the scalar reference. The masked
-    /// loads/stores a predicate tail emits must not read or write a single
-    /// lane differently between the engines.
+    /// compiled machine (with and without the optimizer), and match the
+    /// scalar reference. The masked loads/stores a predicate tail emits
+    /// must not read or write a single lane differently between the engines.
     #[test]
     fn predicated_tail_schedules_agree_across_engines(
         width in 33i64..97,
@@ -135,7 +153,6 @@ proptest! {
         tail_pick in any::<bool>(),
         parallel_rows in any::<bool>(),
     ) {
-        use halide::exec::Backend;
         use halide::TailStrategy;
 
         let tail = if tail_pick { TailStrategy::Predicate } else { TailStrategy::GuardWithIf };
@@ -152,28 +169,26 @@ proptest! {
         }
 
         let module = halide::lower(&app.pipeline()).expect("valid schedule must lower");
-        let interp = app
-            .run_on(&module, &input, 2, true, Backend::Interp)
-            .expect("interpreter must run");
-        let compiled = app
-            .run_on(&module, &input, 2, true, Backend::Compiled)
-            .expect("compiled machine must run");
+        let interp = realize(&module, &app, &input, Backend::Interp, OptLevel::Default);
         prop_assert!(interp.output.max_abs_diff(&expected) < 1e-4);
         let a = interp.output.to_f64_vec();
-        let b = compiled.output.to_f64_vec();
-        prop_assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            prop_assert!(
-                x.to_bits() == y.to_bits(),
-                "lane {} diverges: interp {} vs compiled {}", i, x, y
-            );
-        }
-        // A non-dividing factor with a predicate tail must actually take
-        // the masked path; both engines count the same masked ops.
-        if tail == TailStrategy::Predicate && width % factor != 0 {
-            prop_assert!(compiled.counters.masked_stores > 0);
-            prop_assert_eq!(interp.counters.masked_stores, compiled.counters.masked_stores);
-            prop_assert_eq!(interp.counters.masked_loads, compiled.counters.masked_loads);
+        for opt in [OptLevel::None, OptLevel::Default] {
+            let compiled = realize(&module, &app, &input, Backend::Compiled, opt);
+            let b = compiled.output.to_f64_vec();
+            prop_assert_eq!(a.len(), b.len());
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                prop_assert!(
+                    x.to_bits() == y.to_bits(),
+                    "lane {} diverges at {:?}: interp {} vs compiled {}", i, opt, x, y
+                );
+            }
+            // A non-dividing factor with a predicate tail must actually take
+            // the masked path; both engines count the same masked ops.
+            if tail == TailStrategy::Predicate && width % factor != 0 {
+                prop_assert!(compiled.counters.masked_stores > 0);
+                prop_assert_eq!(interp.counters.masked_stores, compiled.counters.masked_stores);
+                prop_assert_eq!(interp.counters.masked_loads, compiled.counters.masked_loads);
+            }
         }
     }
 }

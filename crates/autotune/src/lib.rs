@@ -60,17 +60,6 @@ impl Default for TuneOptions {
     }
 }
 
-impl TuneOptions {
-    /// The paper's configuration: population 128 (expect long runs).
-    pub fn paper_scale() -> Self {
-        TuneOptions {
-            population: 128,
-            generations: 100,
-            ..Default::default()
-        }
-    }
-}
-
 /// One entry of the convergence history.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStat {

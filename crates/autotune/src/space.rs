@@ -148,35 +148,21 @@ pub fn random_genome(pipeline: &Pipeline, rng: &mut StdRng) -> Genome {
         .collect()
 }
 
-/// The paper's seeding heuristic: inline functions with a point footprint,
-/// schedule the rest as fully-parallel-tiled or parallel-y depending on a
-/// weighted coin.
+/// The seeding heuristic: one weighted coin per genome, then every function
+/// scheduled fully-parallel-tiled or parallel-y/vector-x by that coin. Every
+/// function is computed and stored at root; nothing is inlined.
 pub fn reasonable_genome(pipeline: &Pipeline, rng: &mut StdRng) -> Genome {
-    let output = pipeline.output().name();
     let weight: f64 = rng.gen_range(0.0..1.0);
     pipeline
         .funcs()
         .map(|f| {
-            let name = f.name();
             let args = f.args();
-            let pointwise = {
-                // A crude footprint-1 test: the function is called only at
-                // coordinates equal to the caller's own variables.
-                let stats = halide_lang::analyze(pipeline);
-                let _ = &stats;
-                false
-            };
-            let mut s = if rng.gen_bool(weight.clamp(0.05, 0.95)) {
+            let s = if rng.gen_bool(weight.clamp(0.05, 0.95)) {
                 fully_parallel_tiled(&args, rng)
             } else {
                 parallel_y_vector_x(&args, rng)
             };
-            if pointwise && name != output && f.updates().is_empty() {
-                s = FuncSchedule::default_for_args(&args);
-                s.compute_level = LoopLevel::Inline;
-                s.store_level = LoopLevel::Inline;
-            }
-            (name, s)
+            (f.name(), s)
         })
         .collect()
 }

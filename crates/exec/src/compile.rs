@@ -124,19 +124,11 @@ pub(crate) enum CExpr {
     Count { arith: i64, inner: Box<CExpr> },
     /// Load from a buffer at a flat index.
     Load { buf: u32, index: Box<CExpr> },
-    /// Load `lanes` contiguous elements starting at `base` — the compiled
-    /// form of a load through `ramp(base, 1, lanes)`: one bounds check, no
-    /// index vector.
-    LoadDense {
-        buf: u32,
-        base: Box<CExpr>,
-        lanes: u16,
-    },
     /// Load through `max(min(index, hi), lo)` — the clamped-index access
     /// `at_clamped` lowers to (and the camera pipe's LUT stage performs with
-    /// a data-dependent index). Compiled as one clamping gather: the `min`/
-    /// `max` intermediate vectors never materialize, though they still count
-    /// as the two arithmetic operations the interpreter executes.
+    /// a data-dependent index). Each lane is clamped as it is read: the
+    /// `min`/`max` intermediate vectors never materialize, though they still
+    /// count as the two arithmetic operations the interpreter executes.
     LoadClamped {
         buf: u32,
         index: Box<CExpr>,
@@ -144,9 +136,7 @@ pub(crate) enum CExpr {
         hi: Box<CExpr>,
     },
     /// Predicated (masked) load: lanes whose mask lane is false are not
-    /// read (and not bounds-checked) and yield zero. The dense/strided/
-    /// gather masked forms are dispatched from the runtime index shape,
-    /// like [`CExpr::Load`].
+    /// read (and not bounds-checked) and yield zero.
     LoadMasked {
         buf: u32,
         index: Box<CExpr>,
@@ -181,14 +171,6 @@ pub(crate) enum CStmt {
         buf: u32,
         value: CExpr,
         index: CExpr,
-    },
-    /// Store `lanes` contiguous elements starting at `base` — the compiled
-    /// form of a store through `ramp(base, 1, lanes)`.
-    StoreDense {
-        buf: u32,
-        value: CExpr,
-        base: CExpr,
-        lanes: u16,
     },
     /// Predicated (masked) store: lanes whose mask lane is false are
     /// skipped entirely — not written, not bounds-checked.

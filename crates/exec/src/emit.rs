@@ -38,6 +38,15 @@ pub(crate) fn emit(p: &PirProgram) -> Result<CStmt> {
     em.block_stmt(0)
 }
 
+/// The index `ramp(base, 1, lanes)` of a PIR dense load or store.
+fn dense_index(base: CExpr, lanes: u16) -> CExpr {
+    CExpr::Ramp {
+        base: Box::new(base),
+        stride: Box::new(CExpr::ConstI(1)),
+        lanes,
+    }
+}
+
 /// Where a register's reads happen, for the fusion decision.
 #[derive(Clone, Copy, Default)]
 struct UseInfo {
@@ -303,13 +312,14 @@ impl Emitter<'_> {
                     true,
                 )
             }
+            // The machine has one load: a dense load is a load through
+            // `ramp(base, 1, lanes)`, which it evaluates to a symbolic ramp.
             POp::LoadDense { buf, base, lanes } => {
                 let (e, _) = cx.take(*base);
                 (
-                    CExpr::LoadDense {
+                    CExpr::Load {
                         buf: *buf,
-                        base: bx(e),
-                        lanes: *lanes,
+                        index: bx(dense_index(e, *lanes)),
                     },
                     true,
                 )
@@ -481,11 +491,10 @@ impl Emitter<'_> {
                     let (val, _) = cx.take(*value);
                     let (base_e, _) = cx.take(*base);
                     flush(&mut cx, &mut out, false);
-                    out.push(CStmt::StoreDense {
+                    out.push(CStmt::Store {
                         buf: *buf,
                         value: val,
-                        base: base_e,
-                        lanes: *lanes,
+                        index: dense_index(base_e, *lanes),
                     });
                 }
                 POp::StoreMasked {

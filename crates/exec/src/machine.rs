@@ -13,15 +13,15 @@
 //! and taken-branch evaluation, same instrumentation counters — so the two
 //! backends are interchangeable and differential-testable. The wall-clock
 //! difference comes purely from resolution work moved to compile time,
-//! unboxed scalar arithmetic, and the dense vector load/store paths that
-//! skip index-vector materialization.
+//! unboxed scalar arithmetic, and vector loads/stores that read their lanes
+//! straight from a symbolic ramp instead of a materialized index vector.
 
 use std::sync::Arc;
 
 use halide_ir::ForKind;
 use halide_runtime::{
     binary_op, binary_op_owned, cast_owned, compare_op_owned, not_op_owned, scalar_binary_op,
-    scalar_compare_op, select_op_owned, AccessPattern, Buffer, Scalar, Value,
+    scalar_compare_op, select_op_owned, AccessPattern, Buffer, Lanes, Scalar, Value,
 };
 
 use crate::compile::{CExpr, CIntrinsic, CStmt, Program};
@@ -36,8 +36,8 @@ use crate::eval::Context;
 /// the affine index vectors vectorization emits stay unmaterialized through
 /// `let` bindings and through `+`/`-`/`*`-by-scalar arithmetic (exact in the
 /// mod-2⁶⁴ integer ring, so the eventual lanes are bit-identical to the
-/// interpreter's), and a unit-stride ramp index turns a vector load/store
-/// into one dense, bounds-checked-once memory operation.
+/// interpreter's), and a ramp index hands its lanes to the buffer's bulk
+/// read/write without ever building an index vector.
 #[derive(Debug, Clone)]
 pub(crate) enum CValue {
     /// One unboxed lane.
@@ -48,8 +48,9 @@ pub(crate) enum CValue {
     V(Box<Value>),
 }
 
-/// Wraps a vector result.
-#[inline]
+/// Wraps a vector result. Always inlined: an out-of-line call here (which
+/// `load`'s `.map(vv)` otherwise invites) costs every arm of [`eval`].
+#[inline(always)]
 fn vv(v: Value) -> CValue {
     CValue::V(Box::new(v))
 }
@@ -449,64 +450,36 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
         CExpr::Load { buf, index } => {
             let idx = eval(prog, index, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            let lanes = idx.lanes();
             if ctx.instrument {
-                count_load(ctx, &idx, lanes);
+                count_load(ctx, &idx, idx.lanes());
             }
-            let len = buffer.len();
-            // Scalar fast path: one bounds check, one typed read, no Vec.
-            if let CValue::S(s) = &idx {
-                let i = s.as_i64();
-                if i < 0 || i as usize >= len {
-                    return Err(oob(prog, *buf, "load from", i, len));
-                }
-                return Ok(CValue::S(buffer.get_flat_scalar(i as usize)));
+            if let CValue::S(i) = idx {
+                return scalar_load(prog, *buf, buffer, i.as_i64());
             }
-            // A symbolic ramp: one bulk memory operation — dense (one bounds
-            // check, one contiguous read) for unit stride, a bulk strided
-            // read otherwise. Either way the index lanes never materialize.
-            if let CValue::R {
-                base: base_v,
-                stride,
-                ..
-            } = idx
-            {
-                if stride == 1 {
-                    return dense_load(prog, *buf, buffer, base_v, lanes);
-                }
-                return strided_load(prog, *buf, buffer, base_v, stride, lanes);
-            }
-            let idx = idx.into_value();
-            Ok(vv(gather(prog, *buf, buffer, &idx, lanes)?))
-        }
-        CExpr::LoadDense { buf, base, lanes } => {
-            let lanes = *lanes as usize;
-            let base_v = eval(prog, base, m, ctx)?.as_int()?;
-            let buffer = m.buffer(prog, *buf)?;
-            if ctx.instrument {
-                ctx.counters.add_load(lanes as u64);
-                if lanes > 1 {
-                    ctx.counters.add_load_pattern(AccessPattern::Dense);
-                }
-            }
-            dense_load(prog, *buf, buffer, base_v, lanes)
+            load(prog, *buf, buffer, idx, None, None)
         }
         CExpr::LoadClamped { buf, index, lo, hi } => {
             let idx = eval(prog, index, m, ctx)?;
             let lo_v = eval(prog, lo, m, ctx)?.as_int()?;
             let hi_v = eval(prog, hi, m, ctx)?.as_int()?;
-            clamped_load(prog, *buf, idx, lo_v, hi_v, m, ctx)
+            let buffer = m.buffer(prog, *buf)?;
+            if ctx.instrument {
+                count_clamped_load(ctx, &idx, lo_v, hi_v);
+            }
+            if let CValue::S(i) = idx {
+                return scalar_load(prog, *buf, buffer, i.as_i64().min(hi_v).max(lo_v));
+            }
+            load(prog, *buf, buffer, idx, None, Some((lo_v, hi_v)))
         }
         CExpr::LoadMasked { buf, index, mask } => {
             let idx = eval(prog, index, m, ctx)?;
             let mv = eval(prog, mask, m, ctx)?;
             let buffer = m.buffer(prog, *buf)?;
-            let lanes = idx.lanes();
             if ctx.instrument {
-                count_load(ctx, &idx, lanes);
+                count_load(ctx, &idx, idx.lanes());
                 ctx.counters.add_masked_load();
             }
-            masked_load(prog, *buf, buffer, idx, mv, lanes)
+            load(prog, *buf, buffer, idx, Some(mv), None)
         }
         CExpr::Intrinsic { f, args } => {
             let mut vals = Vec::with_capacity(args.len());
@@ -521,275 +494,110 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
     }
 }
 
-/// Vector load through an arbitrary index vector (the gather case).
-fn gather(prog: &Program, buf: u32, buffer: &Buffer, idx: &Value, lanes: usize) -> Result<Value> {
-    let is_float = buffer.ty().is_float();
-    // Integer index vector of exactly `lanes` lanes: one storage dispatch.
-    if let Value::Int(iv) = idx {
-        if iv.len() == lanes {
-            return if is_float {
-                buffer
-                    .gather_flat_f64(iv)
-                    .map(Value::Float)
-                    .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))
-            } else {
-                buffer
-                    .gather_flat_i64(iv)
-                    .map(Value::Int)
-                    .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))
-            };
+/// Lane `k` of a `lanes`-wide access: `None` where the mask is false,
+/// otherwise the index's lane `k`, clamped into `[lo, hi]` when a clamp is
+/// given. An index or mask whose lane count differs from the access repeats
+/// its lane 0 — the interpreter's `Value::broadcast` — and lanes are read
+/// the way `Value::lane_int` reads them.
+#[inline]
+fn access_lane(
+    idx: &CValue,
+    mask: Option<&CValue>,
+    clamp: Option<(i64, i64)>,
+    lanes: usize,
+    k: usize,
+) -> Option<i64> {
+    let lane = |v: &CValue| {
+        let k = if v.lanes() == lanes { k } else { 0 };
+        match v {
+            CValue::S(s) => s.as_i64(),
+            CValue::R { base, stride, .. } => base + stride * k as i64,
+            CValue::V(v) => v.lane_int(k),
         }
+    };
+    if mask.is_some_and(|m| lane(m) == 0) {
+        return None;
     }
-    let len = buffer.len();
-    let mut out_i: Vec<i64> = Vec::with_capacity(if is_float { 0 } else { lanes });
-    let mut out_f: Vec<f64> = Vec::with_capacity(if is_float { lanes } else { 0 });
-    for lane in 0..lanes {
-        let i = idx.lane_int(lane);
-        if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "load from", i, len));
-        }
-        if is_float {
-            out_f.push(buffer.get_flat_f64(i as usize));
-        } else {
-            out_i.push(buffer.get_flat_i64(i as usize));
-        }
-    }
-    Ok(if is_float {
-        Value::Float(out_f)
-    } else {
-        Value::Int(out_i)
+    let i = lane(idx);
+    Some(match clamp {
+        Some((lo, hi)) => i.min(hi).max(lo),
+        None => i,
     })
 }
 
-/// Loads `lanes` contiguous elements starting at `base_v` as one bulk typed
-/// read; the compiled form of a load through a unit-stride ramp.
-fn dense_load(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    base_v: i64,
+/// The lane sequence of a `lanes`-wide access (see [`access_lane`]): a
+/// unit-stride ramp index as wide as the access, unmasked and unclamped, is
+/// a dense run; anything else goes lane by lane.
+fn access_lanes<'a>(
+    idx: &'a CValue,
+    mask: Option<&'a CValue>,
+    clamp: Option<(i64, i64)>,
     lanes: usize,
-) -> Result<CValue> {
+) -> Lanes<impl Iterator<Item = Option<i64>> + 'a> {
+    match (idx, mask, clamp) {
+        (
+            CValue::R {
+                base,
+                stride: 1,
+                lanes: n,
+            },
+            None,
+            None,
+        ) if *n as usize == lanes => Lanes::Dense { base: *base, lanes },
+        _ => Lanes::Each((0..lanes).map(move |k| access_lane(idx, mask, clamp, lanes, k))),
+    }
+}
+
+/// The scalar fast path of the `Load` and `LoadClamped` arms: one bounds
+/// check, one unboxed element.
+#[inline(always)]
+fn scalar_load(prog: &Program, buf: u32, buffer: &Buffer, i: i64) -> Result<CValue> {
     let len = buffer.len();
-    if base_v < 0 || base_v as usize + lanes > len {
-        let first_bad = if base_v < 0 {
-            base_v
-        } else {
-            base_v.max(len as i64)
-        };
-        return Err(oob(prog, buf, "load from", first_bad, len));
+    if i < 0 || i as usize >= len {
+        return Err(oob(prog, buf, "load from", i, len));
     }
-    let start = base_v as usize;
-    Ok(vv(if buffer.ty().is_float() {
-        Value::Float(buffer.read_flat_f64s(start, lanes))
-    } else {
-        Value::Int(buffer.read_flat_i64s(start, lanes))
-    }))
+    Ok(CValue::S(buffer.get_flat_scalar(i as usize)))
 }
 
-/// Loads `lanes` elements at `base, base + stride, …` as one bulk strided
-/// read; the compiled form of a load through a non-unit-stride symbolic ramp
-/// (the index lanes never materialize).
-fn strided_load(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    base: i64,
-    stride: i64,
-    lanes: usize,
-) -> Result<CValue> {
-    Ok(vv(if buffer.ty().is_float() {
-        buffer
-            .read_flat_strided_f64s(base, stride, lanes)
-            .map(Value::Float)
-            .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))?
-    } else {
-        buffer
-            .read_flat_strided_i64s(base, stride, lanes)
-            .map(Value::Int)
-            .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))?
-    }))
-}
-
-/// Reads lane `lane` of a vector predicate. A mask narrower than the
-/// operation is uniform across every lane — the broadcast the interpreter
-/// materializes before its lane loop.
-fn mask_lane(mask: &CValue, lane: usize) -> bool {
-    match mask {
-        CValue::S(s) => s.as_i64() != 0,
-        CValue::R {
-            base,
-            stride,
-            lanes,
-        } => {
-            let l = if (*lanes as usize) <= 1 {
-                0
-            } else {
-                lane as i64
-            };
-            base + stride * l != 0
-        }
-        CValue::V(v) => {
-            let l = if v.lanes() <= 1 { 0 } else { lane };
-            v.lane_int(l) != 0
-        }
-    }
-}
-
-fn mask_all_true(mask: &CValue, lanes: usize) -> bool {
-    (0..lanes).all(|l| mask_lane(mask, l))
-}
-
-/// A load with a lane predicate: a disabled lane is neither read nor
-/// bounds-checked and yields zero; enabled lanes behave exactly like the
-/// unmasked forms (an enabled out-of-bounds lane is still an error). An
-/// all-true mask falls through to the bulk dispatches, so a predicated
-/// tail whose guard happens to pass everywhere costs one bulk read.
+/// Every load the scalar fast path does not take: the access's lane
+/// sequence (see [`access_lanes`]) read in one [`Buffer::read_lanes`],
+/// which yields 0 for masked-off lanes and reports the first enabled
+/// out-of-range one. Outlined to keep [`eval`]'s hot match small.
 #[inline(never)]
-fn masked_load(
+fn load(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
     idx: CValue,
-    mask: CValue,
-    lanes: usize,
+    mask: Option<CValue>,
+    clamp: Option<(i64, i64)>,
 ) -> Result<CValue> {
-    if mask_all_true(&mask, lanes) {
-        if let CValue::S(s) = &idx {
-            let i = s.as_i64();
-            let len = buffer.len();
-            if i < 0 || i as usize >= len {
-                return Err(oob(prog, buf, "load from", i, len));
-            }
-            return Ok(CValue::S(buffer.get_flat_scalar(i as usize)));
-        }
-        if let CValue::R {
-            base: base_v,
-            stride,
-            ..
-        } = idx
-        {
-            if stride == 1 {
-                return dense_load(prog, buf, buffer, base_v, lanes);
-            }
-            return strided_load(prog, buf, buffer, base_v, stride, lanes);
-        }
-        let idx = idx.into_value();
-        return Ok(vv(gather(prog, buf, buffer, &idx, lanes)?));
-    }
-    // A mixed mask: the reference per-lane loop, skipping disabled lanes
-    // before their bounds checks.
-    let len = buffer.len();
-    let is_float = buffer.ty().is_float();
-    let idx = idx.into_value().broadcast(lanes);
-    let mut out_i: Vec<i64> = Vec::with_capacity(if is_float { 0 } else { lanes });
-    let mut out_f: Vec<f64> = Vec::with_capacity(if is_float { lanes } else { 0 });
-    for lane in 0..lanes {
-        if !mask_lane(&mask, lane) {
-            if is_float {
-                out_f.push(0.0);
-            } else {
-                out_i.push(0);
-            }
-            continue;
-        }
-        let i = idx.lane_int(lane);
-        if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "load from", i, len));
-        }
-        if is_float {
-            out_f.push(buffer.get_flat_f64(i as usize));
-        } else {
-            out_i.push(buffer.get_flat_i64(i as usize));
-        }
-    }
-    Ok(vv(if is_float {
-        Value::Float(out_f)
-    } else {
-        Value::Int(out_i)
-    }))
+    buffer
+        .read_lanes(access_lanes(&idx, mask.as_ref(), clamp, idx.lanes()))
+        .map(vv)
+        .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))
 }
 
-/// A store with a lane predicate: a disabled lane is neither written nor
-/// bounds-checked. An all-true mask falls through to the unmasked bulk
-/// dispatches.
+/// Every store the scalar fast path does not take, `lanes` wide (the wider
+/// of index and value): lane `k` of the value written at the access's lane
+/// `k` (see [`access_lanes`]) in one [`Buffer::write_lanes`]. Outlined to
+/// keep [`exec`]'s hot match small.
 #[inline(never)]
-fn masked_store(
+fn store(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
     idx: CValue,
     val: CValue,
-    mask: CValue,
+    mask: Option<CValue>,
     lanes: usize,
 ) -> Result<()> {
-    let len = buffer.len();
-    if mask_all_true(&mask, lanes) {
-        if let (CValue::S(i), CValue::S(v)) = (&idx, &val) {
-            let i = i.as_i64();
-            if i < 0 || i as usize >= len {
-                return Err(oob(prog, buf, "store to", i, len));
-            }
-            buffer.set_flat_scalar(i as usize, *v);
-            return Ok(());
-        }
-        return vector_store(prog, buf, buffer, idx, val, lanes);
-    }
-    let idx = idx.into_value().broadcast(lanes);
-    let val = val.into_value();
-    for lane in 0..lanes {
-        if !mask_lane(&mask, lane) {
-            continue;
-        }
-        let i = idx.lane_int(lane);
-        if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "store to", i, len));
-        }
-        buffer.set_flat_lane(i as usize, &val, lane);
-    }
-    Ok(())
-}
-
-/// Stores `val` through a non-unit-stride ramp as one bulk strided write.
-/// Returns `None` when the value's shape has no bulk form (the caller falls
-/// back to the per-lane loop, which reproduces the interpreter exactly).
-fn strided_store(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    base: i64,
-    stride: i64,
-    lanes: usize,
-    val: &CValue,
-) -> Option<Result<()>> {
-    let len = buffer.len();
-    match val {
-        // A scalar value: every lane writes the same converted element.
-        CValue::S(s) => {
-            for k in 0..lanes {
-                let i = base + stride * k as i64;
-                if i < 0 || i as usize >= len {
-                    return Some(Err(oob(prog, buf, "store to", i, len)));
-                }
-                buffer.set_flat_scalar(i as usize, *s);
-            }
-            Some(Ok(()))
-        }
-        CValue::V(v) => match v.as_ref() {
-            Value::Float(fv) if fv.len() == lanes => Some(
-                buffer
-                    .write_flat_strided_f64s(base, stride, fv)
-                    .map_err(|i| oob(prog, buf, "store to", i, len)),
-            ),
-            Value::Int(iv) if iv.len() == lanes => Some(
-                buffer
-                    .write_flat_strided_i64s(base, stride, iv)
-                    .map_err(|i| oob(prog, buf, "store to", i, len)),
-            ),
-            _ => None,
-        },
-        CValue::R { .. } => None,
-    }
+    buffer
+        .write_lanes(
+            access_lanes(&idx, mask.as_ref(), None, lanes),
+            &val.into_value(),
+        )
+        .map_err(|i| oob(prog, buf, "store to", i, buffer.len()))
 }
 
 /// The instrument-on bookkeeping of a `Load`, kept out of the hot arm
@@ -808,66 +616,21 @@ fn count_store(ctx: &Context, idx: &CValue, lanes: usize) {
         .add_store_pattern(classify_store_index(idx, lanes));
 }
 
-/// A store whose index or value is a vector, dispatched to the bulk forms:
-/// dense or strided for symbolic ramps, a single scatter for index vectors
-/// with a lane-matched value, the reference per-lane loop otherwise.
-/// Outlined so the scalar store path in [`exec`]'s hot match stays small.
-#[inline(never)]
-fn vector_store(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    idx: CValue,
-    val: CValue,
-    lanes: usize,
-) -> Result<()> {
-    let len = buffer.len();
-    // A symbolic ramp covering the whole store: one bulk write — contiguous
-    // for unit stride, strided otherwise.
-    if let CValue::R {
-        base: base_v,
-        stride,
-        lanes: rl,
-    } = idx
-    {
-        if stride == 1 {
-            return dense_store(prog, buf, buffer, base_v, rl as usize, lanes, val, len);
-        }
-        if rl as usize == lanes {
-            if let Some(r) = strided_store(prog, buf, buffer, base_v, stride, lanes, &val) {
-                return r;
-            }
-        }
-        // Reproduce the per-lane semantics for the odd shapes (value wider
-        // than the ramp, multi-lane-but-narrower value).
-        return per_lane_store(prog, buf, buffer, idx, val, lanes);
+/// The instrument-on bookkeeping of a `LoadClamped`: the `min`/`max` pair
+/// the interpreter executes on the index, and the pattern of the clamped
+/// lanes it then sees materialized.
+#[cold]
+fn count_clamped_load(ctx: &Context, idx: &CValue, lo: i64, hi: i64) {
+    let lanes = idx.lanes();
+    ctx.counters.add_arith(2);
+    ctx.counters.add_load(lanes as u64);
+    if lanes > 1 {
+        let clamped: Vec<i64> = (0..lanes)
+            .filter_map(|k| access_lane(idx, None, Some((lo, hi)), lanes, k))
+            .collect();
+        ctx.counters
+            .add_load_pattern(halide_runtime::classify_flat_indices(&clamped));
     }
-    // An arbitrary index vector with a matching value vector: one bulk
-    // scatter, one storage dispatch.
-    if let CValue::V(iv) = &idx {
-        if let (Value::Int(ints), true) = (iv.as_ref(), idx.lanes() == lanes) {
-            let scattered = match &val {
-                CValue::V(v) => match v.as_ref() {
-                    Value::Float(fv) if fv.len() == lanes => Some(
-                        buffer
-                            .scatter_flat_f64s(ints, fv)
-                            .map_err(|i| oob(prog, buf, "store to", i, len)),
-                    ),
-                    Value::Int(vv) if vv.len() == lanes => Some(
-                        buffer
-                            .scatter_flat_i64s(ints, vv)
-                            .map_err(|i| oob(prog, buf, "store to", i, len)),
-                    ),
-                    _ => None,
-                },
-                _ => None,
-            };
-            if let Some(r) = scattered {
-                return r;
-            }
-        }
-    }
-    per_lane_store(prog, buf, buffer, idx, val, lanes)
 }
 
 /// A `select` with a register-held vector mask: blend without cloning the
@@ -913,96 +676,6 @@ fn masked_select(
     Ok(vv(select_op_owned(&c, tv.into_value(), fv.into_value())))
 }
 
-/// A load through `max(min(index, hi), lo)`: clamp while gathering, one
-/// storage dispatch, no min/max intermediate vectors (which still count as
-/// the two arithmetic operations the interpreter executes for them).
-/// Outlined to keep [`eval`]'s hot match small.
-#[inline(never)]
-fn clamped_load(
-    prog: &Program,
-    buf: u32,
-    idx: CValue,
-    lo_v: i64,
-    hi_v: i64,
-    m: &mut Machine,
-    ctx: &Context,
-) -> Result<CValue> {
-    let buffer = m.buffer(prog, buf)?;
-    let lanes = idx.lanes();
-    if ctx.instrument {
-        ctx.counters.add_arith(2);
-        ctx.counters.add_load(lanes as u64);
-        if lanes > 1 {
-            // Classify the post-clamp indices, as the interpreter (which
-            // sees them materialized) does.
-            let clamped: Vec<i64> = match &idx {
-                CValue::S(s) => vec![s.as_i64().min(hi_v).max(lo_v)],
-                CValue::R {
-                    base,
-                    stride,
-                    lanes,
-                } => (0..*lanes as i64)
-                    .map(|k| (base + stride * k).min(hi_v).max(lo_v))
-                    .collect(),
-                CValue::V(v) => v
-                    .to_int_lanes()
-                    .iter()
-                    .map(|i| (*i).min(hi_v).max(lo_v))
-                    .collect(),
-            };
-            ctx.counters
-                .add_load_pattern(halide_runtime::classify_flat_indices(&clamped));
-        }
-    }
-    let len = buffer.len();
-    // Scalar: clamp, one bounds check, one typed read.
-    if let CValue::S(s) = &idx {
-        let i = s.as_i64().min(hi_v).max(lo_v);
-        if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "load from", i, len));
-        }
-        return Ok(CValue::S(buffer.get_flat_scalar(i as usize)));
-    }
-    let idx = idx.into_value();
-    let ints = idx.to_int_lanes();
-    Ok(vv(if buffer.ty().is_float() {
-        buffer
-            .gather_flat_f64_clamped(&ints, lo_v, hi_v)
-            .map(Value::Float)
-            .map_err(|i| oob(prog, buf, "load from", i, len))?
-    } else {
-        buffer
-            .gather_flat_i64_clamped(&ints, lo_v, hi_v)
-            .map(Value::Int)
-            .map_err(|i| oob(prog, buf, "load from", i, len))?
-    }))
-}
-
-/// The reference per-lane store loop: broadcast the index, bounds-check and
-/// write lane by lane — exactly the interpreter's semantics. The bulk store
-/// paths above are shortcuts for the shapes they cover; everything else
-/// lands here.
-fn per_lane_store(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    idx: CValue,
-    val: CValue,
-    lanes: usize,
-) -> Result<()> {
-    let len = buffer.len();
-    let idx = idx.into_value().broadcast(lanes);
-    let val = val.into_value();
-    for lane in 0..lanes {
-        let i = idx.lane_int(lane);
-        if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "store to", i, len));
-        }
-        buffer.set_flat_lane(i as usize, &val, lane);
-    }
-    Ok(())
-}
-
 /// Applies an integer lane-wise function (the strength-reduced shift/mask
 /// forms). The optimizer only emits these for registers proven integer, so
 /// a float here is an internal error, not a user-visible one.
@@ -1035,63 +708,6 @@ fn oob(prog: &Program, buf: u32, what: &str, i: i64, len: usize) -> ExecError {
         "{what} {:?} at flat index {i} is outside the allocation of {len} elements",
         prog.buf_names[buf as usize]
     ))
-}
-
-/// Stores `lanes` lanes of `val` contiguously starting at `base_v`; the
-/// compiled form of a store through a unit-stride ramp. `lanes` is the
-/// already-counted max of ramp and value lanes.
-#[allow(clippy::too_many_arguments)]
-fn dense_store(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    base_v: i64,
-    ramp_lanes: usize,
-    lanes: usize,
-    val: CValue,
-    len: usize,
-) -> Result<()> {
-    if lanes > ramp_lanes {
-        // A wider value than the index: the interpreter broadcasts the
-        // index's first lane. Rare; reproduce it faithfully.
-        let val = val.into_value();
-        for lane in 0..lanes {
-            let i = base_v;
-            if i < 0 || i as usize >= len {
-                return Err(oob(prog, buf, "store to", i, len));
-            }
-            buffer.set_flat_lane(i as usize, &val, lane);
-        }
-        return Ok(());
-    }
-    if base_v < 0 || base_v as usize + lanes > len {
-        let first_bad = if base_v < 0 {
-            base_v
-        } else {
-            base_v.max(len as i64)
-        };
-        return Err(oob(prog, buf, "store to", first_bad, len));
-    }
-    let start = base_v as usize;
-    match val {
-        CValue::S(s) => {
-            for lane in 0..lanes {
-                buffer.set_flat_scalar(start + lane, s);
-            }
-        }
-        other => match other.into_value() {
-            Value::Float(fv) if fv.len() >= lanes => buffer.write_flat_f64s(start, &fv[..lanes]),
-            Value::Int(iv) if iv.len() >= lanes => buffer.write_flat_i64s(start, &iv[..lanes]),
-            // A value narrower than the ramp (but not scalar): mirror the
-            // interpreter's per-lane clamp instead of slicing out of range.
-            val => {
-                for lane in 0..lanes {
-                    buffer.set_flat_lane(start + lane, &val, lane);
-                }
-            }
-        },
-    }
-    Ok(())
 }
 
 /// Applies a resolved intrinsic with the same lane semantics as
@@ -1226,17 +842,16 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             if ctx.instrument {
                 count_store(ctx, &idx, lanes);
             }
-            let len = buffer.len();
-            // Scalar fast path: one bounds check, one typed write.
+            // Scalar fast path: one bounds check, one unboxed element.
             if let (CValue::S(i), CValue::S(v)) = (&idx, &val) {
-                let i = i.as_i64();
+                let (i, len) = (i.as_i64(), buffer.len());
                 if i < 0 || i as usize >= len {
                     return Err(oob(prog, *buf, "store to", i, len));
                 }
                 buffer.set_flat_scalar(i as usize, *v);
                 return Ok(());
             }
-            vector_store(prog, *buf, buffer, idx, val, lanes)
+            store(prog, *buf, buffer, idx, val, None, lanes)
         }
         CStmt::StoreMasked {
             buf,
@@ -1253,34 +868,7 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                 count_store(ctx, &idx, lanes);
                 ctx.counters.add_masked_store();
             }
-            masked_store(prog, *buf, buffer, idx, val, mv, lanes)
-        }
-        CStmt::StoreDense {
-            buf,
-            value,
-            base,
-            lanes,
-        } => {
-            let ramp_lanes = *lanes as usize;
-            let base_v = eval(prog, base, m, ctx)?.as_int()?;
-            let val = eval(prog, value, m, ctx)?;
-            let buffer = m.buffer(prog, *buf)?;
-            let lanes = ramp_lanes.max(val.lanes());
-            if ctx.instrument {
-                ctx.counters.add_store(lanes as u64);
-                if lanes > 1 {
-                    // A value wider than the ramp broadcasts the ramp's
-                    // first lane, which the shared classification rule calls
-                    // a stride-0 strided store.
-                    ctx.counters.add_store_pattern(if ramp_lanes == lanes {
-                        AccessPattern::Dense
-                    } else {
-                        AccessPattern::Strided
-                    });
-                }
-            }
-            let len = buffer.len();
-            dense_store(prog, *buf, buffer, base_v, ramp_lanes, lanes, val, len)
+            store(prog, *buf, buffer, idx, val, Some(mv), lanes)
         }
         CStmt::Allocate {
             buf,
@@ -1839,6 +1427,30 @@ mod tests {
             let interp_err = eval_stmt(&s, &mut frame, &ictx).unwrap_err();
             assert_eq!(compiled_err.to_string(), interp_err.to_string());
         }
+    }
+
+    #[test]
+    fn mask_narrower_than_the_access_repeats_lane_zero() {
+        // A 2-lane predicate on 4-lane loads and stores: [1, 0] on even
+        // rows, [0, 1] on odd ones. Both engines widen it the interpreter's
+        // way, repeating lane 0 across the access, never its last lane.
+        let idx = Expr::ramp(Expr::var_i32("i") * 4, Expr::int(1), 4);
+        let mask = Expr::eq(
+            Expr::ramp(Expr::var_i32("i") % 2, Expr::int(1), 2) % 2,
+            Expr::broadcast(Expr::int(0), 2),
+        );
+        let value = Expr::load_predicated(Type::f32(), "src", idx.clone(), mask.clone()) + 1.0f32;
+        let s = Stmt::block_of(vec![
+            fill_loop("src", 16),
+            Stmt::for_loop(
+                "i",
+                Expr::int(0),
+                Expr::int(4),
+                ForKind::Serial,
+                Stmt::store_predicated("out", value, idx, mask),
+            ),
+        ]);
+        assert_backends_agree(&s, &[("src", 16), ("out", 16)]);
     }
 
     #[test]

@@ -219,32 +219,6 @@ impl Expr {
         .into()
     }
 
-    /// A signed integer immediate of the given type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ty` is not a signed integer type.
-    pub fn int_of(ty: Type, value: i64) -> Expr {
-        assert!(
-            matches!(ty.scalar(), ScalarType::Int(_)),
-            "int_of requires a signed integer type, got {ty}"
-        );
-        ExprNode::IntImm { ty, value }.into()
-    }
-
-    /// An unsigned integer immediate of the given type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ty` is not an unsigned integer type.
-    pub fn uint_of(ty: Type, value: u64) -> Expr {
-        assert!(
-            ty.is_uint(),
-            "uint_of requires an unsigned integer type, got {ty}"
-        );
-        ExprNode::UIntImm { ty, value }.into()
-    }
-
     /// A 32-bit float immediate.
     pub fn f32(value: f32) -> Expr {
         ExprNode::FloatImm {

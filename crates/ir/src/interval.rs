@@ -10,7 +10,6 @@
 use crate::expr::{BinOp, Expr, ExprNode};
 use crate::scope::Scope;
 use crate::simplify::simplify;
-use crate::types::Type;
 
 /// A symbolic closed interval `[min, max]`. `None` means unbounded in that
 /// direction.
@@ -299,16 +298,10 @@ pub fn provably_within(e: &Expr, lo: i64, hi: i64, scope: &Scope<Interval>) -> b
     ok_lo && ok_hi
 }
 
-/// Helper used by bound expressions: the type-preserving `max(x, 0)` pattern
-/// produced when clamping extents to be non-negative.
-pub fn non_negative(e: Expr) -> Expr {
-    let ty: Type = e.ty();
-    simplify(&Expr::max(e, Expr::zero(ty)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Type;
 
     fn scope_with(name: &str, lo: i32, hi: i32) -> Scope<Interval> {
         let mut s = Scope::new();

@@ -733,11 +733,6 @@ pub fn const_int(e: &Expr) -> Option<i64> {
     simplify(e).as_const_int()
 }
 
-/// A boolean expression that simplifies to `true`.
-pub fn is_provably_true(e: &Expr) -> bool {
-    simplify(e).as_const_int() == Some(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,11 +45,6 @@ impl ScalarType {
         matches!(self, ScalarType::UInt(_))
     }
 
-    /// True for signed integer kinds.
-    pub fn is_signed_int(self) -> bool {
-        matches!(self, ScalarType::Int(_))
-    }
-
     /// Largest representable value, as an `f64` (used by `clamp`-style
     /// saturation helpers and by the simplifier).
     pub fn max_value_f64(self) -> f64 {

@@ -248,20 +248,6 @@ impl Func {
         self.lock().schedule = schedule;
     }
 
-    /// Applies `f` to the function's schedule in place, propagating errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever error `f` produces; the schedule is still modified up
-    /// to the point of failure, so autotuner callers should treat an error as
-    /// "discard this candidate".
-    pub fn try_schedule<T>(
-        &self,
-        f: impl FnOnce(&mut FuncSchedule) -> halide_schedule::Result<T>,
-    ) -> halide_schedule::Result<T> {
-        f(&mut self.lock().schedule)
-    }
-
     fn edit_schedule(
         &self,
         op: impl FnOnce(&mut FuncSchedule) -> halide_schedule::Result<()>,

@@ -215,70 +215,6 @@ impl Pipeline {
         order
     }
 
-    /// A plain description of this pipeline for the ahead-of-time legality
-    /// predicate (`halide_schedule::legality`): every function's arguments,
-    /// current schedule, update status, and consumer edges (with the
-    /// pure-definition-only bit that gates `compute_at`). `output_extents`
-    /// are the constant extents the output will be realized over, given in
-    /// argument order (innermost first); they let the predicate check
-    /// split factors against the output's real domain. Producers get
-    /// symbolic (unknown) extents, matching how lowering infers their
-    /// bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output_extents` does not have one extent per output
-    /// argument.
-    pub fn legality_info(&self, output_extents: &[i64]) -> halide_schedule::legality::PipelineInfo {
-        use halide_schedule::legality::{ConsumerEdge, FuncInfo, PipelineInfo};
-        assert_eq!(
-            output_extents.len(),
-            self.output.args().len(),
-            "one output extent per output argument"
-        );
-        let mut funcs = BTreeMap::new();
-        for f in self.env.values() {
-            let name = f.name();
-            let known_extents = if name == self.output.name() {
-                output_extents.iter().map(|e| Some(*e)).collect()
-            } else {
-                vec![None; f.args().len()]
-            };
-            // A producer edge is pure-only when the consumer references it
-            // exclusively from its pure definition, never from an update
-            // stage's coordinates or value.
-            let mut consumers = Vec::new();
-            for caller in self.callers(&name) {
-                let c = &self.env[&caller];
-                let in_updates = c.updates().iter().any(|u| {
-                    u.args
-                        .iter()
-                        .chain(std::iter::once(&u.value))
-                        .any(|e| called_funcs(e).contains(&name))
-                });
-                consumers.push(ConsumerEdge {
-                    consumer: caller,
-                    pure_only: !in_updates,
-                });
-            }
-            funcs.insert(
-                name.clone(),
-                FuncInfo {
-                    name,
-                    args: f.args(),
-                    known_extents,
-                    schedule: f.schedule(),
-                    has_updates: !f.updates().is_empty(),
-                    consumers,
-                },
-            );
-        }
-        PipelineInfo {
-            output: self.output.name(),
-            funcs,
-        }
-    }
-
     /// Validates every function's schedule locally. The compiler performs the
     /// global checks (e.g. that a `compute_at` target loop exists).
     ///
@@ -399,44 +335,5 @@ mod tests {
         let (_blurx, out) = two_stage();
         let p = Pipeline::new(&out);
         assert!(p.validate_schedules().is_ok());
-    }
-
-    #[test]
-    fn legality_info_reflects_graph_and_extents() {
-        let (blurx, out) = two_stage();
-        let p = Pipeline::new(&out);
-        let info = p.legality_info(&[64, 48]);
-        assert!(info.validate().is_ok());
-        let o = &info.funcs[&out.name()];
-        assert_eq!(o.known_extents, vec![Some(64), Some(48)]);
-        let b = &info.funcs[&blurx.name()];
-        assert_eq!(b.known_extents, vec![None, None]);
-        assert_eq!(b.consumers.len(), 1);
-        assert_eq!(b.consumers[0].consumer, out.name());
-        assert!(b.consumers[0].pure_only);
-        assert!(info.compute_at_legal(&blurx.name(), &out.name(), "y"));
-    }
-
-    #[test]
-    fn legality_info_marks_update_call_sites() {
-        let input = ImageParam::new("pipe_test_hist_in", Type::f32(), 2);
-        let (x, y) = (Var::new("x"), Var::new("y"));
-        let lum = Func::new("pipe_test_lum");
-        lum.define(
-            &[x.clone(), y.clone()],
-            input.at_clamped(vec![x.expr(), y.expr()]) * 0.5f32,
-        );
-        let i = Var::new("i");
-        let hist = Func::new("pipe_test_hist");
-        hist.define(&[i.clone()], Expr::f32(0.0));
-        let r = crate::rdom::RDom::over("r", 0, 8);
-        let bin = lum.at(vec![r.x().expr(), Expr::int(0)]).cast(Type::i32());
-        hist.update(vec![bin.clone()], hist.at(vec![bin]) + 1.0f32, Some(r));
-        let p = Pipeline::new(&hist);
-        let info = p.legality_info(&[16]);
-        let l = &info.funcs[&lum.name()];
-        assert_eq!(l.consumers.len(), 1);
-        assert!(!l.consumers[0].pure_only);
-        assert!(!info.compute_at_legal(&lum.name(), &hist.name(), "i"));
     }
 }

@@ -501,15 +501,6 @@ pub fn build_pipeline_stmt(
         let compute_region = region_required(&compute_body, &def.name, def.args.len())
             .to_ranges(&def.name, &def.args)?;
         validate_splits(def, &compute_region)?;
-        if std::env::var_os("HALIDE_LOWER_DEBUG").is_some() {
-            // Diagnostic for bounds-expression growth through deep stage
-            // chains (set HALIDE_LOWER_DEBUG=1 to trace).
-            let sz: usize = compute_region
-                .iter()
-                .map(|r| r.min.to_string().len() + r.extent.to_string().len())
-                .sum();
-            eprintln!("inject {}: compute region {} chars", def.name, sz);
-        }
 
         // Region required at the (equal or coarser) storage level. When the
         // two levels coincide, it is the compute region.

@@ -29,7 +29,6 @@ use halide_ir::{
 
 use crate::bounds::region_required;
 use crate::inject::FuncDef;
-use crate::nest::loop_var;
 
 /// The largest expression (in nodes) worth resolving through the let
 /// bindings: resolution beyond this cannot expose the small
@@ -412,12 +411,6 @@ pub fn sliding_and_folding(
     };
     let out = pass.mutate_stmt(stmt);
     (out, pass.report)
-}
-
-/// Convenience: the loop-variable name the sliding pass uses for a consumer
-/// dimension (same as the lowering pass).
-pub fn consumer_loop_var(func: &str, dim: &str) -> String {
-    loop_var(func, dim)
 }
 
 #[cfg(test)]

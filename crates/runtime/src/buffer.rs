@@ -240,6 +240,36 @@ macro_rules! with_storage {
     };
 }
 
+/// The lanes of one vector access, in lane order — what
+/// [`Buffer::read_lanes`] and [`Buffer::write_lanes`] take.
+#[derive(Debug, Clone)]
+pub enum Lanes<I> {
+    /// Every lane enabled, at consecutive flat indices: the unit-stride
+    /// shape, read or written as one slice.
+    Dense {
+        /// Flat index of lane 0.
+        base: i64,
+        /// Number of lanes.
+        lanes: usize,
+    },
+    /// Lane by lane: a flat index per lane, or `None` for a masked-off lane.
+    Each(I),
+}
+
+/// The storage range of a dense run of `lanes` elements at `base`, or the
+/// first out-of-range index in lane order.
+fn dense_run(
+    len: usize,
+    base: i64,
+    lanes: usize,
+) -> std::result::Result<std::ops::Range<usize>, i64> {
+    match usize::try_from(base) {
+        Ok(start) if start.saturating_add(lanes) <= len => Ok(start..start + lanes),
+        Ok(_) => Err(base.max(len as i64)),
+        Err(_) => Err(base),
+    }
+}
+
 /// A typed, multi-dimensional pixel buffer with interior mutability for
 /// data-parallel stores (see the module-level concurrency note).
 #[derive(Debug)]
@@ -490,11 +520,8 @@ impl Buffer {
         }
     }
 
-    /// Stores an integer at flat index `i` (converted to the element type).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// The storage, mutably through a shared reference (data-parallel
+    /// stores; see the module-level concurrency note).
     #[allow(clippy::mut_from_ref)]
     fn storage_mut(&self) -> &mut Storage {
         // SAFETY: see the module-level concurrency note.
@@ -519,335 +546,107 @@ impl Buffer {
         }
     }
 
-    // ---- bulk typed accessors ---------------------------------------------
+    // ---- bulk access ------------------------------------------------------
     //
-    // One storage dispatch per vector operation instead of one per lane;
-    // the compiled backend's dense and gather paths run through these.
+    // One storage dispatch per vector access instead of one per lane. Every
+    // vector load and store of the compiled backend — dense, strided,
+    // gather, clamped or masked — is one [`Lanes`] sequence through these
+    // two.
 
-    /// Reads `lanes` contiguous elements starting at flat index `start` as
-    /// `f64`s.
+    /// Reads one element per lane: lane `k` reads the `k`-th flat index of
+    /// `lanes`, and a masked-off lane reads nothing and yields 0. The result
+    /// has the buffer's kind (integer buffers produce [`Value::Int`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the range is out of bounds.
-    pub fn read_flat_f64s(&self, start: usize, lanes: usize) -> Vec<f64> {
+    /// Returns the index of the first enabled lane, in lane order, outside
+    /// `[0, len)`. Masked-off lanes are never bounds-checked.
+    pub fn read_lanes<I: Iterator<Item = Option<i64>>>(
+        &self,
+        lanes: Lanes<I>,
+    ) -> std::result::Result<Value, i64> {
         // SAFETY: see the module-level concurrency note.
         let storage = unsafe { &*self.data.get() };
-        with_storage!(
-            storage,
-            s,
-            s[start..start + lanes].iter().map(|v| *v as f64).collect()
-        )
+        macro_rules! read {
+            ($elem:ty, $wrap:path) => {
+                with_storage!(storage, s, {
+                    Ok($wrap(match lanes {
+                        Lanes::Dense { base, lanes } => match dense_run(s.len(), base, lanes) {
+                            Ok(run) => s[run].iter().map(|x| *x as $elem).collect(),
+                            Err(bad) => return Err(bad),
+                        },
+                        Lanes::Each(idx) => {
+                            let mut out: Vec<$elem> = Vec::with_capacity(idx.size_hint().0);
+                            for i in idx {
+                                out.push(match i {
+                                    None => 0 as $elem,
+                                    Some(i) => match usize::try_from(i).ok().and_then(|u| s.get(u))
+                                    {
+                                        Some(x) => *x as $elem,
+                                        None => return Err(i),
+                                    },
+                                });
+                            }
+                            out
+                        }
+                    }))
+                })
+            };
+        }
+        if self.ty.is_float() {
+            read!(f64, Value::Float)
+        } else {
+            read!(i64, Value::Int)
+        }
     }
 
-    /// Reads `lanes` contiguous elements starting at flat index `start` as
-    /// `i64`s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn read_flat_i64s(&self, start: usize, lanes: usize) -> Vec<i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(
-            storage,
-            s,
-            s[start..start + lanes].iter().map(|v| *v as i64).collect()
-        )
-    }
-
-    /// Writes a contiguous run of `f64`s starting at flat index `start`
-    /// (each converted to the element type).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn write_flat_f64s(&self, start: usize, vals: &[f64]) {
-        let storage = self.storage_mut();
-        with_storage!(storage, s, {
-            for (dst, v) in s[start..start + vals.len()].iter_mut().zip(vals) {
-                *dst = *v as _;
-            }
-        })
-    }
-
-    /// Writes a contiguous run of `i64`s starting at flat index `start`
-    /// (each converted to the element type).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn write_flat_i64s(&self, start: usize, vals: &[i64]) {
-        let storage = self.storage_mut();
-        with_storage!(storage, s, {
-            for (dst, v) in s[start..start + vals.len()].iter_mut().zip(vals) {
-                *dst = *v as _;
-            }
-        })
-    }
-
-    /// Reads the elements at the given flat indices as `f64`s, or reports
-    /// the first out-of-range index.
+    /// Writes lane `k` of `v` (converted to the element type) at the `k`-th
+    /// flat index of `lanes`; a masked-off lane writes nothing. A value
+    /// narrower than the access repeats its last lane, exactly as
+    /// [`Value::lane_f64`] / [`Value::lane_int`] read it.
     ///
     /// # Errors
     ///
-    /// Returns the first index outside `[0, len)`.
-    pub fn gather_flat_f64(&self, idx: &[i64]) -> std::result::Result<Vec<f64>, i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                out.push(s[i as usize] as f64);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Reads the elements at the given flat indices as `i64`s, or reports
-    /// the first out-of-range index.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)`.
-    pub fn gather_flat_i64(&self, idx: &[i64]) -> std::result::Result<Vec<i64>, i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                out.push(s[i as usize] as i64);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Reads the elements at the given flat indices as `f64`s, clamping each
-    /// index into `[lo, hi]` first (exactly `max(min(i, hi), lo)`, the
-    /// clamped-access pattern `at_clamped` lowers to) — the bulk form of the
-    /// clamped gathers the camera pipe's LUT stage performs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first **clamped** index outside `[0, len)` (possible when
-    /// the clamp range itself reaches outside the allocation).
-    pub fn gather_flat_f64_clamped(
+    /// Returns the index of the first enabled lane, in lane order, outside
+    /// `[0, len)`. Masked-off lanes are never bounds-checked. After an error
+    /// the lanes before the bad one may or may not have been written
+    /// (callers surface the error and discard the buffer).
+    pub fn write_lanes<I: Iterator<Item = Option<i64>>>(
         &self,
-        idx: &[i64],
-        lo: i64,
-        hi: i64,
-    ) -> std::result::Result<Vec<f64>, i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
-                let i = i.min(hi).max(lo);
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                out.push(s[i as usize] as f64);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Reads the elements at the given flat indices as `i64`s, clamping each
-    /// index into `[lo, hi]` first; the integer twin of
-    /// [`Buffer::gather_flat_f64_clamped`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first clamped index outside `[0, len)`.
-    pub fn gather_flat_i64_clamped(
-        &self,
-        idx: &[i64],
-        lo: i64,
-        hi: i64,
-    ) -> std::result::Result<Vec<i64>, i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
-                let i = i.min(hi).max(lo);
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                out.push(s[i as usize] as i64);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Reads `lanes` elements at flat indices `start, start + stride, …` as
-    /// `f64`s in one storage dispatch — the bulk form of a load through a
-    /// non-unit-stride ramp.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)`.
-    pub fn read_flat_strided_f64s(
-        &self,
-        start: i64,
-        stride: i64,
-        lanes: usize,
-    ) -> std::result::Result<Vec<f64>, i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            let mut out = Vec::with_capacity(lanes);
-            for k in 0..lanes {
-                let i = start + stride * k as i64;
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                out.push(s[i as usize] as f64);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Reads `lanes` elements at flat indices `start, start + stride, …` as
-    /// `i64`s; the integer twin of [`Buffer::read_flat_strided_f64s`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)`.
-    pub fn read_flat_strided_i64s(
-        &self,
-        start: i64,
-        stride: i64,
-        lanes: usize,
-    ) -> std::result::Result<Vec<i64>, i64> {
-        let storage = unsafe { &*self.data.get() };
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            let mut out = Vec::with_capacity(lanes);
-            for k in 0..lanes {
-                let i = start + stride * k as i64;
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                out.push(s[i as usize] as i64);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Writes `vals[k]` at flat indices `start, start + stride, …` (each value
-    /// converted to the element type) in one storage dispatch — the bulk form
-    /// of a store through a non-unit-stride ramp.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)`; values at earlier indices
-    /// have already been written when that happens (callers surface the error
-    /// and discard the buffer, matching the per-lane store paths).
-    pub fn write_flat_strided_f64s(
-        &self,
-        start: i64,
-        stride: i64,
-        vals: &[f64],
+        lanes: Lanes<I>,
+        v: &Value,
     ) -> std::result::Result<(), i64> {
         let storage = self.storage_mut();
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            for (k, v) in vals.iter().enumerate() {
-                let i = start + stride * k as i64;
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                s[i as usize] = *v as _;
-            }
-            Ok(())
-        })
-    }
-
-    /// Writes `vals[k]` at flat indices `start, start + stride, …`; the
-    /// integer twin of [`Buffer::write_flat_strided_f64s`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)` (see the `f64` form for the
-    /// partial-write caveat).
-    pub fn write_flat_strided_i64s(
-        &self,
-        start: i64,
-        stride: i64,
-        vals: &[i64],
-    ) -> std::result::Result<(), i64> {
-        let storage = self.storage_mut();
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            for (k, v) in vals.iter().enumerate() {
-                let i = start + stride * k as i64;
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                s[i as usize] = *v as _;
-            }
-            Ok(())
-        })
-    }
-
-    /// Writes `vals[k]` at flat index `idx[k]` (each value converted to the
-    /// element type) in one storage dispatch — the bulk **scatter** that
-    /// replaces per-lane vector stores through arbitrary index vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)`; values at earlier indices
-    /// have already been written when that happens (callers surface the error
-    /// and discard the buffer, matching the per-lane store paths).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` and `vals` have different lengths.
-    pub fn scatter_flat_f64s(&self, idx: &[i64], vals: &[f64]) -> std::result::Result<(), i64> {
-        assert_eq!(idx.len(), vals.len(), "scatter index/value length mismatch");
-        let storage = self.storage_mut();
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            for (&i, v) in idx.iter().zip(vals) {
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                s[i as usize] = *v as _;
-            }
-            Ok(())
-        })
-    }
-
-    /// Writes `vals[k]` at flat index `idx[k]`; the integer twin of
-    /// [`Buffer::scatter_flat_f64s`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first index outside `[0, len)` (see the `f64` form for the
-    /// partial-write caveat).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` and `vals` have different lengths.
-    pub fn scatter_flat_i64s(&self, idx: &[i64], vals: &[i64]) -> std::result::Result<(), i64> {
-        assert_eq!(idx.len(), vals.len(), "scatter index/value length mismatch");
-        let storage = self.storage_mut();
-        with_storage!(storage, s, {
-            let len = s.len() as i64;
-            for (&i, v) in idx.iter().zip(vals) {
-                if i < 0 || i >= len {
-                    return Err(i);
-                }
-                s[i as usize] = *v as _;
-            }
-            Ok(())
-        })
+        macro_rules! write {
+            ($vals:expr) => {{
+                let last = $vals.len() - 1;
+                with_storage!(storage, s, {
+                    match lanes {
+                        Lanes::Dense { base, lanes } => {
+                            let run = dense_run(s.len(), base, lanes)?;
+                            for (k, d) in s[run].iter_mut().enumerate() {
+                                *d = $vals[k.min(last)] as _;
+                            }
+                        }
+                        Lanes::Each(idx) => {
+                            for (k, i) in idx.enumerate() {
+                                if let Some(i) = i {
+                                    match usize::try_from(i).ok().and_then(|u| s.get_mut(u)) {
+                                        Some(d) => *d = $vals[k.min(last)] as _,
+                                        None => return Err(i),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    Ok(())
+                })
+            }};
+        }
+        match v {
+            Value::Int(vals) => write!(vals),
+            Value::Float(vals) => write!(vals),
+        }
     }
 
     /// Reads the element at the given coordinates as `f64`.
@@ -974,6 +773,28 @@ mod tests {
         assert_eq!(a.to_f64_vec().len(), 6);
     }
 
+    type Seq = Lanes<std::vec::IntoIter<Option<i64>>>;
+
+    /// A dense run.
+    fn dense(base: i64, lanes: usize) -> Seq {
+        Lanes::Dense { base, lanes }
+    }
+
+    /// Lane by lane, `None` for a masked-off lane.
+    fn each(idx: &[Option<i64>]) -> Seq {
+        Lanes::Each(Vec::from(idx).into_iter())
+    }
+
+    /// Lane by lane, every lane enabled.
+    fn all(idx: &[i64]) -> Seq {
+        Lanes::Each(idx.iter().map(|&i| Some(i)).collect::<Vec<_>>().into_iter())
+    }
+
+    /// The lanes of `ramp(base, stride, lanes)`.
+    fn ramp(base: i64, stride: i64, lanes: i64) -> Vec<i64> {
+        (0..lanes).map(|k| base + stride * k).collect()
+    }
+
     #[test]
     fn bulk_accessors_match_single_element_paths() {
         for ty in [
@@ -986,32 +807,47 @@ mod tests {
             for i in 0..10 {
                 b.set_flat_f64(i, (i as f64) * 1.5 - 3.0);
             }
-            let bulk_f = b.read_flat_f64s(2, 5);
-            let bulk_i = b.read_flat_i64s(2, 5);
-            for (k, i) in (2..7).enumerate() {
-                assert_eq!(bulk_f[k], b.get_flat_f64(i), "{ty:?} f64 read");
-                assert_eq!(bulk_i[k], b.get_flat_i64(i), "{ty:?} i64 read");
+            // A dense run and arbitrary index lists read what the
+            // single-element path reads, in the buffer's kind.
+            for (seq, idx) in [
+                (dense(2, 5), ramp(2, 1, 5)),
+                (all(&[9, 0, 4, 4]), vec![9, 0, 4, 4]),
+            ] {
+                let v = b.read_lanes(seq).unwrap();
+                assert_eq!(v.lanes(), idx.len());
+                assert_eq!(matches!(v, Value::Float(_)), ty.is_float());
+                for (k, &i) in idx.iter().enumerate() {
+                    assert_eq!(v.lane_f64(k), b.get_flat_f64(i as usize), "{ty:?} read");
+                }
             }
-            let idx = [9i64, 0, 4];
-            let g = b.gather_flat_f64(&idx).unwrap();
-            assert_eq!(g[0], b.get_flat_f64(9));
-            assert_eq!(g[2], b.get_flat_f64(4));
-            assert_eq!(b.gather_flat_f64(&[3, 10]).unwrap_err(), 10);
-            assert_eq!(b.gather_flat_i64(&[-1]).unwrap_err(), -1);
+            // The first out-of-range lane in lane order is reported, by a
+            // dense run exactly as lane by lane.
+            for (base, lanes, bad) in [(8, 4, 10), (12, 2, 12), (-2, 3, -2)] {
+                assert_eq!(b.read_lanes(dense(base, lanes)).unwrap_err(), bad);
+                let each = all(&ramp(base, 1, lanes as i64));
+                assert_eq!(b.read_lanes(each).unwrap_err(), bad);
+            }
+            assert_eq!(b.read_lanes(all(&[3, 10, -1])).unwrap_err(), 10);
+            assert_eq!(b.read_lanes(all(&[-1, 10])).unwrap_err(), -1);
 
+            // Float and integer values convert exactly as the single-element
+            // stores do, through a dense run and lane by lane; a value
+            // narrower than the access repeats its last lane.
             let w = Buffer::with_extents(ty, &[10]);
-            w.write_flat_f64s(1, &[1.25, 2.5, 3.75]);
+            let expect = Buffer::with_extents(ty, &[10]);
+            let fvals = Value::Float(vec![1.25, 2.5, 3.75]);
+            w.write_lanes(dense(1, 3), &fvals).unwrap();
+            w.write_lanes(all(&[5, 6]), &Value::Int(vec![7, -2]))
+                .unwrap();
+            w.write_lanes(dense(7, 3), &Value::Int(vec![4, 9])).unwrap();
             for (k, i) in (1..4).enumerate() {
-                let expect = Buffer::with_extents(ty, &[1]);
-                expect.set_flat_f64(0, [1.25, 2.5, 3.75][k]);
-                assert_eq!(w.get_flat_f64(i), expect.get_flat_f64(0), "{ty:?} write");
+                expect.set_flat_lane(i, &fvals, k);
             }
-            w.write_flat_i64s(5, &[7, -2]);
-            let expect = Buffer::with_extents(ty, &[2]);
-            expect.set_flat_i64(0, 7);
-            expect.set_flat_i64(1, -2);
-            assert_eq!(w.get_flat_i64(5), expect.get_flat_i64(0));
-            assert_eq!(w.get_flat_i64(6), expect.get_flat_i64(1));
+            for (i, v) in [(5, 7), (6, -2), (7, 4), (8, 9), (9, 9)] {
+                expect.set_flat_i64(i, v);
+            }
+            assert_eq!(w.to_f64_vec(), expect.to_f64_vec(), "{ty:?} write");
+            assert_eq!(w.write_lanes(dense(9, 2), &fvals).unwrap_err(), 10);
         }
     }
 
@@ -1027,71 +863,66 @@ mod tests {
             for i in 0..12 {
                 b.set_flat_f64(i, (i as f64) * 1.5 - 3.0);
             }
+            let per_lane = |idx: &[Option<i64>]| -> Vec<f64> {
+                idx.iter()
+                    .map(|i| i.map_or(0.0, |i| b.get_flat_f64(i as usize)))
+                    .collect()
+            };
 
-            // Strided reads agree with per-lane reads at base + stride * k.
-            let sf = b.read_flat_strided_f64s(1, 3, 4).unwrap();
-            let si = b.read_flat_strided_i64s(1, 3, 4).unwrap();
-            for k in 0..4 {
-                assert_eq!(sf[k], b.get_flat_f64(1 + 3 * k), "{ty:?} strided f64");
-                assert_eq!(si[k], b.get_flat_i64(1 + 3 * k), "{ty:?} strided i64");
+            // Ramps with non-unit, zero and negative strides, and a clamped
+            // list (`max(min(i, hi), lo)` applied by the caller), read what
+            // per-lane reads do.
+            let clamped: Vec<i64> = [-5i64, 0, 7, 40, 11]
+                .iter()
+                .map(|i| (*i).clamp(0, 11))
+                .collect();
+            for idx in [ramp(1, 3, 4), ramp(5, 0, 3), ramp(9, -4, 3), clamped] {
+                let lanes: Vec<Option<i64>> = idx.iter().map(|&i| Some(i)).collect();
+                let v = b.read_lanes(each(&lanes)).unwrap();
+                assert_eq!(v.to_f64_lanes(), per_lane(&lanes), "{ty:?} {idx:?}");
             }
-            // Negative strides walk backwards; out-of-range reports the index.
+            assert_eq!(b.read_lanes(all(&ramp(9, 4, 2))).unwrap_err(), 13);
+            assert_eq!(b.read_lanes(all(&ramp(2, -3, 2))).unwrap_err(), -1);
+
+            // Masks: a masked-off lane reads 0 and is not bounds-checked,
+            // even when its index would be out of range; an enabled
+            // out-of-range lane after it still fails.
+            let masked = [Some(4), None, Some(11), None];
+            let v = b.read_lanes(each(&masked)).unwrap();
+            assert_eq!(v.to_f64_lanes(), per_lane(&masked), "{ty:?} masked");
             assert_eq!(
-                b.read_flat_strided_f64s(9, -4, 3).unwrap()[2],
-                b.get_flat_f64(1)
+                b.read_lanes(each(&[None, Some(12), Some(-3)])).unwrap_err(),
+                12
             );
-            assert_eq!(b.read_flat_strided_f64s(9, 4, 2).unwrap_err(), 13);
-            assert_eq!(b.read_flat_strided_i64s(2, -3, 2).unwrap_err(), -1);
 
-            // Clamped gathers agree with clamping then reading per lane.
-            let idx = [-5i64, 0, 7, 40, 11];
-            let (lo, hi) = (0i64, 11i64);
-            let g = b.gather_flat_f64_clamped(&idx, lo, hi).unwrap();
-            let gi = b.gather_flat_i64_clamped(&idx, lo, hi).unwrap();
-            for (k, &i) in idx.iter().enumerate() {
-                let c = i.min(hi).max(lo) as usize;
-                assert_eq!(g[k], b.get_flat_f64(c), "{ty:?} clamped f64");
-                assert_eq!(gi[k], b.get_flat_i64(c), "{ty:?} clamped i64");
-            }
-            // A clamp range outside the allocation still reports the bad
-            // (clamped) index instead of reading out of bounds.
-            assert_eq!(b.gather_flat_f64_clamped(&[50], 0, 99).unwrap_err(), 50);
-            assert_eq!(b.gather_flat_i64_clamped(&[-9], -2, 11).unwrap_err(), -2);
-
-            // Bulk scatters agree with per-element stores.
+            // Scatters, strided writes and masked writes agree with
+            // per-element stores; a masked-off lane writes nothing.
             let w1 = Buffer::with_extents(ty, &[12]);
             let w2 = Buffer::with_extents(ty, &[12]);
-            let sidx = [11i64, 0, 5, 2];
-            let fvals = [1.25, -2.5, 3.75, 40.0];
-            w1.scatter_flat_f64s(&sidx, &fvals).unwrap();
-            for (&i, &v) in sidx.iter().zip(&fvals) {
-                w2.set_flat_f64(i as usize, v);
+            let fvals = Value::Float(vec![1.25, -2.5, 3.75, 40.0]);
+            let ivals = Value::Int(vec![7, -2, 300, 9]);
+            for (idx, v) in [
+                (vec![Some(11), Some(0), Some(5), Some(2)], &fvals),
+                (ramp(2, 4, 3).into_iter().map(Some).collect(), &fvals),
+                (ramp(10, -3, 4).into_iter().map(Some).collect(), &ivals),
+                (vec![Some(3), None, Some(6), None], &ivals),
+            ] {
+                w1.write_lanes(each(&idx), v).unwrap();
+                for (k, i) in idx.iter().enumerate() {
+                    if let Some(i) = i {
+                        w2.set_flat_lane(*i as usize, v, k);
+                    }
+                }
+                assert_eq!(w1.to_f64_vec(), w2.to_f64_vec(), "{ty:?} {idx:?}");
             }
-            assert_eq!(w1.to_f64_vec(), w2.to_f64_vec(), "{ty:?} scatter f64");
-            let ivals = [7i64, -2, 300, 9];
-            w1.scatter_flat_i64s(&sidx, &ivals).unwrap();
-            for (&i, &v) in sidx.iter().zip(&ivals) {
-                w2.set_flat_i64(i as usize, v);
+            for (idx, bad) in [
+                (vec![Some(1), None, Some(12), Some(-1)], 12),
+                (vec![None, Some(99)], 99),
+                (vec![Some(-4), None], -4),
+            ] {
+                assert_eq!(w1.write_lanes(each(&idx), &fvals).unwrap_err(), bad);
             }
-            assert_eq!(w1.to_f64_vec(), w2.to_f64_vec(), "{ty:?} scatter i64");
-            assert_eq!(w1.scatter_flat_f64s(&[3, 12], &[0.0, 0.0]).unwrap_err(), 12);
-
-            // Strided writes agree with per-element stores.
-            let w3 = Buffer::with_extents(ty, &[12]);
-            let w4 = Buffer::with_extents(ty, &[12]);
-            w3.write_flat_strided_f64s(2, 4, &[5.5, 6.5, 7.5]).unwrap();
-            for (k, &v) in [5.5, 6.5, 7.5].iter().enumerate() {
-                w4.set_flat_f64(2 + 4 * k, v);
-            }
-            assert_eq!(w3.to_f64_vec(), w4.to_f64_vec(), "{ty:?} strided write f64");
-            w3.write_flat_strided_i64s(1, 5, &[3, 4]).unwrap();
-            w4.set_flat_i64(1, 3);
-            w4.set_flat_i64(6, 4);
-            assert_eq!(w3.to_f64_vec(), w4.to_f64_vec(), "{ty:?} strided write i64");
-            assert_eq!(
-                w3.write_flat_strided_f64s(10, 3, &[0.0, 0.0]).unwrap_err(),
-                13
-            );
+            w1.write_lanes(each(&[None, None]), &fvals).unwrap();
         }
     }
 

@@ -263,33 +263,6 @@ impl CounterSnapshot {
         }
         self.arith_ops as f64 / baseline.arith_ops as f64
     }
-
-    /// Difference of two snapshots (self - earlier), for measuring a region
-    /// of execution.
-    pub fn delta_from(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            arith_ops: self.arith_ops - earlier.arith_ops,
-            loads: self.loads - earlier.loads,
-            stores: self.stores - earlier.stores,
-            elements_loaded: self.elements_loaded - earlier.elements_loaded,
-            elements_stored: self.elements_stored - earlier.elements_stored,
-            dense_loads: self.dense_loads - earlier.dense_loads,
-            strided_loads: self.strided_loads - earlier.strided_loads,
-            gather_loads: self.gather_loads - earlier.gather_loads,
-            dense_stores: self.dense_stores - earlier.dense_stores,
-            strided_stores: self.strided_stores - earlier.strided_stores,
-            scatter_stores: self.scatter_stores - earlier.scatter_stores,
-            masked_selects: self.masked_selects - earlier.masked_selects,
-            masked_loads: self.masked_loads - earlier.masked_loads,
-            masked_stores: self.masked_stores - earlier.masked_stores,
-            allocations: self.allocations - earlier.allocations,
-            pool_hits: self.pool_hits - earlier.pool_hits,
-            pool_misses: self.pool_misses - earlier.pool_misses,
-            bytes_allocated: self.bytes_allocated - earlier.bytes_allocated,
-            peak_bytes_live: self.peak_bytes_live.max(earlier.peak_bytes_live),
-            parallel_tasks: self.parallel_tasks - earlier.parallel_tasks,
-        }
-    }
 }
 
 impl fmt::Display for CounterSnapshot {
@@ -396,7 +369,5 @@ mod tests {
         };
         assert_eq!(a.work_amplification(&b), 2.0);
         assert!(a.work_amplification(&CounterSnapshot::default()).is_nan());
-        let d = a.delta_from(&b);
-        assert_eq!(d.arith_ops, 100);
     }
 }

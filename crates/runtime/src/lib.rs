@@ -18,7 +18,7 @@ pub mod counters;
 pub mod pool;
 pub mod value;
 
-pub use buffer::{Buffer, BufferDim};
+pub use buffer::{Buffer, BufferDim, Lanes};
 pub use bufpool::{BufferPool, PoolStats, PooledBuffer};
 pub use counters::{classify_flat_indices, AccessPattern, CounterSnapshot, Counters};
 pub use pool::{num_threads_default, ThreadPool};

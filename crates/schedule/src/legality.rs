@@ -64,9 +64,8 @@ pub struct FuncInfo {
     pub consumers: Vec<ConsumerEdge>,
 }
 
-/// A plain description of a pipeline: its functions, call graph, and output.
-/// Build one by hand, or from a live `halide_lang::Pipeline` via its
-/// `legality_info` method.
+/// A plain description of a pipeline: its functions, call graph, and output,
+/// built by hand (as the fuzzer's generator does).
 #[derive(Debug, Clone)]
 pub struct PipelineInfo {
     /// Name of the output function.

@@ -7,7 +7,7 @@
 //! one shared [`Program`] without recompiling or cloning it.
 //!
 //! Residency is bounded: entries live in a [`CostLru`], a cost-aware LRU
-//! (the GreedyDual policy) with configurable entry and byte budgets. Each
+//! (the GreedyDual policy) with a configurable entry budget. Each
 //! entry's cost is its measured lower+compile time, so under pressure the
 //! cache sheds a stale thumbnail blur (recompiles in a millisecond) long
 //! before it sheds the camera pipe (tens of milliseconds) — eviction
@@ -138,18 +138,6 @@ pub struct CompiledApp {
     pub compile_time: Duration,
 }
 
-/// Estimated resident bytes of a cache entry, for the byte budget. A model,
-/// not an exact measurement: compiled instructions dominate, the lowered
-/// module and metadata ride along as a constant.
-fn approx_entry_bytes(entry: &CompiledApp) -> u64 {
-    const BASE: u64 = 16 * 1024;
-    const BYTES_PER_INST: u64 = 128;
-    match &entry.program {
-        Some(p) => BASE + p.opt_report().after_insts as u64 * BYTES_PER_INST,
-        None => BASE,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // CostLru: the generic cost-aware eviction core
 // ---------------------------------------------------------------------------
@@ -172,7 +160,6 @@ struct CostLruSlot<V> {
     value: V,
     /// Rebuild cost in nanoseconds — fixed at first insertion.
     cost_ns: u128,
-    bytes: u64,
     /// GreedyDual credit: the global clock at last touch plus the cost.
     credit: u128,
     /// Touch sequence, the deterministic tie-break (pure LRU among equal
@@ -188,11 +175,10 @@ struct CostLruState<K, V> {
     /// wave is worth exactly one rebuild cost of extra tenure.
     l_clock: u128,
     next_seq: u64,
-    bytes: u64,
     stats: CostLruStats,
 }
 
-/// A cost-aware LRU (the **GreedyDual** policy) with entry and byte budgets.
+/// A cost-aware LRU (the **GreedyDual** policy) with an entry budget.
 ///
 /// Every entry carries a *cost* (here: its compile time) and earns a credit
 /// of `L + cost` on insertion and on every hit, where `L` is a global clock
@@ -207,24 +193,20 @@ struct CostLruState<K, V> {
 pub struct CostLru<K, V> {
     state: Mutex<CostLruState<K, V>>,
     max_entries: usize,
-    max_bytes: u64,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
-    /// A cache bounded by `max_entries` resident entries and `max_bytes`
-    /// total accounted bytes (either may be `usize::MAX` / `u64::MAX` for
+    /// A cache bounded by `max_entries` resident entries (`usize::MAX` for
     /// unbounded).
-    pub fn new(max_entries: usize, max_bytes: u64) -> Self {
+    pub fn new(max_entries: usize) -> Self {
         CostLru {
             state: Mutex::new(CostLruState {
                 map: HashMap::new(),
                 l_clock: 0,
                 next_seq: 0,
-                bytes: 0,
                 stats: CostLruStats::default(),
             }),
             max_entries: max_entries.max(1),
-            max_bytes,
         }
     }
 
@@ -256,8 +238,8 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
     /// which case the existing value is refreshed and returned instead (the
     /// racing-compile convergence rule: first insert wins). Returns the
     /// resident value and whether this call inserted it. Inserting evicts
-    /// minimum-credit entries until both budgets hold.
-    pub fn insert_or_get(&self, key: K, value: V, cost: Duration, bytes: u64) -> (V, bool) {
+    /// minimum-credit entries until the budget holds.
+    pub fn insert_or_get(&self, key: K, value: V, cost: Duration) -> (V, bool) {
         let mut st = self.state.lock().unwrap();
         let l_clock = st.l_clock;
         let seq = st.next_seq;
@@ -277,15 +259,13 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
             CostLruSlot {
                 value: value.clone(),
                 cost_ns,
-                bytes,
                 credit: l_clock + cost_ns,
                 seq,
             },
         );
         st.next_seq += 1;
-        st.bytes += bytes;
         st.stats.insertions += 1;
-        while st.map.len() > self.max_entries || st.bytes > self.max_bytes {
+        while st.map.len() > self.max_entries {
             let victim = st
                 .map
                 .iter()
@@ -293,7 +273,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
                 .map(|(k, _)| k.clone())
                 .expect("non-empty while over budget");
             let slot = st.map.remove(&victim).expect("victim is resident");
-            st.bytes -= slot.bytes;
             st.l_clock = st.l_clock.max(slot.credit);
             st.stats.evictions += 1;
         }
@@ -308,11 +287,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Accounted bytes currently resident.
-    pub fn bytes(&self) -> u64 {
-        self.state.lock().unwrap().bytes
     }
 
     /// Counter snapshot.
@@ -371,15 +345,15 @@ impl Default for ProgramCache {
 impl ProgramCache {
     /// An unbounded cache: nothing is ever evicted.
     pub fn new() -> Self {
-        Self::with_budget(usize::MAX, u64::MAX)
+        Self::with_budget(usize::MAX)
     }
 
-    /// A cache bounded to `max_entries` programs and `max_bytes` estimated
-    /// resident bytes; over budget, minimum-credit entries (cheap to
-    /// recompile, longest untouched) are evicted.
-    pub fn with_budget(max_entries: usize, max_bytes: u64) -> Self {
+    /// A cache bounded to `max_entries` programs; over budget,
+    /// minimum-credit entries (cheap to recompile, longest untouched) are
+    /// evicted.
+    pub fn with_budget(max_entries: usize) -> Self {
         ProgramCache {
-            entries: CostLru::new(max_entries, max_bytes),
+            entries: CostLru::new(max_entries),
             cold_compiles: AtomicU64::new(0),
         }
     }
@@ -433,9 +407,8 @@ impl ProgramCache {
 
         // A racing compile may have inserted first; `insert_or_get` keeps
         // the existing Arc so every thread converges on one program.
-        let bytes = approx_entry_bytes(&entry);
         let cost = entry.compile_time;
-        let (entry, _inserted) = self.entries.insert_or_get(key.clone(), entry, cost, bytes);
+        let (entry, _inserted) = self.entries.insert_or_get(key.clone(), entry, cost);
         Ok((entry, true))
     }
 
@@ -457,11 +430,6 @@ impl ProgramCache {
     /// How many entries have been evicted to satisfy the budget.
     pub fn evictions(&self) -> u64 {
         self.entries.stats().evictions
-    }
-
-    /// Estimated resident bytes.
-    pub fn bytes(&self) -> u64 {
-        self.entries.bytes()
     }
 
     /// The build cost of every resident artifact, keyed by [`ProgramKey`] —
@@ -603,11 +571,11 @@ mod tests {
     /// entry goes first, and a hit is a reprieve.
     #[test]
     fn equal_costs_degenerate_to_lru() {
-        let lru: CostLru<&str, u32> = CostLru::new(2, u64::MAX);
-        lru.insert_or_get("a", 1, 10 * NS, 1);
-        lru.insert_or_get("b", 2, 10 * NS, 1);
+        let lru: CostLru<&str, u32> = CostLru::new(2);
+        lru.insert_or_get("a", 1, 10 * NS);
+        lru.insert_or_get("b", 2, 10 * NS);
         assert_eq!(lru.get(&"a"), Some(1)); // touch a: b is now the victim
-        lru.insert_or_get("c", 3, 10 * NS, 1);
+        lru.insert_or_get("c", 3, 10 * NS);
         assert!(lru.contains(&"a"));
         assert!(!lru.contains(&"b"));
         assert!(lru.contains(&"c"));
@@ -618,10 +586,10 @@ mod tests {
     /// the whole point of keying eviction on compile time × recency.
     #[test]
     fn expensive_entries_outlive_cheap_recent_ones() {
-        let lru: CostLru<&str, u32> = CostLru::new(2, u64::MAX);
-        lru.insert_or_get("camera", 1, 1000 * NS, 1); // expensive, older
-        lru.insert_or_get("blur", 2, 10 * NS, 1); // cheap, newer
-        lru.insert_or_get("hist", 3, 10 * NS, 1);
+        let lru: CostLru<&str, u32> = CostLru::new(2);
+        lru.insert_or_get("camera", 1, 1000 * NS); // expensive, older
+        lru.insert_or_get("blur", 2, 10 * NS); // cheap, newer
+        lru.insert_or_get("hist", 3, 10 * NS);
         // blur (credit 10) loses to camera (credit 1000) despite camera
         // being the older, least-recently-inserted entry.
         assert!(lru.contains(&"camera"));
@@ -631,20 +599,9 @@ mod tests {
         // moderate-cost waves (L: 10 -> 410 -> 810 -> 1000) new arrivals out-
         // credit camera and it becomes the minimum.
         for (i, k) in ["u", "v", "w", "x", "y", "z"].iter().enumerate() {
-            lru.insert_or_get(*k, 10 + i as u32, 400 * NS, 1);
+            lru.insert_or_get(*k, 10 + i as u32, 400 * NS);
         }
         assert!(!lru.contains(&"camera"));
-    }
-
-    /// The byte budget evicts independently of the entry budget.
-    #[test]
-    fn byte_budget_evicts() {
-        let lru: CostLru<&str, u32> = CostLru::new(usize::MAX, 100);
-        lru.insert_or_get("a", 1, 10 * NS, 60);
-        lru.insert_or_get("b", 2, 10 * NS, 60); // 120 > 100: evicts a
-        assert_eq!(lru.bytes(), 60);
-        assert!(!lru.contains(&"a"));
-        assert!(lru.contains(&"b"));
     }
 
     /// A bounded ProgramCache evicts and recompiles transparently: the
@@ -652,7 +609,7 @@ mod tests {
     /// the budget.
     #[test]
     fn program_cache_eviction_recompiles_transparently() {
-        let cache = ProgramCache::with_budget(2, u64::MAX);
+        let cache = ProgramCache::with_budget(2);
         let key = |w: i64| {
             ProgramKey::new(
                 AppKind::Blur,
@@ -668,7 +625,6 @@ mod tests {
         cache.get_or_compile(&key(64)).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.bytes() > 0);
         // Whichever shape was evicted comes back cold but correct.
         let (entry, _) = cache.get_or_compile(&key(32)).unwrap();
         assert_eq!(entry.output_extents, vec![32, 32]);

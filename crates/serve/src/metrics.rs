@@ -159,8 +159,6 @@ pub struct ServerStats {
     pub cached_programs: u64,
     /// Programs evicted from the cache to satisfy its budget.
     pub evicted_programs: u64,
-    /// Estimated resident bytes of the program cache.
-    pub cache_bytes: u64,
     /// The concurrency limit currently in force (fixed `max_in_flight`, or
     /// the AIMD controller's discovered width when adaptive mode is on).
     pub concurrency_limit: u64,

@@ -16,7 +16,7 @@
 //!   that wait on the flight and receive a pooled copy of the leader's
 //!   output, bit-identical to realizing themselves.
 //! * **Eviction** — the program cache is a cost-aware LRU
-//!   ([`CostLru`](crate::cache::CostLru)) budgeted in entries and bytes.
+//!   ([`CostLru`](crate::cache::CostLru)) budgeted in entries.
 //! * **AIMD** — optionally, an [`AimdController`] discovers the concurrency
 //!   limit from observed p95 latency instead of trusting `max_in_flight`.
 
@@ -48,6 +48,9 @@ pub enum Priority {
     High,
 }
 
+/// Idle bytes the server's buffer pool may retain.
+const POOL_IDLE_BYTES: usize = 256 << 20;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -67,8 +70,6 @@ pub struct ServeConfig {
     pub backend: Backend,
     /// Optimizer level programs are compiled at (part of the cache key).
     pub opt: OptLevel,
-    /// Idle bytes the buffer pool may retain.
-    pub pool_max_bytes: usize,
     /// Coalesce concurrent identical requests onto one realization.
     pub coalescing: bool,
     /// Deadline applied to requests that do not carry their own.
@@ -76,9 +77,6 @@ pub struct ServeConfig {
     /// Compiled programs the cache may hold before evicting (cost-aware
     /// LRU; `usize::MAX` = unbounded).
     pub cache_max_entries: usize,
-    /// Estimated bytes the cache may hold before evicting (`u64::MAX` =
-    /// unbounded).
-    pub cache_max_bytes: u64,
     /// When set, an AIMD controller adapts the concurrency limit between
     /// `adaptive.min_in_flight` and `max_in_flight` from observed p95
     /// latency; when `None`, the limit is the fixed `max_in_flight`.
@@ -100,11 +98,9 @@ impl Default for ServeConfig {
             threads_per_request: 1,
             backend: Backend::Compiled,
             opt: OptLevel::Default,
-            pool_max_bytes: 256 << 20,
             coalescing: true,
             default_deadline: None,
             cache_max_entries: usize::MAX,
-            cache_max_bytes: u64::MAX,
             adaptive: None,
             clock: Clock::system(),
         }
@@ -607,8 +603,8 @@ impl PipelineServer {
                 .collect(),
             admission: Admission::new(slots, initial_limit, config.queue_capacity, clock.clone()),
             hub: CoalesceHub::new(&clock),
-            buffer_pool: Arc::new(BufferPool::new(config.pool_max_bytes)),
-            cache: ProgramCache::with_budget(config.cache_max_entries, config.cache_max_bytes),
+            buffer_pool: Arc::new(BufferPool::new(POOL_IDLE_BYTES)),
+            cache: ProgramCache::with_budget(config.cache_max_entries),
             latency: LatencyRecorder::new(),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -1065,20 +1061,10 @@ impl PipelineServer {
             cold_compiles: self.cache.cold_compiles(),
             cached_programs: self.cache.len() as u64,
             evicted_programs: self.cache.evictions(),
-            cache_bytes: self.cache.bytes(),
             concurrency_limit: self.admission.limit() as u64,
             latency: self.latency.snapshot(),
             pool: self.buffer_pool.stats(),
         }
-    }
-
-    /// Exports everything collected in the process-global trace sink as
-    /// chrome://tracing JSON — request-lifecycle spans from this server
-    /// (pid 2) alongside any compile-telemetry spans (pid 1). Tracing must
-    /// have been enabled via [`halide_trace::set_enabled`]; with it off the
-    /// export is an empty (but valid) trace.
-    pub fn trace_export(&self) -> String {
-        halide_trace::export_json()
     }
 
     /// The build cost of every compiled artifact currently resident in the

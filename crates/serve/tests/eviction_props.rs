@@ -3,10 +3,10 @@
 //!
 //! A reference model mirrors the documented contract exactly — integer
 //! credits `L + cost_ns`, refresh on hit, eviction of the minimum
-//! `(credit, seq)` entry until both the entry and byte budgets hold, and
+//! `(credit, seq)` entry until the entry budget holds, and
 //! `L := max(L, victim.credit)` on every eviction — and a random script of
 //! lookups and insertions checks the real cache against it after every
-//! step: resident key set, byte ledger, and all four counters. The style
+//! step: resident key set and all four counters. The style
 //! follows `crates/runtime/tests/bufpool_props.rs`.
 
 use std::collections::HashMap;
@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 struct ModelSlot {
     value: u64,
     cost_ns: u128,
-    bytes: u64,
     credit: u128,
     seq: u64,
 }
@@ -32,9 +31,7 @@ struct Model {
     map: HashMap<u32, ModelSlot>,
     l_clock: u128,
     next_seq: u64,
-    bytes: u64,
     max_entries: usize,
-    max_bytes: u64,
     hits: u64,
     misses: u64,
     insertions: u64,
@@ -42,14 +39,12 @@ struct Model {
 }
 
 impl Model {
-    fn new(max_entries: usize, max_bytes: u64) -> Self {
+    fn new(max_entries: usize) -> Self {
         Model {
             map: HashMap::new(),
             l_clock: 0,
             next_seq: 0,
-            bytes: 0,
             max_entries: max_entries.max(1),
-            max_bytes,
             hits: 0,
             misses: 0,
             insertions: 0,
@@ -73,7 +68,7 @@ impl Model {
         }
     }
 
-    fn insert_or_get(&mut self, key: u32, value: u64, cost_ns: u64, bytes: u64) -> (u64, bool) {
+    fn insert_or_get(&mut self, key: u32, value: u64, cost_ns: u64) -> (u64, bool) {
         if let Some(slot) = self.map.get_mut(&key) {
             slot.credit = self.l_clock + slot.cost_ns;
             slot.seq = self.next_seq;
@@ -86,15 +81,13 @@ impl Model {
             ModelSlot {
                 value,
                 cost_ns: cost_ns as u128,
-                bytes,
                 credit: self.l_clock + cost_ns as u128,
                 seq: self.next_seq,
             },
         );
         self.next_seq += 1;
-        self.bytes += bytes;
         self.insertions += 1;
-        while self.map.len() > self.max_entries || self.bytes > self.max_bytes {
+        while self.map.len() > self.max_entries {
             let victim = *self
                 .map
                 .iter()
@@ -102,7 +95,6 @@ impl Model {
                 .map(|(k, _)| k)
                 .expect("non-empty while over budget");
             let slot = self.map.remove(&victim).expect("victim resident");
-            self.bytes -= slot.bytes;
             self.l_clock = self.l_clock.max(slot.credit);
             self.evictions += 1;
         }
@@ -112,7 +104,6 @@ impl Model {
 
 fn check(lru: &CostLru<u32, u64>, model: &Model, step: usize) {
     assert_eq!(lru.len(), model.map.len(), "len diverges at step {step}");
-    assert_eq!(lru.bytes(), model.bytes, "bytes diverge at step {step}");
     let s = lru.stats();
     assert_eq!(s.hits, model.hits, "hits diverge at step {step}");
     assert_eq!(s.misses, model.misses, "misses diverge at step {step}");
@@ -136,19 +127,16 @@ proptest! {
 
     /// Random get/insert scripts over a small hot key space: the cache
     /// tracks the reference model exactly — same residents, same evictions
-    /// in the same order (observable through `L` inflation and the byte
-    /// ledger), same counters — for every combination of tight entry and
-    /// byte budgets.
+    /// in the same order (observable through `L` inflation), same
+    /// counters — for every tight entry budget.
     #[test]
     fn cost_lru_matches_the_reference_model(
         seed in 0u64..1_000_000,
         max_entries in 1usize..12,
-        max_kb in 1u64..16,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let max_bytes = max_kb * 1024;
-        let lru: CostLru<u32, u64> = CostLru::new(max_entries, max_bytes);
-        let mut model = Model::new(max_entries, max_bytes);
+        let lru: CostLru<u32, u64> = CostLru::new(max_entries);
+        let mut model = Model::new(max_entries);
 
         for step in 0..300 {
             // A deliberately small key space so gets hit often and racing
@@ -163,15 +151,9 @@ proptest! {
                 // Skewed costs: a few keys are 100x more expensive to
                 // "compile", which is what separates GreedyDual from LRU.
                 let cost_ns = if key < 4 { 100_000 } else { 1_000 } * (1 + key as u64 % 3);
-                let bytes = rng.gen_range(64u64..2048);
                 let value = u64::from(key) * 1_000 + step as u64;
-                let (got, inserted) = lru.insert_or_get(
-                    key,
-                    value,
-                    Duration::from_nanos(cost_ns),
-                    bytes,
-                );
-                let (want, model_inserted) = model.insert_or_get(key, value, cost_ns, bytes);
+                let (got, inserted) = lru.insert_or_get(key, value, Duration::from_nanos(cost_ns));
+                let (want, model_inserted) = model.insert_or_get(key, value, cost_ns);
                 prop_assert_eq!(got, want, "resident value diverges at step {}", step);
                 prop_assert_eq!(inserted, model_inserted, "insert outcome diverges at step {}", step);
             }
@@ -188,15 +170,15 @@ proptest! {
         max_entries in 1usize..8,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let lru: CostLru<u32, u64> = CostLru::new(max_entries, u64::MAX);
-        let mut model = Model::new(max_entries, u64::MAX);
+        let lru: CostLru<u32, u64> = CostLru::new(max_entries);
+        let mut model = Model::new(max_entries);
         for step in 0..200 {
             let key = rng.gen_range(0u32..12);
             if rng.gen_bool(0.5) {
                 prop_assert_eq!(lru.get(&key), model.get(key));
             } else {
-                let (got, _) = lru.insert_or_get(key, step, Duration::from_nanos(10), 1);
-                let (want, _) = model.insert_or_get(key, step, 10, 1);
+                let (got, _) = lru.insert_or_get(key, step, Duration::from_nanos(10));
+                let (want, _) = model.insert_or_get(key, step, 10);
                 prop_assert_eq!(got, want);
             }
             check(&lru, &model, step as usize);

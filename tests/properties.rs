@@ -193,11 +193,13 @@ proptest! {
     }
 }
 
-// The compiled engine's vector memory paths rest on the bulk Buffer
-// accessors (gather, scatter, strided, clamped-gather) producing exactly
-// what a per-lane loop over the single-element accessors produces — on
-// arbitrary indices, strides, and element types. These properties are that
-// licence, exercised on randomly derived index vectors.
+// Every vector load and store of the compiled engine is one
+// `Buffer::read_lanes` / `write_lanes` over a lane sequence built from the
+// index (a ramp or a lane list), an optional clamp and an optional mask; an
+// unmasked unit-stride ramp is passed as a dense run. These properties check
+// that pair against a per-lane loop over the single-element accessors —
+// values, masked-off lanes and the reported first bad lane — on random
+// sequences of every shape.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -211,94 +213,79 @@ proptest! {
         hi in -4i64..40,
     ) {
         use halide::ir::ScalarType;
-        use halide::runtime::Buffer;
+        use halide::runtime::Lanes;
 
-        let len = 32usize;
+        let len = 32i64;
         // Alternate element kinds off the seed (the shim's tuple strategies
         // stop at six parameters).
         let ty = if seed % 2 == 0 { ScalarType::Float(32) } else { ScalarType::Int(32) };
-        let b = Buffer::with_extents(ty, &[len as i64]);
-        for i in 0..len {
+        let b = Buffer::with_extents(ty, &[len]);
+        for i in 0..len as usize {
             b.set_flat_f64(i, (i as f64) * 1.25 - 7.0);
         }
 
-        // Random (possibly out-of-range) indices from a splitmix-style hash.
+        // Random (possibly out-of-range) indices and mask bits from a
+        // splitmix-style hash.
         let mut state = seed;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as i64 % 40) - 4 // in [-4, 36): some lanes OOB
+            state >> 33
         };
-        let idx: Vec<i64> = (0..lanes).map(|_| next()).collect();
+        let list: Vec<i64> = (0..lanes).map(|_| (next() % 40) as i64 - 4).collect();
+        let enabled: Vec<bool> = (0..lanes).map(|_| next() % 3 != 0).collect();
+        let ramp = |stride: i64| -> Vec<i64> { (0..lanes as i64).map(|k| base + stride * k).collect() };
+        let clamped: Vec<i64> = list.iter().map(|i| (*i).min(hi).max(lo)).collect();
+        let all = |idx: &[i64]| -> Vec<Option<i64>> { idx.iter().map(|&i| Some(i)).collect() };
+        let masked = |idx: &[i64]| -> Vec<Option<i64>> {
+            idx.iter().zip(&enabled).map(|(&i, &on)| on.then_some(i)).collect()
+        };
+        let in_range = |i: i64| (0..len).contains(&i);
+        let vals = Value::Float((0..lanes).map(|k| k as f64 * 0.5 - 1.0).collect());
 
-        // Gather: agrees with per-lane reads, or reports the first OOB lane.
-        match b.gather_flat_f64(&idx) {
-            Ok(v) => {
-                for (k, &i) in idx.iter().enumerate() {
-                    prop_assert!((0..len as i64).contains(&i));
-                    prop_assert_eq!(v[k], b.get_flat_f64(i as usize));
+        let cases = [
+            (all(&list), false),
+            (all(&ramp(stride)), false),
+            (all(&clamped), false),
+            (masked(&list), false),
+            (masked(&ramp(stride)), false),
+            (all(&ramp(1)), true),
+        ];
+        for (seq, dense) in cases {
+            let lanes_of = || if dense {
+                Lanes::Dense { base, lanes }
+            } else {
+                Lanes::Each(seq.clone().into_iter())
+            };
+            // Read: per-lane values (0 where masked off), or the first
+            // enabled out-of-range lane's index.
+            let expect: Result<Vec<f64>, i64> = seq
+                .iter()
+                .map(|i| match *i {
+                    None => Ok(0.0),
+                    Some(i) if !in_range(i) => Err(i),
+                    Some(i) => Ok(b.get_flat_f64(i as usize)),
+                })
+                .collect();
+            let got = b.read_lanes(lanes_of()).map(|v| v.to_f64_lanes());
+            prop_assert_eq!(got, expect);
+
+            // Write: the same first bad lane, and on success the same lanes
+            // land as a per-lane store loop puts them.
+            let bulk = Buffer::with_extents(ty, &[len]);
+            let lane_by_lane = Buffer::with_extents(ty, &[len]);
+            let mut first_bad = None;
+            for (k, i) in seq.iter().enumerate() {
+                match *i {
+                    None => {}
+                    Some(i) if !in_range(i) => {
+                        first_bad = Some(i);
+                        break;
+                    }
+                    Some(i) => lane_by_lane.set_flat_lane(i as usize, &vals, k),
                 }
             }
-            Err(bad) => {
-                let first = idx.iter().copied().find(|i| !(0..len as i64).contains(i));
-                prop_assert_eq!(Some(bad), first);
-            }
-        }
-
-        // Clamped gather: agrees with clamp-then-read per lane.
-        match b.gather_flat_f64_clamped(&idx, lo, hi) {
-            Ok(v) => {
-                for (k, &i) in idx.iter().enumerate() {
-                    let c = i.min(hi).max(lo);
-                    prop_assert!((0..len as i64).contains(&c));
-                    prop_assert_eq!(v[k], b.get_flat_f64(c as usize));
-                }
-            }
-            Err(bad) => {
-                let first = idx
-                    .iter()
-                    .map(|i| (*i).min(hi).max(lo))
-                    .find(|c| !(0..len as i64).contains(c));
-                prop_assert_eq!(Some(bad), first);
-            }
-        }
-
-        // Strided read: agrees with per-lane reads at base + stride * k.
-        match b.read_flat_strided_f64s(base, stride, lanes) {
-            Ok(v) => {
-                for (k, x) in v.iter().enumerate() {
-                    prop_assert_eq!(*x, b.get_flat_f64((base + stride * k as i64) as usize));
-                }
-            }
-            Err(bad) => {
-                let first = (0..lanes)
-                    .map(|k| base + stride * k as i64)
-                    .find(|i| !(0..len as i64).contains(i));
-                prop_assert_eq!(Some(bad), first);
-            }
-        }
-
-        // Scatter: agrees element for element with a per-lane store loop
-        // (when all indices are in range — the in-range projection).
-        let in_range: Vec<i64> = idx.iter().map(|i| i.rem_euclid(len as i64)).collect();
-        let vals: Vec<f64> = (0..lanes).map(|k| k as f64 * 0.5 - 1.0).collect();
-        let bulk = Buffer::with_extents(ty, &[len as i64]);
-        let lane_by_lane = Buffer::with_extents(ty, &[len as i64]);
-        bulk.scatter_flat_f64s(&in_range, &vals).expect("all indices in range");
-        for (&i, &v) in in_range.iter().zip(&vals) {
-            lane_by_lane.set_flat_f64(i as usize, v);
-        }
-        prop_assert_eq!(bulk.to_f64_vec(), lane_by_lane.to_f64_vec());
-
-        // Strided write, where the whole run fits.
-        if stride != 0 {
-            let last = base + stride * (lanes as i64 - 1);
-            if (0..len as i64).contains(&base) && (0..len as i64).contains(&last) {
-                let bulk = Buffer::with_extents(ty, &[len as i64]);
-                let lane_by_lane = Buffer::with_extents(ty, &[len as i64]);
-                bulk.write_flat_strided_f64s(base, stride, &vals).expect("run fits");
-                for (k, &v) in vals.iter().enumerate() {
-                    lane_by_lane.set_flat_f64((base + stride * k as i64) as usize, v);
-                }
+            prop_assert_eq!(bulk.write_lanes(lanes_of(), &vals).err(), first_bad);
+            if first_bad.is_none() {
                 prop_assert_eq!(bulk.to_f64_vec(), lane_by_lane.to_f64_vec());
             }
         }

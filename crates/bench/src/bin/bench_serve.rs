@@ -482,7 +482,7 @@ fn run_overload_scenario() -> OverloadReport {
          gate to mean anything"
     );
 
-    // ---- coalescing: identical batch realizes once -----------------------
+    // ---- coalesce: identical batch realizes once -------------------------
     let srv = Arc::new(overload_server());
     const COALESCE_CLIENTS: usize = 8;
     // A shape neither phase warmed, so the batch's single compile is visible.
@@ -515,7 +515,6 @@ fn run_overload_scenario() -> OverloadReport {
         max_in_flight: SLOTS * 2,
         queue_capacity: 4 * SLOTS,
         threads_per_request: 1,
-        coalescing: false,
         adaptive: Some(AimdConfig {
             initial_in_flight: 1,
             window: Duration::from_millis(10),

@@ -579,7 +579,6 @@ fn ablation_table(cfg: &HarnessConfig) -> Table {
         let opts = LowerOptions {
             sliding_window,
             storage_folding,
-            ..Default::default()
         };
         let app = BlurApp::new();
         BlurSchedule::SlidingWindow.apply(&app);

@@ -533,8 +533,9 @@ pub fn eval_stmt(s: &Stmt, frame: &mut Frame, ctx: &Context) -> Result<()> {
             let (hoisted, inner) = peel_invariant_lets(body, name);
             match kind {
                 ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled => {
-                    // Vectorized/unrolled loops only reach the executor when
-                    // the corresponding pass was disabled; run them serially.
+                    // Lowering replaces vectorized/unrolled loops; one that
+                    // still reaches the executor (a hand-built statement)
+                    // runs serially.
                     for (n, v) in &hoisted {
                         let value = eval_expr(v, frame, ctx)?;
                         frame.env.push(n.to_string(), value);

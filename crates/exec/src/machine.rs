@@ -792,8 +792,9 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let extent_v = eval(prog, extent, m, ctx)?.as_int()?;
             match kind {
                 ForKind::Serial | ForKind::Vectorized | ForKind::Unrolled => {
-                    // Vectorized/unrolled loops only reach execution when the
-                    // corresponding pass was disabled; run them serially.
+                    // Lowering replaces vectorized/unrolled loops; one that
+                    // still reaches execution (a hand-built statement) runs
+                    // serially.
                     for h in hoisted {
                         exec(prog, h, m, ctx)?;
                     }

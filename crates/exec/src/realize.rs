@@ -18,6 +18,7 @@
 //!   the executable reference semantics: differential tests assert that both
 //!   backends produce bit-identical outputs and identical counters.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -357,37 +358,54 @@ impl<'m> Realizer<'m> {
         }
     }
 
+    /// This realization's [`Bindings`]: the inputs, the params, then the
+    /// caller-supplied `output`.
+    ///
+    /// Fails on a vector-valued parameter.
+    fn bindings(&self, output: &Arc<Buffer>) -> Result<Bindings<'_>> {
+        let out = &self.module.output;
+        let dims =
+            self.inputs.values().map(|b| b.dimensions()).sum::<usize>() + output.dimensions();
+        let mut b = Bindings {
+            symbols: Vec::with_capacity(3 * dims + self.params.len() + 2 * out.args.len()),
+            buffers: Vec::with_capacity(self.inputs.len() + 1),
+        };
+        for (name, buf) in &self.inputs {
+            b.buffer(name, buf);
+        }
+        for (name, value) in &self.params {
+            let value = value
+                .as_scalar()
+                .ok_or_else(|| ExecError::new(format!("parameter {name:?} is a vector")))?;
+            b.symbols.push((Cow::Borrowed(name.as_str()), value));
+        }
+        b.buffer(&out.name, output);
+        // The loop bounds of the output function use `<func>.<arg>.min/extent`.
+        for (arg, dim) in out.args.iter().zip(output.dims()) {
+            let name = &out.name;
+            b.symbols
+                .push((format!("{name}.{arg}.min").into(), Scalar::Int(0)));
+            b.symbols.push((
+                format!("{name}.{arg}.extent").into(),
+                Scalar::Int(dim.extent),
+            ));
+        }
+        Ok(b)
+    }
+
     /// The interpreting path: the executable reference semantics.
     fn realize_interp(&self, output: Buffer) -> Result<Realization> {
         let module = self.module;
         let ctx = self.context();
-        let mut frame = Frame::default();
-
-        // Bind input buffers and their layout symbols.
-        for (name, buf) in &self.inputs {
-            bind_buffer_symbols(&mut frame, name, buf);
-            frame.insert_buffer(name.clone(), Arc::clone(buf));
-        }
-        // Bind scalar parameters.
-        for (name, value) in &self.params {
-            frame.env.push(name.clone(), value.clone());
-        }
-
-        // Bind the caller-supplied output buffer.
-        let out_name = &module.output.name;
         let output = Arc::new(output);
-        bind_buffer_symbols(&mut frame, out_name, &output);
-        // The loop bounds of the output function use `<func>.<arg>.min/extent`.
-        for (d, arg) in module.output.args.iter().enumerate() {
-            frame
-                .env
-                .push(format!("{out_name}.{arg}.min"), Value::int(0));
-            frame.env.push(
-                format!("{out_name}.{arg}.extent"),
-                Value::int(output.dims()[d].extent),
-            );
+        let bindings = self.bindings(&output)?;
+        let mut frame = Frame::default();
+        for (name, value) in bindings.symbols {
+            frame.env.push(name, value.to_value());
         }
-        frame.insert_buffer(out_name.clone(), Arc::clone(&output));
+        for (name, buf) in bindings.buffers {
+            frame.insert_buffer(name, buf);
+        }
 
         if let Some(p) = &ctx.profiler {
             p.begin_run();
@@ -416,49 +434,26 @@ impl<'m> Realizer<'m> {
     /// The compiled path: resolve the module once into a register-machine
     /// [`Program`], bind its free slots/buffers, and execute.
     fn realize_compiled(&self, output: Buffer) -> Result<Realization> {
-        let module = self.module;
         let prog = self.program()?;
         let ctx = self.context();
         let mut machine = Machine::new(&prog);
-        // Every register written while binding; validated against the
-        // program's free-slot list below, so a symbol the bindings did not
-        // cover errors up front exactly like the interpreter's "unbound
-        // variable" (instead of silently reading a zeroed register).
-        let mut bound: std::collections::HashSet<u32> = std::collections::HashSet::new();
-
-        // Bind input buffers and their layout symbols.
-        for (name, buf) in &self.inputs {
-            bind_machine_buffer(&prog, &mut machine, name, buf, &mut bound);
-        }
-        // Bind scalar parameters.
-        for (name, value) in &self.params {
-            if let Some(slot) = prog.free_slot(name) {
-                machine.set_reg(
-                    slot,
-                    value
-                        .as_scalar()
-                        .ok_or_else(|| ExecError::new(format!("parameter {name:?} is a vector")))?,
-                );
-                bound.insert(slot);
-            }
-        }
-
-        // Bind the caller-supplied output buffer.
-        let out_name = &module.output.name;
         let output = Arc::new(output);
-        bind_machine_buffer(&prog, &mut machine, out_name, &output, &mut bound);
-        for (d, arg) in module.output.args.iter().enumerate() {
-            if let Some(slot) = prog.free_slot(&format!("{out_name}.{arg}.min")) {
-                machine.set_reg(slot, Scalar::Int(0));
-                bound.insert(slot);
+        let bindings = self.bindings(&output)?;
+        for (name, value) in &bindings.symbols {
+            if let Some(slot) = prog.free_slot(name) {
+                machine.set_reg(slot, *value);
             }
-            if let Some(slot) = prog.free_slot(&format!("{out_name}.{arg}.extent")) {
-                machine.set_reg(slot, Scalar::Int(output.dims()[d].extent));
-                bound.insert(slot);
+        }
+        for (name, buf) in bindings.buffers {
+            if let Some(idx) = prog.free_buf(name) {
+                machine.set_buf(idx, buf);
             }
         }
 
-        // Every free buffer and every free slot must now be bound.
+        // Every free buffer and every free slot must now be bound, so a
+        // symbol the bindings did not cover errors up front exactly like the
+        // interpreter's "unbound variable" (instead of silently reading a
+        // zeroed register).
         for (name, idx) in &prog.free_bufs {
             if machine.bufs[*idx as usize].is_none() {
                 return Err(ExecError::new(format!(
@@ -466,8 +461,8 @@ impl<'m> Realizer<'m> {
                 )));
             }
         }
-        for (name, slot) in &prog.free_slots {
-            if !bound.contains(slot) {
+        for name in prog.free_slots.keys() {
+            if !bindings.symbols.iter().any(|(bound, _)| bound == name) {
                 return Err(ExecError::new(format!("unbound variable {name:?}")));
             }
         }
@@ -524,48 +519,32 @@ fn collect_func_names(module: &Module) -> Vec<String> {
     c.0
 }
 
-fn bind_buffer_symbols(frame: &mut Frame, name: &str, buf: &Buffer) {
-    let strides = buf.strides();
-    for (d, dim) in buf.dims().iter().enumerate() {
-        frame
-            .env
-            .push(format!("{name}.min.{d}"), Value::int(dim.min));
-        frame
-            .env
-            .push(format!("{name}.extent.{d}"), Value::int(dim.extent));
-        frame
-            .env
-            .push(format!("{name}.stride.{d}"), Value::int(strides[d]));
-    }
+/// Everything one realization binds, listed once for both engines: every
+/// scalar symbol — each buffer's layout symbols (`<name>.min.<d>` /
+/// `.extent.<d>` / `.stride.<d>`), the params, and the output's
+/// `<out>.<arg>.min/.extent` loop bounds — and every buffer by name, in
+/// binding order (a later symbol shadows an earlier one of the same name).
+struct Bindings<'a> {
+    symbols: Vec<(Cow<'a, str>, Scalar)>,
+    buffers: Vec<(&'a str, Arc<Buffer>)>,
 }
 
-/// Binds a buffer and its layout symbols (`<name>.min.<d>` / `.extent.<d>` /
-/// `.stride.<d>`) into a compiled machine's registers, recording the slots
-/// written in `bound`.
-fn bind_machine_buffer(
-    prog: &Program,
-    machine: &mut Machine,
-    name: &str,
-    buf: &Arc<Buffer>,
-    bound: &mut std::collections::HashSet<u32>,
-) {
-    if let Some(idx) = prog.free_buf(name) {
-        machine.set_buf(idx, Arc::clone(buf));
-    }
-    let strides = buf.strides();
-    for (d, dim) in buf.dims().iter().enumerate() {
-        if let Some(slot) = prog.free_slot(&format!("{name}.min.{d}")) {
-            machine.set_reg(slot, Scalar::Int(dim.min));
-            bound.insert(slot);
+impl<'a> Bindings<'a> {
+    /// Adds a buffer and its layout symbols.
+    fn buffer(&mut self, name: &'a str, buf: &Arc<Buffer>) {
+        let strides = buf.strides();
+        for (d, dim) in buf.dims().iter().enumerate() {
+            let layout = [
+                ("min", dim.min),
+                ("extent", dim.extent),
+                ("stride", strides[d]),
+            ];
+            for (field, v) in layout {
+                self.symbols
+                    .push((format!("{name}.{field}.{d}").into(), Scalar::Int(v)));
+            }
         }
-        if let Some(slot) = prog.free_slot(&format!("{name}.extent.{d}")) {
-            machine.set_reg(slot, Scalar::Int(dim.extent));
-            bound.insert(slot);
-        }
-        if let Some(slot) = prog.free_slot(&format!("{name}.stride.{d}")) {
-            machine.set_reg(slot, Scalar::Int(strides[d]));
-            bound.insert(slot);
-        }
+        self.buffers.push((name, Arc::clone(buf)));
     }
 }
 

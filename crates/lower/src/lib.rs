@@ -59,17 +59,15 @@ pub use error::{LowerError, Result};
 pub use inject::{snapshot_pipeline, FuncDef};
 pub use sliding::SlidingReport;
 
-/// Options controlling which optimizations run — primarily for the ablation
-/// benchmarks (everything on is the paper's configuration).
+/// Options controlling which optimizations run — the sliding-window and
+/// storage-folding ablation (`repro ablation`); everything on is the
+/// paper's configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LowerOptions {
     /// Enable the sliding window optimization (Sec. 4.3).
     pub sliding_window: bool,
     /// Enable storage folding (Sec. 4.3).
     pub storage_folding: bool,
-    /// Enable vectorization/unrolling of loops so scheduled (Sec. 4.5).
-    /// When disabled, vectorized/unrolled loops run as serial loops.
-    pub vectorize: bool,
 }
 
 impl Default for LowerOptions {
@@ -77,7 +75,6 @@ impl Default for LowerOptions {
         LowerOptions {
             sliding_window: true,
             storage_folding: true,
-            vectorize: true,
         }
     }
 }
@@ -176,11 +173,7 @@ pub fn lower_with_options(pipeline: &Pipeline, options: &LowerOptions) -> Result
     // 5. Vectorization and unrolling.
     let stmt = {
         let _span = halide_trace::span("lower/vectorize", "compile");
-        if options.vectorize {
-            vectorize::vectorize_and_unroll(&stmt)?
-        } else {
-            demote_vector_loops(&stmt)
-        }
+        vectorize::vectorize_and_unroll(&stmt)?
     };
 
     // 6. Loop-invariant mask hoisting: `select` conditions that do not
@@ -211,38 +204,6 @@ pub fn lower_with_options(pipeline: &Pipeline, options: &LowerOptions) -> Result
         env,
         sliding_report,
     })
-}
-
-/// Replaces vectorized/unrolled loop kinds with serial loops (used when
-/// vectorization is disabled for ablation).
-fn demote_vector_loops(stmt: &Stmt) -> Stmt {
-    use halide_ir::{ForKind, IrMutator, StmtNode};
-    struct Demote;
-    impl IrMutator for Demote {
-        fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
-            let s = halide_ir::mutate_stmt_children(self, s);
-            if let StmtNode::For {
-                name,
-                min,
-                extent,
-                kind,
-                body,
-            } = s.node()
-            {
-                if matches!(kind, ForKind::Vectorized | ForKind::Unrolled) {
-                    return Stmt::for_loop(
-                        name.clone(),
-                        min.clone(),
-                        extent.clone(),
-                        ForKind::Serial,
-                        body.clone(),
-                    );
-                }
-            }
-            s
-        }
-    }
-    Demote.mutate_stmt(stmt)
 }
 
 #[cfg(test)]
@@ -326,7 +287,6 @@ mod tests {
             &LowerOptions {
                 sliding_window: false,
                 storage_folding: false,
-                vectorize: false,
             },
         )
         .unwrap();

@@ -9,11 +9,12 @@
 //! the window closes the controller compares the window's p95 against an
 //! EWMA baseline of healthy windows:
 //!
-//! * p95 within `headroom` of the baseline **and** the limit was actually
-//!   saturated → additive increase (`limit + 1`): there may be spare
-//!   capacity, probe for it;
-//! * p95 beyond `headroom` → multiplicative decrease (`limit × backoff`):
-//!   latency says the host is past its knee, back off fast;
+//! * p95 within 1.5× the baseline **and** the limit was actually saturated
+//!   → additive increase (`limit + 1`): there may be spare capacity, probe
+//!   for it;
+//! * p95 beyond 1.5× the baseline → multiplicative decrease
+//!   (`limit × 0.75`): latency says the host is past its knee, back off
+//!   fast;
 //! * otherwise hold.
 //!
 //! The baseline only absorbs healthy windows, so a congested burst cannot
@@ -25,6 +26,16 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::metrics::percentile;
+
+/// EWMA weight of a new healthy window's p95 in the baseline.
+const SMOOTHING: f64 = 0.3;
+/// Tolerated ratio of a window's p95 over the baseline before the
+/// controller treats the host as congested.
+const HEADROOM: f64 = 1.5;
+/// Multiplicative decrease factor applied on congestion.
+const BACKOFF: f64 = 0.75;
+
 /// Tuning for the [`AimdController`].
 #[derive(Debug, Clone)]
 pub struct AimdConfig {
@@ -34,26 +45,15 @@ pub struct AimdConfig {
     pub initial_in_flight: usize,
     /// Length of one decision window.
     pub window: Duration,
-    /// EWMA weight of a new healthy window's p95 in the baseline.
-    pub smoothing: f64,
-    /// Tolerated ratio of a window's p95 over the baseline before the
-    /// controller treats the host as congested.
-    pub headroom: f64,
-    /// Multiplicative decrease factor applied on congestion.
-    pub backoff: f64,
 }
 
 impl Default for AimdConfig {
-    /// Start at 1 in flight, decide every 100 ms, back off at 1.5× the
-    /// baseline p95 by a factor of 0.75.
+    /// Start at 1 in flight and decide every 100 ms.
     fn default() -> Self {
         AimdConfig {
             min_in_flight: 1,
             initial_in_flight: 1,
             window: Duration::from_millis(100),
-            smoothing: 0.3,
-            headroom: 1.5,
-            backoff: 0.75,
         }
     }
 }
@@ -154,26 +154,23 @@ impl AimdController {
         // Window closes: decide against the baseline.
         let mut window = std::mem::take(&mut st.samples_ms);
         window.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = ((0.95 * window.len() as f64).ceil() as usize).clamp(1, window.len());
-        let p95 = window[rank - 1];
+        let p95 = percentile(&window, 0.95);
         let saturated = std::mem::take(&mut st.saturated);
         st.window_start = now;
 
         let decision = match st.baseline_ms {
-            Some(baseline) if p95 > baseline * self.cfg.headroom => {
+            Some(baseline) if p95 > baseline * HEADROOM => {
                 // Congested: multiplicative decrease, baseline unchanged —
                 // a slow window must not become the new normal.
                 let floor = self.cfg.min_in_flight.max(1);
-                st.limit = (((st.limit as f64) * self.cfg.backoff).floor() as usize)
-                    .clamp(floor, self.max);
+                st.limit = (((st.limit as f64) * BACKOFF).floor() as usize).clamp(floor, self.max);
                 AimdDecision::Backoff(st.limit)
             }
             _ => {
                 // Healthy: fold into the baseline, probe upward only if the
                 // window actually ran against the limit.
-                let alpha = self.cfg.smoothing;
                 st.baseline_ms = Some(match st.baseline_ms {
-                    Some(b) => alpha * p95 + (1.0 - alpha) * b,
+                    Some(b) => SMOOTHING * p95 + (1.0 - SMOOTHING) * b,
                     None => p95,
                 });
                 if saturated && st.limit < self.max {
@@ -287,7 +284,6 @@ mod tests {
                 min_in_flight: 2,
                 initial_in_flight: 3,
                 window: Duration::from_millis(100),
-                ..AimdConfig::default()
             },
             3,
             Duration::ZERO,

@@ -1,10 +1,12 @@
 //! The compiled-program cache: the compile-once half of the server.
 //!
-//! Keyed by everything that changes the generated code — the app, its
-//! schedule variant, the execution backend, the output shape (several apps
-//! bake the image size into the algorithm), and the scalar-parameter
-//! signature — and holding `Arc`s so any number of request threads realize
-//! one shared [`Program`] without recompiling or cloning it.
+//! Keyed by everything that changes the generated code within one server —
+//! the app, its schedule variant, the output shape (several apps bake the
+//! image size into the algorithm), and the scalar-parameter signature — and
+//! holding `Arc`s so any number of request threads realize one shared
+//! [`Program`] without recompiling or cloning it. The execution backend and
+//! the optimizer level belong to the cache, fixed when it is built: a
+//! server compiles everything for one engine at one level.
 //!
 //! Residency is bounded: entries live in a [`CostLru`], a cost-aware LRU
 //! (the GreedyDual policy) with a configurable entry budget. Each
@@ -67,19 +69,13 @@ impl ParamValue {
     }
 }
 
-/// Everything that selects one compiled program.
+/// Everything that selects one compiled program within a [`ProgramCache`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProgramKey {
     /// Which application.
     pub app: AppKind,
     /// Which schedule variant.
     pub schedule: ScheduleChoice,
-    /// Which execution engine the program targets.
-    pub backend: Backend,
-    /// Optimizer level the program is compiled at. Part of the key because
-    /// an `OptLevel::None` program and an `OptLevel::Default` program are
-    /// different artifacts (different instruction counts, same results).
-    pub opt: OptLevel,
     /// Output width and height (the shape axis of compile-once).
     pub shape: (i64, i64),
     /// Scalar-parameter *signature*: (name, type tag), sorted by name.
@@ -95,8 +91,6 @@ impl ProgramKey {
     pub fn new(
         app: AppKind,
         schedule: ScheduleChoice,
-        backend: Backend,
-        opt: OptLevel,
         shape: (i64, i64),
         params: &[(String, ParamValue)],
     ) -> Self {
@@ -109,8 +103,6 @@ impl ProgramKey {
         ProgramKey {
             app,
             schedule,
-            backend,
-            opt,
             shape,
             params,
         }
@@ -304,24 +296,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
     pub fn resident_keys(&self) -> Vec<K> {
         self.state.lock().unwrap().map.keys().cloned().collect()
     }
-
-    /// Every resident `(key, value, cost)` triple, in no particular order,
-    /// without refreshing any entry's credit (introspection, not traffic).
-    pub fn resident_entries(&self) -> Vec<(K, V, Duration)> {
-        self.state
-            .lock()
-            .unwrap()
-            .map
-            .iter()
-            .map(|(k, slot)| {
-                (
-                    k.clone(),
-                    slot.value.clone(),
-                    Duration::from_nanos(slot.cost_ns.min(u64::MAX as u128) as u64),
-                )
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -329,32 +303,26 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
 // ---------------------------------------------------------------------------
 
 /// The shared program cache: a [`CostLru`] of [`CompiledApp`]s costed by
-/// compile time, plus the compile-on-miss path.
+/// compile time, plus the compile-on-miss path, for one execution backend
+/// at one optimizer level.
 #[derive(Debug)]
 pub struct ProgramCache {
     entries: CostLru<ProgramKey, Arc<CompiledApp>>,
     cold_compiles: AtomicU64,
-}
-
-impl Default for ProgramCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    backend: Backend,
+    opt: OptLevel,
 }
 
 impl ProgramCache {
-    /// An unbounded cache: nothing is ever evicted.
-    pub fn new() -> Self {
-        Self::with_budget(usize::MAX)
-    }
-
-    /// A cache bounded to `max_entries` programs; over budget,
-    /// minimum-credit entries (cheap to recompile, longest untouched) are
-    /// evicted.
-    pub fn with_budget(max_entries: usize) -> Self {
+    /// A cache compiling for `backend` at `opt`, bounded to `max_entries`
+    /// programs (`usize::MAX` for unbounded); over budget, minimum-credit
+    /// entries (cheap to recompile, longest untouched) are evicted.
+    pub fn new(backend: Backend, opt: OptLevel, max_entries: usize) -> Self {
         ProgramCache {
             entries: CostLru::new(max_entries),
             cold_compiles: AtomicU64::new(0),
+            backend,
+            opt,
         }
     }
 
@@ -382,14 +350,14 @@ impl ProgramCache {
             .arg("app", key.app.name())
             .arg("schedule", format!("{:?}", key.schedule))
             .arg("shape", format!("{}x{}", key.shape.0, key.shape.1))
-            .arg("opt", key.opt.name());
+            .arg("opt", self.opt.name());
         let built = key
             .app
             .build(key.shape.0, key.shape.1, key.schedule)
             .map_err(|e| ServeError::Compile(e.to_string()))?;
-        let program = match key.backend {
+        let program = match self.backend {
             Backend::Compiled => Some(
-                Program::compile_with(&built.module, key.opt)
+                Program::compile_with(&built.module, self.opt)
                     .map(Arc::new)
                     .map_err(|e| ServeError::Compile(e.to_string()))?,
             ),
@@ -431,17 +399,6 @@ impl ProgramCache {
     pub fn evictions(&self) -> u64 {
         self.entries.stats().evictions
     }
-
-    /// The build cost of every resident artifact, keyed by [`ProgramKey`] —
-    /// what each cached program cost to lower + compile, i.e. what evicting
-    /// it would make the next cold request pay. Does not count as traffic.
-    pub fn compile_costs(&self) -> Vec<(ProgramKey, Duration)> {
-        self.entries
-            .resident_entries()
-            .into_iter()
-            .map(|(k, _, cost)| (k, cost))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -458,30 +415,14 @@ mod tests {
             ("a".to_string(), ParamValue::I32(3)),
             ("b".to_string(), ParamValue::F32(1.5)),
         ];
-        let k1 = ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::Default,
-            (64, 64),
-            &p1,
-        );
-        let k2 = ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::Default,
-            (64, 64),
-            &p2,
-        );
+        let k1 = ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (64, 64), &p1);
+        let k2 = ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (64, 64), &p2);
         assert_eq!(k1, k2);
         // A different *value* of the same knob shares the program — values
         // bind at realize time, only the signature is part of the key.
         let k3 = ProgramKey::new(
             AppKind::Blur,
             ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::Default,
             (64, 64),
             &[
                 ("a".to_string(), ParamValue::I32(99)),
@@ -493,74 +434,45 @@ mod tests {
         let k4 = ProgramKey::new(
             AppKind::Blur,
             ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::Default,
             (64, 64),
             &[("c".to_string(), ParamValue::F32(2.5))],
         );
         assert_ne!(k1, k4);
     }
 
+    /// Every cache compiles a key once and serves it warm after: the
+    /// compiled cache at the default level, the interpreter's cache (which
+    /// holds the module without a program), and a cache at
+    /// `OptLevel::None` (whose program eliminated nothing).
     #[test]
     fn cache_compiles_once_per_key() {
-        let cache = ProgramCache::new();
-        let key = ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::Default,
-            (32, 32),
-            &[],
-        );
-        let (a, cold_a) = cache.get_or_compile(&key).unwrap();
-        let (b, cold_b) = cache.get_or_compile(&key).unwrap();
-        assert!(cold_a);
-        assert!(!cold_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.program.is_some());
-        assert_eq!(a.output_extents, vec![32, 32]);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.cold_compiles(), 1);
+        let key = ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (32, 32), &[]);
+        let compiles_once = |cache: &ProgramCache| {
+            let (a, cold_a) = cache.get_or_compile(&key).unwrap();
+            let (b, cold_b) = cache.get_or_compile(&key).unwrap();
+            assert!(cold_a);
+            assert!(!cold_b);
+            assert!(Arc::ptr_eq(&a, &b));
+            assert_eq!(a.output_extents, vec![32, 32]);
+            assert_eq!(cache.len(), 1);
+            assert_eq!(cache.cold_compiles(), 1);
+            a
+        };
 
+        let compiled = ProgramCache::new(Backend::Compiled, OptLevel::Default, usize::MAX);
+        assert!(compiles_once(&compiled).program.is_some());
         // A different shape is a different program.
-        let key2 = ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::Default,
-            (64, 32),
-            &[],
-        );
-        let (_, cold) = cache.get_or_compile(&key2).unwrap();
+        let wide = ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (64, 32), &[]);
+        let (_, cold) = compiled.get_or_compile(&wide).unwrap();
         assert!(cold);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(compiled.len(), 2);
 
-        // The interpreting backend caches the module without a program.
-        let key3 = ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Interp,
-            OptLevel::Default,
-            (32, 32),
-            &[],
-        );
-        let (c, _) = cache.get_or_compile(&key3).unwrap();
-        assert!(c.program.is_none());
+        let interp = ProgramCache::new(Backend::Interp, OptLevel::Default, usize::MAX);
+        assert!(compiles_once(&interp).program.is_none());
 
-        // A different optimizer level is a different program: the None-level
-        // entry compiles separately and reports no eliminated instructions.
-        let key4 = ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Compiled,
-            OptLevel::None,
-            (32, 32),
-            &[],
-        );
-        assert_ne!(key, key4);
-        let (d, cold) = cache.get_or_compile(&key4).unwrap();
-        assert!(cold);
-        let report = d.program.as_ref().unwrap().opt_report();
+        let none = ProgramCache::new(Backend::Compiled, OptLevel::None, usize::MAX);
+        let entry = compiles_once(&none);
+        let report = entry.program.as_ref().unwrap().opt_report();
         assert_eq!(report.level, OptLevel::None);
         assert_eq!(report.before_insts, report.after_insts);
     }
@@ -609,17 +521,8 @@ mod tests {
     /// the budget.
     #[test]
     fn program_cache_eviction_recompiles_transparently() {
-        let cache = ProgramCache::with_budget(2);
-        let key = |w: i64| {
-            ProgramKey::new(
-                AppKind::Blur,
-                ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
-                (w, 32),
-                &[],
-            )
-        };
+        let cache = ProgramCache::new(Backend::Compiled, OptLevel::Default, 2);
+        let key = |w: i64| ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (w, 32), &[]);
         cache.get_or_compile(&key(32)).unwrap();
         cache.get_or_compile(&key(48)).unwrap();
         cache.get_or_compile(&key(64)).unwrap();

@@ -6,13 +6,11 @@
 //! of images) scaled out to concurrent request traffic, and hardened for
 //! overload:
 //!
-//! * a [`Registry`] of **named** pipeline variants (every paper app ×
-//!   naive/tuned schedule);
-//! * a [`ProgramCache`] keyed by *(app, schedule, backend, shape, parameter
+//! * a [`ProgramCache`] keyed by *(app, schedule, shape, parameter
 //!   signature)* holding shared `Arc<Program>`s, so each distinct pipeline
-//!   compiles **once** — and, under a configured budget, a **cost-aware
-//!   LRU** ([`CostLru`]) that prefers evicting cheap-to-recompile programs
-//!   over expensive ones;
+//!   compiles **once** for the server's backend and optimizer level — and,
+//!   under a configured budget, a **cost-aware LRU** ([`CostLru`]) that
+//!   prefers evicting cheap-to-recompile programs over expensive ones;
 //! * a shared [`BufferPool`](halide_runtime::BufferPool) that outputs and
 //!   scratch buffers cycle through, so steady-state requests perform **zero
 //!   large allocations** (hit rates are part of [`ServerStats`]);
@@ -66,25 +64,25 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod admission;
 pub mod aimd;
 pub mod cache;
 pub mod clock;
+mod coalesce;
 pub mod metrics;
-pub mod registry;
+mod reqtrace;
 pub mod server;
 
+pub use admission::Priority;
 pub use aimd::{AimdConfig, AimdController, AimdDecision};
 pub use cache::{CompiledApp, CostLru, CostLruStats, ParamValue, ProgramCache, ProgramKey};
 pub use clock::Clock;
 pub use metrics::{LatencyRecorder, LatencyStats, ServerStats, DEFAULT_LATENCY_WINDOW};
-pub use registry::{canonical_name, AppSpec, Registry};
-pub use server::{PipelineServer, Priority, Request, Response, ServeConfig};
+pub use server::{PipelineServer, Request, Response, ServeConfig};
 
 /// Everything that can go wrong while serving a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The requested name is not in the registry.
-    UnknownApp(String),
     /// The server is saturated and its wait queue is full — retry later or
     /// shed load upstream.
     Overloaded {
@@ -110,7 +108,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::UnknownApp(name) => write!(f, "no app registered under {name:?}"),
             ServeError::Overloaded { in_flight, queued } => write!(
                 f,
                 "server overloaded: {in_flight} requests in flight and {queued} queued"

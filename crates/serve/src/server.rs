@@ -1,52 +1,35 @@
-//! The pipeline server: overload-safe concurrent admission over the program
-//! cache and the buffer pool.
+//! The pipeline server: one request path over admission, coalescing, the
+//! program cache and the buffer pool.
 //!
-//! Four control loops cooperate here, every one of them reading time through
-//! the injectable [`Clock`] seam so it can be driven deterministically in
-//! tests:
-//!
-//! * **Admission** — a fixed set of execution slots behind a bounded wait
-//!   queue. Waiters carry a [`Priority`] and an optional deadline; slots are
-//!   handed to the highest-priority, longest-waiting *unexpired* waiter
-//!   (queue-jump), and a request whose deadline passes while queued returns
-//!   [`ServeError::DeadlineExceeded`] without ever occupying a slot.
-//! * **Coalescing** — concurrent requests for the same `(app, schedule,
-//!   shape, parameter values, input image)` share one realization: the first
-//!   becomes the *leader* and runs the pipeline; the rest are *followers*
-//!   that wait on the flight and receive a pooled copy of the leader's
-//!   output, bit-identical to realizing themselves.
-//! * **Eviction** — the program cache is a cost-aware LRU
-//!   ([`CostLru`](crate::cache::CostLru)) budgeted in entries.
-//! * **AIMD** — optionally, an [`AimdController`] discovers the concurrency
-//!   limit from observed p95 latency instead of trusting `max_in_flight`.
+//! [`PipelineServer::call`] reads top to bottom: check the input's shape,
+//! key the program, then lead or follow a coalescing flight. A follower
+//! waits for the leader's result and copies it; the leader takes an
+//! admission slot, looks the program up (compiling it if cold), realizes
+//! into a pooled output, publishes to its followers and responds. The
+//! pieces live beside this file: `admission.rs` (execution slots, the
+//! priority and deadline wait queue, the movable limit), `coalesce.rs`
+//! (flights and the leader's publish guard), `reqtrace.rs` (per-request
+//! span trees), [`cache`](crate::cache) (the cost-aware program cache) and
+//! [`aimd`](crate::aimd) (adaptive concurrency). Every control loop reads
+//! time through the injectable [`Clock`], so all of it runs
+//! deterministically in tests.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use halide_exec::{Backend, OptLevel, Realizer};
 use halide_pipelines::{AppKind, ScheduleChoice};
 use halide_runtime::{Buffer, BufferPool, CounterSnapshot, PooledBuffer, ThreadPool};
 
+use crate::admission::{Admission, AdmitError, Priority};
 use crate::aimd::{AimdConfig, AimdController};
 use crate::cache::{ParamValue, ProgramCache, ProgramKey};
 use crate::clock::{deadline_passed, Clock};
+use crate::coalesce::{CoalesceHub, FlightKey, Realized, Role, Shared};
 use crate::metrics::{LatencyRecorder, ServerStats};
-use crate::registry::Registry;
+use crate::reqtrace::{emit_request_trace, ReqTrace};
 use crate::{ServeError, ServeResult};
-
-/// Scheduling class of a request: [`Priority::High`] waiters take any freed
-/// slot before [`Priority::Normal`] waiters, regardless of arrival order
-/// (queue-jump); within a class, arrival order wins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
-    /// Best-effort traffic (the default).
-    #[default]
-    Normal,
-    /// Latency-sensitive traffic: jumps the admission queue.
-    High,
-}
 
 /// Idle bytes the server's buffer pool may retain.
 const POOL_IDLE_BYTES: usize = 256 << 20;
@@ -68,12 +51,8 @@ pub struct ServeConfig {
     pub threads_per_request: usize,
     /// Execution engine programs are compiled for.
     pub backend: Backend,
-    /// Optimizer level programs are compiled at (part of the cache key).
+    /// Optimizer level programs are compiled at.
     pub opt: OptLevel,
-    /// Coalesce concurrent identical requests onto one realization.
-    pub coalescing: bool,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// Compiled programs the cache may hold before evicting (cost-aware
     /// LRU; `usize::MAX` = unbounded).
     pub cache_max_entries: usize,
@@ -88,9 +67,8 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     /// Four concurrent requests, a 16-deep wait queue, one thread per
-    /// request, the compiled backend at [`OptLevel::Default`], coalescing
-    /// on, no deadlines, an unbounded cache, a fixed concurrency limit, the
-    /// system clock.
+    /// request, the compiled backend at [`OptLevel::Default`], an unbounded
+    /// cache, a fixed concurrency limit, the system clock.
     fn default() -> Self {
         ServeConfig {
             max_in_flight: 4,
@@ -98,8 +76,6 @@ impl Default for ServeConfig {
             threads_per_request: 1,
             backend: Backend::Compiled,
             opt: OptLevel::Default,
-            coalescing: true,
-            default_deadline: None,
             cache_max_entries: usize::MAX,
             adaptive: None,
             clock: Clock::system(),
@@ -107,8 +83,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// One request: which registered pipeline, the input image, any scalar
-/// parameters, and its scheduling class and time budget.
+/// One request: which pipeline, the input image, any scalar parameters, and
+/// its scheduling class and time budget.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Which application.
@@ -123,7 +99,7 @@ pub struct Request {
     pub priority: Priority,
     /// Time budget from submission; past it the request is shed with
     /// [`ServeError::DeadlineExceeded`] instead of occupying a slot.
-    /// `None` falls back to [`ServeConfig::default_deadline`].
+    /// `None` means no deadline.
     pub deadline: Option<Duration>,
 }
 
@@ -180,387 +156,15 @@ pub struct Response {
     pub coalesced: bool,
 }
 
-/// Why [`Admission::acquire`] refused.
-#[derive(Debug, PartialEq, Eq)]
-enum AdmitError {
-    /// The wait queue was full.
-    Full,
-    /// The request's deadline passed before a slot was granted.
-    Expired,
-}
-
-#[derive(Debug)]
-struct Waiter {
-    ticket: u64,
-    priority: Priority,
-    deadline: Option<Duration>,
-}
-
-#[derive(Debug)]
-struct AdmissionState {
-    /// Concurrency limit currently in force (≤ the physical slot count;
-    /// moved by the AIMD controller when adaptive mode is on).
-    limit: usize,
-    in_flight: usize,
-    free_slots: Vec<usize>,
-    waiters: Vec<Waiter>,
-    /// Slots granted by `dispatch` but not yet collected by their waiter.
-    grants: HashMap<u64, usize>,
-    next_ticket: u64,
-    /// While paused, nothing dispatches — the drain/quiesce seam.
-    paused: bool,
-}
-
-/// Bounded admission: a fixed set of execution slots plus a bounded wait
-/// queue with priorities, deadlines, and a movable concurrency limit.
-///
-/// `acquire` blocks while capacity is busy and the queue has room, fails
-/// fast once the queue is full, and sheds itself the moment its deadline
-/// passes. Freed capacity is *dispatched*: the grant goes to the best
-/// waiter (highest priority, then earliest ticket) that has not expired, so
-/// high-priority traffic jumps the queue and expired work never reaches a
-/// slot.
-#[derive(Debug)]
-struct Admission {
-    state: Mutex<AdmissionState>,
-    /// Single condvar for every admission wake (grant, release, resume,
-    /// limit move, and virtual-clock advance via the registered waker).
-    cv: Arc<Condvar>,
-    queue_capacity: usize,
-    slots: usize,
-    clock: Clock,
-}
-
-impl Admission {
-    fn new(slots: usize, limit: usize, queue_capacity: usize, clock: Clock) -> Self {
-        let cv = Arc::new(Condvar::new());
-        clock.register_waker(&cv);
-        Admission {
-            state: Mutex::new(AdmissionState {
-                limit: limit.clamp(1, slots),
-                in_flight: 0,
-                free_slots: (0..slots).collect(),
-                waiters: Vec::new(),
-                grants: HashMap::new(),
-                next_ticket: 0,
-                paused: false,
-            }),
-            cv,
-            queue_capacity,
-            slots,
-            clock,
-        }
-    }
-
-    /// Hands free capacity to the best eligible waiters: highest priority
-    /// first, earliest ticket within a priority, expired waiters skipped
-    /// (they wake and shed themselves).
-    fn dispatch(&self, st: &mut AdmissionState) {
-        let now = self.clock.now();
-        let mut granted = false;
-        while !st.paused && st.in_flight < st.limit && !st.free_slots.is_empty() {
-            let best = st
-                .waiters
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| !deadline_passed(w.deadline, now))
-                .max_by_key(|(_, w)| (w.priority, std::cmp::Reverse(w.ticket)))
-                .map(|(i, _)| i);
-            let Some(i) = best else { break };
-            let w = st.waiters.remove(i);
-            let slot = st.free_slots.pop().expect("free slot under the limit");
-            st.in_flight += 1;
-            st.grants.insert(w.ticket, slot);
-            granted = true;
-        }
-        if granted {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocks until an execution slot is granted. [`AdmitError::Full`] when
-    /// the wait queue has no room, [`AdmitError::Expired`] when `deadline`
-    /// (absolute, on the admission clock) passes first.
-    fn acquire(&self, priority: Priority, deadline: Option<Duration>) -> Result<usize, AdmitError> {
-        let mut st = self.state.lock().unwrap();
-        if deadline_passed(deadline, self.clock.now()) {
-            return Err(AdmitError::Expired);
-        }
-        // Reject only arrivals that can neither run now nor queue: admission
-        // with spare capacity (and no waiter this request would have to get
-        // behind) bypasses the queue-capacity check. Queue room is counted
-        // per class — an arrival only competes with same-or-higher-priority
-        // waiters — so a backlog of normal traffic cannot lock
-        // high-priority requests out of the queue they are meant to jump.
-        let runnable_now = !st.paused
-            && st.in_flight < st.limit
-            && !st.free_slots.is_empty()
-            && !st.waiters.iter().any(|w| w.priority >= priority);
-        let competing = st.waiters.iter().filter(|w| w.priority >= priority).count();
-        if !runnable_now && competing >= self.queue_capacity {
-            return Err(AdmitError::Full);
-        }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.waiters.push(Waiter {
-            ticket,
-            priority,
-            deadline,
-        });
-        self.dispatch(&mut st);
-        loop {
-            if let Some(slot) = st.grants.remove(&ticket) {
-                if deadline_passed(deadline, self.clock.now()) {
-                    // Expired between grant and wake: hand the slot straight
-                    // to the next waiter instead of running doomed work.
-                    st.free_slots.push(slot);
-                    st.in_flight -= 1;
-                    self.dispatch(&mut st);
-                    return Err(AdmitError::Expired);
-                }
-                return Ok(slot);
-            }
-            if deadline_passed(deadline, self.clock.now()) {
-                st.waiters.retain(|w| w.ticket != ticket);
-                return Err(AdmitError::Expired);
-            }
-            st = self.clock.wait(&self.cv, st, deadline);
-        }
-    }
-
-    /// Returns a slot and re-dispatches. The returned flag says whether the
-    /// release happened *saturated* — the limit fully used or work queued —
-    /// which is what licenses the AIMD controller to probe upward.
-    fn release(&self, slot: usize) -> bool {
-        let mut st = self.state.lock().unwrap();
-        let saturated = st.in_flight >= st.limit || !st.waiters.is_empty();
-        st.free_slots.push(slot);
-        st.in_flight -= 1;
-        self.dispatch(&mut st);
-        saturated
-    }
-
-    /// Moves the concurrency limit (clamped to `1..=slots`), dispatching any
-    /// waiters a raised limit can now run.
-    fn set_limit(&self, limit: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.limit = limit.clamp(1, self.slots);
-        self.dispatch(&mut st);
-    }
-
-    fn limit(&self) -> usize {
-        self.state.lock().unwrap().limit
-    }
-
-    fn queued(&self) -> usize {
-        self.state.lock().unwrap().waiters.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.state.lock().unwrap().in_flight
-    }
-
-    fn pause(&self) {
-        self.state.lock().unwrap().paused = true;
-    }
-
-    fn resume(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.paused = false;
-        self.dispatch(&mut st);
-    }
-}
-
-/// Returns the admission slot on every exit path of a realization, unless
-/// defused by [`SlotGuard::release_now`] (the success path, which wants the
-/// saturation reading back).
-struct SlotGuard<'a> {
-    admission: &'a Admission,
-    slot: Option<usize>,
-}
-
-impl SlotGuard<'_> {
-    fn release_now(mut self) -> bool {
-        let slot = self.slot.take().expect("released once");
-        self.admission.release(slot)
-    }
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.admission.release(slot);
-        }
-    }
-}
-
-/// Everything that must match for two requests to share one realization:
-/// the program selector, the output shape, the exact parameter *values*
-/// (bit patterns — unlike the program cache, values change the pixels), and
-/// the identity of the input image. Identity is the `Arc` pointer: two
-/// uploads with equal pixels in different allocations do not coalesce,
-/// which keeps the check O(1) and can never false-positive.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FlightKey {
-    app: AppKind,
-    schedule: ScheduleChoice,
-    shape: (i64, i64),
-    input_ptr: usize,
-    params: Vec<(String, u8, u64)>,
-}
-
-impl FlightKey {
-    fn of(req: &Request, shape: (i64, i64)) -> FlightKey {
-        let mut params: Vec<(String, u8, u64)> = req
-            .params
-            .iter()
-            .map(|(name, v)| {
-                let (tag, bits) = v.value_bits();
-                (name.clone(), tag, bits)
-            })
-            .collect();
-        params.sort();
-        FlightKey {
-            app: req.app,
-            schedule: req.schedule,
-            shape,
-            input_ptr: Arc::as_ptr(&req.input) as usize,
-            params,
-        }
-    }
-}
-
-/// What a flight's leader publishes for its followers to fan out.
-#[derive(Debug, Clone)]
-struct FlightShared {
-    /// The one realization's output. Followers copy from it; when the last
-    /// holder drops its `Arc`, the allocation returns to the buffer pool.
-    output: Arc<PooledBuffer>,
-    counters: CounterSnapshot,
-}
-
-/// One in-progress realization that identical requests attach to.
-#[derive(Debug)]
-struct Flight {
-    result: OnceLock<ServeResult<FlightShared>>,
-    /// Followers that joined before the leader concluded — final once the
-    /// flight leaves the hub map.
-    followers: AtomicU64,
-    /// Keeps the input image alive while the flight is joinable, so the
-    /// pointer in [`FlightKey`] cannot be recycled onto a different image.
-    _input: Arc<Buffer>,
-}
-
-enum Role {
-    Leader(Arc<Flight>),
-    Follower(Arc<Flight>),
-}
-
-/// The coalescing hub: in-flight realizations keyed by [`FlightKey`].
-#[derive(Debug)]
-struct CoalesceHub {
-    flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
-    cv: Arc<Condvar>,
-}
-
-impl CoalesceHub {
-    fn new(clock: &Clock) -> Self {
-        let cv = Arc::new(Condvar::new());
-        clock.register_waker(&cv);
-        CoalesceHub {
-            flights: Mutex::new(HashMap::new()),
-            cv,
-        }
-    }
-
-    /// Attaches to the in-progress flight for `key`, or registers a new one
-    /// with the caller as leader.
-    fn join_or_lead(&self, key: FlightKey, input: Arc<Buffer>) -> Role {
-        let mut flights = self.flights.lock().unwrap();
-        match flights.get(&key) {
-            Some(flight) => {
-                flight.followers.fetch_add(1, Ordering::Relaxed);
-                Role::Follower(Arc::clone(flight))
-            }
-            None => {
-                let flight = Arc::new(Flight {
-                    result: OnceLock::new(),
-                    followers: AtomicU64::new(0),
-                    _input: input,
-                });
-                flights.insert(key, Arc::clone(&flight));
-                Role::Leader(flight)
-            }
-        }
-    }
-
-    /// Removes the flight from the hub, freezing its follower count: after
-    /// this, no request can join it.
-    fn conclude(&self, key: &FlightKey) {
-        self.flights.lock().unwrap().remove(key);
-    }
-
-    /// Publishes a concluded flight's result and wakes its followers. The
-    /// hub lock is taken so the store is ordered against every follower's
-    /// check-then-wait.
-    fn publish(&self, flight: &Flight, result: ServeResult<FlightShared>) {
-        let _flights = self.flights.lock().unwrap();
-        let _ = flight.result.set(result);
-        self.cv.notify_all();
-    }
-}
-
-/// The leader's realization, before it is published or packaged.
-struct Realized {
-    output: Buffer,
-    cold_compile: Option<Duration>,
-    counters: CounterSnapshot,
-}
-
-/// Lifecycle timestamps of one request, collected only while the global
-/// trace sink is enabled and flushed as one span tree (on the server's
-/// [`Clock`] timebase, pid [`halide_trace::PID_SERVE`]) when the request
-/// concludes. Every field is a reading of the injectable clock, so
-/// manual-clock tests can assert exact span durations.
-struct ReqTrace {
-    /// Synthetic "thread" id: one lane per request in the trace viewer.
-    tid: u64,
-    submitted: Duration,
-    /// When the admission slot was granted (leader path).
-    admitted: Option<Duration>,
-    /// When the program was ready (compiled or cache hit).
-    compiled: Option<Duration>,
-    /// Whether the program lookup was a cache hit.
-    cache_hit: bool,
-    /// When the realization finished (leader) or the flight's result
-    /// arrived (follower).
-    realized: Option<Duration>,
-}
-
-impl ReqTrace {
-    fn new(tid: u64, submitted: Duration) -> Self {
-        ReqTrace {
-            tid,
-            submitted,
-            admitted: None,
-            compiled: None,
-            cache_hit: false,
-            realized: None,
-        }
-    }
-}
-
 /// A compile-once / realize-many pipeline server.
 ///
-/// Owns the name [`Registry`], the compiled-[`ProgramCache`], the shared
-/// [`BufferPool`], and one persistent worker [`ThreadPool`] per admission
-/// slot. `&self` is all any operation needs, so any number of client threads
-/// can share one server.
+/// Owns the compiled-[`ProgramCache`], the shared [`BufferPool`], and one
+/// persistent worker [`ThreadPool`] per admission slot. `&self` is all any
+/// operation needs, so any number of client threads can share one server.
 #[derive(Debug)]
 pub struct PipelineServer {
     config: ServeConfig,
     clock: Clock,
-    registry: Registry,
     cache: ProgramCache,
     buffer_pool: Arc<BufferPool>,
     /// One persistent worker pool per admission slot, reused across every
@@ -575,21 +179,14 @@ pub struct PipelineServer {
     shed: AtomicU64,
     coalesced: AtomicU64,
     realizations: AtomicU64,
-    /// Followers currently parked on a flight (gauge, for tests and drains).
-    coalesce_waiting: AtomicU64,
     /// Trace-lane allocator: each traced request gets its own tid so its
     /// span tree renders as one row in the trace viewer.
     trace_seq: AtomicU64,
 }
 
 impl PipelineServer {
-    /// A server over the full paper-app registry.
+    /// A server for every paper app in either schedule variant.
     pub fn new(config: ServeConfig) -> Self {
-        Self::with_registry(config, Registry::with_paper_apps())
-    }
-
-    /// A server over a caller-assembled registry.
-    pub fn with_registry(config: ServeConfig, registry: Registry) -> Self {
         let slots = config.max_in_flight.max(1);
         let clock = config.clock.clone();
         let aimd = config
@@ -597,47 +194,26 @@ impl PipelineServer {
             .clone()
             .map(|cfg| AimdController::new(cfg, slots, clock.now()));
         let initial_limit = aimd.as_ref().map_or(slots, AimdController::limit);
+        let buffer_pool = Arc::new(BufferPool::new(POOL_IDLE_BYTES));
         PipelineServer {
             slot_pools: (0..slots)
                 .map(|_| ThreadPool::new(config.threads_per_request.max(1)))
                 .collect(),
             admission: Admission::new(slots, initial_limit, config.queue_capacity, clock.clone()),
-            hub: CoalesceHub::new(&clock),
-            buffer_pool: Arc::new(BufferPool::new(POOL_IDLE_BYTES)),
-            cache: ProgramCache::with_budget(config.cache_max_entries),
+            hub: CoalesceHub::new(clock.clone(), Arc::clone(&buffer_pool)),
+            cache: ProgramCache::new(config.backend, config.opt, config.cache_max_entries),
+            buffer_pool,
             latency: LatencyRecorder::new(),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             realizations: AtomicU64::new(0),
-            coalesce_waiting: AtomicU64::new(0),
             trace_seq: AtomicU64::new(0),
             aimd,
             clock,
-            registry,
             config,
         }
-    }
-
-    /// The server's registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The shared buffer pool (outputs and scratch draw from it).
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.buffer_pool
-    }
-
-    /// The time source the server's control loops read.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
     }
 
     /// The concurrency limit currently in force (`max_in_flight`, or the
@@ -659,7 +235,7 @@ impl PipelineServer {
     /// Coalescing followers currently parked on an in-progress flight
     /// (gauge).
     pub fn coalesce_waiting(&self) -> u64 {
-        self.coalesce_waiting.load(Ordering::Relaxed)
+        self.hub.waiting()
     }
 
     /// Stops dispatching execution slots: running requests finish, new and
@@ -690,14 +266,7 @@ impl PipelineServer {
         width: i64,
         height: i64,
     ) -> ServeResult<Option<Duration>> {
-        let key = ProgramKey::new(
-            app,
-            schedule,
-            self.config.backend,
-            self.config.opt,
-            (width, height),
-            &[],
-        );
+        let key = ProgramKey::new(app, schedule, (width, height), &[]);
         let (entry, cold) = self.cache.get_or_compile(&key)?;
         Ok(cold.then(|| entry.compile_time))
     }
@@ -723,7 +292,7 @@ impl PipelineServer {
                 submitted,
             )
         });
-        let result = self.call_inner(req, submitted, trace.as_mut());
+        let result = self.serve(req, submitted, trace.as_mut());
         match &result {
             Ok(resp) => {
                 self.requests.fetch_add(1, Ordering::Relaxed);
@@ -738,74 +307,21 @@ impl PipelineServer {
             Err(_) => {}
         }
         if let Some(t) = &trace {
-            self.emit_request_trace(req, t, &result);
+            emit_request_trace(req, t, &result, self.clock.now());
         }
         result
     }
 
-    /// Flushes one request's span tree into the global sink: a `request`
-    /// umbrella plus the phases its timestamps witnessed (`queued` →
-    /// `compile` → `realize` → `respond` for leaders, `coalesced-wait` →
-    /// `respond` for followers).
-    fn emit_request_trace(&self, req: &Request, t: &ReqTrace, result: &ServeResult<Response>) {
-        let sink = halide_trace::global();
-        let done = self.clock.now();
-        let event = |name: &str, start: Duration, end: Duration| halide_trace::TraceEvent {
-            name: name.to_string(),
-            cat: "serve",
-            ts_ns: start.as_nanos() as u64,
-            dur_ns: end.saturating_sub(start).as_nanos() as u64,
-            pid: halide_trace::PID_SERVE,
-            tid: t.tid,
-            args: Vec::new(),
-        };
-        let outcome = match result {
-            Ok(resp) if resp.coalesced => "ok-coalesced",
-            Ok(_) => "ok",
-            Err(ServeError::Overloaded { .. }) => "rejected",
-            Err(ServeError::DeadlineExceeded { .. }) => "shed",
-            Err(_) => "error",
-        };
-        let coalesced = matches!(result, Ok(resp) if resp.coalesced)
-            || (t.admitted.is_none() && t.realized.is_some());
-        if let Some(admitted) = t.admitted {
-            sink.record(event("queued", t.submitted, admitted));
-            if let Some(compiled) = t.compiled {
-                let mut e = event("compile", admitted, compiled);
-                e.args.push((
-                    "cache".to_string(),
-                    if t.cache_hit { "hit" } else { "miss" }.to_string(),
-                ));
-                sink.record(e);
-                if let Some(realized) = t.realized {
-                    sink.record(event("realize", compiled, realized));
-                    sink.record(event("respond", realized, done));
-                }
-            }
-        } else if coalesced {
-            if let Some(joined) = t.realized {
-                sink.record(event("coalesced-wait", t.submitted, joined));
-                sink.record(event("respond", joined, done));
-            }
-        }
-        let mut e = event("request", t.submitted, done);
-        e.args.push(("app".to_string(), req.app.name().to_string()));
-        e.args
-            .push(("schedule".to_string(), format!("{:?}", req.schedule)));
-        e.args.push(("outcome".to_string(), outcome.to_string()));
-        sink.record(e);
-    }
-
-    fn call_inner(
+    /// One request from shape check to response: key the program, lead or
+    /// follow its flight, and as leader realize under an admission slot and
+    /// publish to the followers.
+    fn serve(
         &self,
         req: &Request,
         submitted: Duration,
-        mut trace: Option<&mut ReqTrace>,
+        trace: Option<&mut ReqTrace>,
     ) -> ServeResult<Response> {
-        let deadline = req
-            .deadline
-            .or(self.config.default_deadline)
-            .map(|budget| submitted + budget);
+        let deadline = req.deadline.map(|budget| submitted + budget);
         if req.input.dimensions() < 2 {
             return Err(ServeError::Shape(format!(
                 "{} expects a 2-D (or deeper) input, got {} dimension(s)",
@@ -814,87 +330,44 @@ impl PipelineServer {
             )));
         }
         let shape = (req.input.dims()[0].extent, req.input.dims()[1].extent);
-        let key = ProgramKey::new(
-            req.app,
-            req.schedule,
-            self.config.backend,
-            self.config.opt,
-            shape,
-            &req.params,
-        );
+        let key = ProgramKey::new(req.app, req.schedule, shape, &req.params);
 
-        if !self.config.coalescing {
-            let Realized {
-                output,
-                cold_compile,
-                counters,
-            } = self.realize_admitted(req, &key, submitted, deadline, trace.as_deref_mut())?;
-            return Ok(Response {
-                output: self.attach(output),
-                latency: self.clock.now().saturating_sub(submitted),
-                cold_compile,
-                counters,
-                coalesced: false,
-            });
-        }
-
-        let fkey = FlightKey::of(req, shape);
-        match self.hub.join_or_lead(fkey.clone(), Arc::clone(&req.input)) {
+        let leader = match self.hub.join_or_lead(FlightKey::of(req, shape), &req.input) {
+            Role::Leader(leader) => leader,
             Role::Follower(flight) => {
-                self.follow(&flight, submitted, deadline, trace.as_deref_mut())
-            }
-            Role::Leader(flight) => {
-                let led =
-                    self.realize_admitted(req, &key, submitted, deadline, trace.as_deref_mut());
-                match led {
-                    Ok(Realized {
-                        output,
-                        cold_compile,
-                        counters,
-                    }) => {
-                        self.hub.conclude(&fkey);
-                        // The count is frozen by `conclude`: nothing joins a
-                        // flight that has left the map.
-                        let followers = flight.followers.load(Ordering::Relaxed);
-                        let output = if followers == 0 {
-                            // Fast path — nobody coalesced; the realization is
-                            // handed over without a copy, exactly as with
-                            // coalescing off.
-                            self.attach(output)
-                        } else {
-                            let shared = Arc::new(self.attach(output));
-                            self.hub.publish(
-                                &flight,
-                                Ok(FlightShared {
-                                    output: Arc::clone(&shared),
-                                    counters,
-                                }),
-                            );
-                            self.buffer_pool.acquire_copy_of(&shared)
-                        };
-                        Ok(Response {
-                            output,
-                            latency: self.clock.now().saturating_sub(submitted),
-                            cold_compile,
-                            counters,
-                            coalesced: false,
-                        })
-                    }
-                    Err(e) => {
-                        self.hub.conclude(&fkey);
-                        if flight.followers.load(Ordering::Relaxed) > 0 {
-                            self.hub.publish(&flight, Err(e.clone()));
-                        }
-                        Err(e)
-                    }
+                let shared = self.hub.follow(&flight, submitted, deadline);
+                if let Some(t) = trace {
+                    t.realized = Some(self.clock.now());
                 }
+                let Shared { output, counters } = shared?;
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                return Ok(Response {
+                    output: self.buffer_pool.acquire_copy_of(&output),
+                    latency: self.clock.now().saturating_sub(submitted),
+                    cold_compile: None,
+                    counters,
+                    coalesced: true,
+                });
             }
-        }
+        };
+        let realized = self.realize_admitted(req, &key, submitted, deadline, trace);
+        let Realized {
+            output,
+            counters,
+            cold_compile,
+        } = leader.finish(realized)?;
+        Ok(Response {
+            output,
+            latency: self.clock.now().saturating_sub(submitted),
+            cold_compile,
+            counters,
+            coalesced: false,
+        })
     }
 
-    /// Admission, compile-or-lookup, and the realization itself — the slice
-    /// of a request that holds an execution slot. Feeds the AIMD controller
-    /// on completion.
+    /// Admission, program lookup (compiling if cold), and the realization
+    /// itself — the slice of a request that holds an execution slot. Feeds
+    /// the AIMD controller on completion.
     fn realize_admitted(
         &self,
         req: &Request,
@@ -904,7 +377,7 @@ impl PipelineServer {
         mut trace: Option<&mut ReqTrace>,
     ) -> ServeResult<Realized> {
         let slot = match self.admission.acquire(req.priority, deadline) {
-            Ok(slot) => slot,
+            Ok(slot) => self.admission.guard(slot),
             Err(AdmitError::Full) => {
                 return Err(ServeError::Overloaded {
                     in_flight: self.admission.limit(),
@@ -916,10 +389,6 @@ impl PipelineServer {
         if let Some(t) = trace.as_deref_mut() {
             t.admitted = Some(self.clock.now());
         }
-        let guard = SlotGuard {
-            admission: &self.admission,
-            slot: Some(slot),
-        };
 
         let (entry, cold) = self.cache.get_or_compile(key)?;
         if let Some(t) = trace.as_deref_mut() {
@@ -948,7 +417,7 @@ impl PipelineServer {
         realizer = realizer
             .backend(self.config.backend)
             .instrument(false)
-            .thread_pool(self.slot_pools[slot].clone())
+            .thread_pool(self.slot_pools[slot.slot()].clone())
             .buffer_pool(Arc::clone(&self.buffer_pool))
             .input_shared(entry.input_name.clone(), Arc::clone(&req.input));
         for (name, value) in &req.params {
@@ -958,7 +427,7 @@ impl PipelineServer {
         let realization = realizer
             .realize_into(output)
             .map_err(|e| ServeError::Exec(e.to_string()))?;
-        if let Some(t) = trace.as_deref_mut() {
+        if let Some(t) = trace {
             t.realized = Some(self.clock.now());
         }
         let mut counters = realization.counters;
@@ -969,7 +438,7 @@ impl PipelineServer {
         }
         self.realizations.fetch_add(1, Ordering::Relaxed);
 
-        let saturated = guard.release_now();
+        let saturated = slot.release_now();
         if let Some(ctrl) = &self.aimd {
             let now = self.clock.now();
             if let Some(decision) = ctrl.observe(now.saturating_sub(submitted), saturated, now) {
@@ -978,47 +447,9 @@ impl PipelineServer {
         }
 
         Ok(Realized {
-            output: realization.output,
-            cold_compile: cold.then(|| entry.compile_time),
+            output: PooledBuffer::attached(Arc::clone(&self.buffer_pool), realization.output),
             counters,
-        })
-    }
-
-    /// Waits on a flight someone else is realizing and fans its output out
-    /// into a pooled buffer of our own — bit-identical to having realized.
-    fn follow(
-        &self,
-        flight: &Flight,
-        submitted: Duration,
-        deadline: Option<Duration>,
-        trace: Option<&mut ReqTrace>,
-    ) -> ServeResult<Response> {
-        self.coalesce_waiting.fetch_add(1, Ordering::Relaxed);
-        let shared = {
-            let mut flights = self.hub.flights.lock().unwrap();
-            loop {
-                if let Some(result) = flight.result.get() {
-                    break result.clone();
-                }
-                if deadline_passed(deadline, self.clock.now()) {
-                    break Err(self.deadline_exceeded(submitted));
-                }
-                flights = self.clock.wait(&self.hub.cv, flights, deadline);
-            }
-        };
-        self.coalesce_waiting.fetch_sub(1, Ordering::Relaxed);
-        if let Some(t) = trace {
-            t.realized = Some(self.clock.now());
-        }
-        let shared = shared?;
-        let output = self.buffer_pool.acquire_copy_of(&shared.output);
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        Ok(Response {
-            output,
-            latency: self.clock.now().saturating_sub(submitted),
-            cold_compile: None,
-            counters: shared.counters,
-            coalesced: true,
+            cold_compile: cold.then(|| entry.compile_time),
         })
     }
 
@@ -1026,26 +457,6 @@ impl PipelineServer {
         ServeError::DeadlineExceeded {
             waited: self.clock.now().saturating_sub(submitted),
         }
-    }
-
-    /// Wraps a realized output so it returns to the pool when the caller
-    /// drops it.
-    fn attach(&self, output: Buffer) -> PooledBuffer {
-        PooledBuffer::attached(Arc::clone(&self.buffer_pool), output)
-    }
-
-    /// [`PipelineServer::call`] addressed through the registry by name.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownApp`] for unregistered names, otherwise as
-    /// [`PipelineServer::call`].
-    pub fn call_named(&self, name: &str, input: Arc<Buffer>) -> ServeResult<Response> {
-        let spec = self
-            .registry
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownApp(name.to_string()))?;
-        self.call(&Request::new(spec.app, spec.schedule, input))
     }
 
     /// Aggregate statistics: request, rejection, shed, and coalescing
@@ -1065,16 +476,6 @@ impl PipelineServer {
             latency: self.latency.snapshot(),
             pool: self.buffer_pool.stats(),
         }
-    }
-
-    /// The build cost of every compiled artifact currently resident in the
-    /// program cache, keyed by [`ProgramKey`] and sorted most expensive
-    /// first — what each entry cost to lower + compile, i.e. the latency a
-    /// cold request would pay if it were evicted.
-    pub fn compile_costs(&self) -> Vec<(ProgramKey, Duration)> {
-        let mut costs = self.cache.compile_costs();
-        costs.sort_by_key(|(_, cost)| std::cmp::Reverse(*cost));
-        costs
     }
 
     /// Forgets recorded latencies (for phase-separated benchmarking; the
@@ -1122,18 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn named_calls_resolve_through_the_registry() {
-        let server = PipelineServer::new(ServeConfig::default());
-        let input = Arc::new(AppKind::Blur.make_input(64, 32));
-        let resp = server.call_named("blur/naive", Arc::clone(&input)).unwrap();
-        assert_eq!(resp.output.dims()[1].extent, 32);
-        match server.call_named("sharpen/tuned", input) {
-            Err(ServeError::UnknownApp(name)) => assert_eq!(name, "sharpen/tuned"),
-            other => panic!("expected UnknownApp, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn server_output_matches_direct_realization() {
         let server = PipelineServer::new(ServeConfig::default());
         let input = AppKind::Blur.make_input(67, 41);
@@ -1161,14 +550,11 @@ mod tests {
     #[test]
     fn overload_rejects_past_queue_capacity() {
         // One slot, zero queue: a second concurrent request must be refused.
-        let server = PipelineServer::with_registry(
-            ServeConfig {
-                max_in_flight: 1,
-                queue_capacity: 0,
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        );
+        let server = PipelineServer::new(ServeConfig {
+            max_in_flight: 1,
+            queue_capacity: 0,
+            ..ServeConfig::default()
+        });
         // Occupy the only slot manually…
         let slot = server.admission.acquire(Priority::Normal, None).unwrap();
         match server.call(&blur_request(64, 32)) {
@@ -1187,14 +573,11 @@ mod tests {
 
     #[test]
     fn queued_requests_wait_instead_of_failing() {
-        let server = Arc::new(PipelineServer::with_registry(
-            ServeConfig {
-                max_in_flight: 1,
-                queue_capacity: 8,
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        ));
+        let server = Arc::new(PipelineServer::new(ServeConfig {
+            max_in_flight: 1,
+            queue_capacity: 8,
+            ..ServeConfig::default()
+        }));
         // 4 threads through 1 slot with queue room: all succeed.
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1243,15 +626,12 @@ mod tests {
     #[test]
     fn queued_request_expires_under_virtual_clock() {
         let clock = Clock::manual();
-        let server = Arc::new(PipelineServer::with_registry(
-            ServeConfig {
-                max_in_flight: 1,
-                queue_capacity: 4,
-                clock: clock.clone(),
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        ));
+        let server = Arc::new(PipelineServer::new(ServeConfig {
+            max_in_flight: 1,
+            queue_capacity: 4,
+            clock: clock.clone(),
+            ..ServeConfig::default()
+        }));
         // Occupy the only slot so the request queues.
         let slot = server.admission.acquire(Priority::Normal, None).unwrap();
 
@@ -1279,86 +659,6 @@ mod tests {
         assert_eq!(server.in_flight(), 0);
     }
 
-    /// High-priority waiters take freed slots before earlier-arrived normal
-    /// waiters; within a class, arrival order wins.
-    #[test]
-    fn high_priority_jumps_the_queue() {
-        let clock = Clock::manual();
-        let admission = Arc::new(Admission::new(1, 1, 8, clock.clone()));
-        let slot = admission.acquire(Priority::Normal, None).unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-
-        let spawn_waiter = |priority: Priority, tag: &'static str| {
-            let admission = Arc::clone(&admission);
-            let order = Arc::clone(&order);
-            std::thread::spawn(move || {
-                let slot = admission.acquire(priority, None).unwrap();
-                order.lock().unwrap().push(tag);
-                admission.release(slot);
-            })
-        };
-        // Normal queues first…
-        let normal = spawn_waiter(Priority::Normal, "normal");
-        while admission.queued() != 1 {
-            std::thread::yield_now();
-        }
-        // …then two high-priority arrivals.
-        let high_a = spawn_waiter(Priority::High, "high-a");
-        while admission.queued() != 2 {
-            std::thread::yield_now();
-        }
-        let high_b = spawn_waiter(Priority::High, "high-b");
-        while admission.queued() != 3 {
-            std::thread::yield_now();
-        }
-
-        admission.release(slot);
-        for t in [high_a, high_b, normal] {
-            t.join().unwrap();
-        }
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec!["high-a", "high-b", "normal"],
-            "queue-jump order"
-        );
-    }
-
-    /// An expired waiter is skipped at dispatch even if it has not woken
-    /// yet: the grant goes straight to a live waiter.
-    #[test]
-    fn dispatch_skips_expired_waiters() {
-        let clock = Clock::manual();
-        let admission = Arc::new(Admission::new(1, 1, 8, clock.clone()));
-        let slot = admission.acquire(Priority::Normal, None).unwrap();
-
-        let doomed = {
-            let admission = Arc::clone(&admission);
-            std::thread::spawn(move || {
-                admission.acquire(Priority::High, Some(Duration::from_millis(5)))
-            })
-        };
-        while admission.queued() != 1 {
-            std::thread::yield_now();
-        }
-        let live = {
-            let admission = Arc::clone(&admission);
-            std::thread::spawn(move || admission.acquire(Priority::Normal, None))
-        };
-        while admission.queued() != 2 {
-            std::thread::yield_now();
-        }
-
-        clock.advance(Duration::from_millis(6));
-        // The doomed waiter sheds itself on the advance wake.
-        assert_eq!(doomed.join().unwrap(), Err(AdmitError::Expired));
-        // The freed slot must reach the live normal waiter, not the expired
-        // high-priority one.
-        admission.release(slot);
-        let granted = live.join().unwrap().expect("live waiter runs");
-        admission.release(granted);
-        assert_eq!(admission.in_flight(), 0);
-    }
-
     // ---- coalescing -------------------------------------------------------
 
     /// N identical concurrent requests: one compile, one realization,
@@ -1368,14 +668,11 @@ mod tests {
     #[test]
     fn coalesced_requests_realize_once_and_fan_out() {
         const CLIENTS: usize = 4;
-        let server = Arc::new(PipelineServer::with_registry(
-            ServeConfig {
-                max_in_flight: 2,
-                queue_capacity: 8,
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        ));
+        let server = Arc::new(PipelineServer::new(ServeConfig {
+            max_in_flight: 2,
+            queue_capacity: 8,
+            ..ServeConfig::default()
+        }));
         let input = Arc::new(AppKind::Blur.make_input(64, 48));
         let req = Request::new(AppKind::Blur, ScheduleChoice::Tuned, Arc::clone(&input));
 
@@ -1430,21 +727,6 @@ mod tests {
         assert_eq!(stats.realizations, 3, "sequential requests never coalesce");
     }
 
-    /// Coalescing can be disabled wholesale.
-    #[test]
-    fn coalescing_can_be_disabled() {
-        let server = PipelineServer::with_registry(
-            ServeConfig {
-                coalescing: false,
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        );
-        let resp = server.call(&blur_request(64, 32)).unwrap();
-        assert!(!resp.coalesced);
-        assert_eq!(server.stats().realizations, 1);
-    }
-
     // ---- adaptive concurrency --------------------------------------------
 
     /// With a zero-length decision window every completion closes a window,
@@ -1452,18 +734,15 @@ mod tests {
     /// climb from 1 toward the ceiling.
     #[test]
     fn adaptive_limit_discovers_width() {
-        let server = PipelineServer::with_registry(
-            ServeConfig {
-                max_in_flight: 4,
-                adaptive: Some(AimdConfig {
-                    initial_in_flight: 1,
-                    window: Duration::ZERO,
-                    ..AimdConfig::default()
-                }),
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        );
+        let server = PipelineServer::new(ServeConfig {
+            max_in_flight: 4,
+            adaptive: Some(AimdConfig {
+                initial_in_flight: 1,
+                window: Duration::ZERO,
+                ..AimdConfig::default()
+            }),
+            ..ServeConfig::default()
+        });
         assert_eq!(server.concurrency_limit(), 1);
         let req = blur_request(64, 32);
         for _ in 0..3 {
@@ -1491,13 +770,10 @@ mod tests {
     #[test]
     fn request_spans_follow_the_manual_clock() {
         let clock = Clock::manual();
-        let server = Arc::new(PipelineServer::with_registry(
-            ServeConfig {
-                clock: clock.clone(),
-                ..ServeConfig::default()
-            },
-            Registry::with_paper_apps(),
-        ));
+        let server = Arc::new(PipelineServer::new(ServeConfig {
+            clock: clock.clone(),
+            ..ServeConfig::default()
+        }));
         halide_trace::set_enabled(true);
         server.pause();
         let client = {
@@ -1550,40 +826,5 @@ mod tests {
         let c = next(q, "compile");
         next(&c, "realize");
         assert!(c.args.iter().any(|(k, v)| k == "cache" && v == "miss"));
-    }
-
-    /// The cache's compile-cost surface reports each resident artifact once,
-    /// keyed by its ProgramKey, with the cost the cold request paid.
-    #[test]
-    fn compile_costs_report_resident_artifacts() {
-        let server = PipelineServer::new(ServeConfig::default());
-        assert!(server.compile_costs().is_empty());
-        server.call(&blur_request(64, 32)).unwrap();
-        server.call(&blur_request(96, 32)).unwrap();
-        let costs = server.compile_costs();
-        assert_eq!(costs.len(), 2);
-        assert!(costs.iter().all(|(k, _)| k.app == AppKind::Blur));
-        assert!(costs[0].1 >= costs[1].1, "sorted most expensive first");
-        assert!(costs.iter().all(|(_, c)| *c > Duration::ZERO));
-    }
-
-    /// Raising the limit dispatches already-queued waiters.
-    #[test]
-    fn raising_the_limit_dispatches_waiters() {
-        let clock = Clock::manual();
-        let admission = Arc::new(Admission::new(4, 1, 8, clock));
-        let first = admission.acquire(Priority::Normal, None).unwrap();
-        let waiter = {
-            let admission = Arc::clone(&admission);
-            std::thread::spawn(move || admission.acquire(Priority::Normal, None))
-        };
-        while admission.queued() != 1 {
-            std::thread::yield_now();
-        }
-        admission.set_limit(2);
-        let second = waiter.join().unwrap().expect("limit now admits two");
-        assert_eq!(admission.in_flight(), 2);
-        admission.release(first);
-        admission.release(second);
     }
 }

@@ -1,26 +1,24 @@
-//! Table-driven cache-key fragmentation test: exactly the six axes of
-//! [`ProgramKey`] — app, schedule, backend, optimizer level, output shape,
-//! and scalar-parameter *signature* — may fragment the program cache, and
-//! each one must. Anything else (parameter values, parameter binding order,
-//! duplicate bindings) must collapse onto an existing entry and come back
-//! warm, because a knob that recompiles per value defeats the
-//! compile-once / realize-many contract the serving layer exists for.
+//! Table-driven cache-key fragmentation test: exactly the four axes of
+//! [`ProgramKey`] — app, schedule, output shape, and scalar-parameter
+//! *signature* — may fragment the program cache, and each one must.
+//! Anything else (parameter values, parameter binding order, duplicate
+//! bindings) must collapse onto an existing entry and come back warm,
+//! because a knob that recompiles per value defeats the compile-once /
+//! realize-many contract the serving layer exists for. The backend and the
+//! optimizer level are not key axes: a cache is built for one of each.
 
 use halide_exec::{Backend, OptLevel};
 use halide_pipelines::{AppKind, ScheduleChoice};
 use halide_serve::{ParamValue, ProgramCache, ProgramKey};
 
+fn gain(v: f32) -> Vec<(String, ParamValue)> {
+    vec![("gain".to_string(), ParamValue::F32(v))]
+}
+
 /// The base point in key space every variation below starts from. Small
 /// shape so the whole table compiles in well under a second.
 fn base_key() -> ProgramKey {
-    ProgramKey::new(
-        AppKind::Blur,
-        ScheduleChoice::Tuned,
-        Backend::Compiled,
-        OptLevel::Default,
-        (32, 32),
-        &[("gain".to_string(), ParamValue::F32(1.0))],
-    )
+    ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (32, 32), &gain(1.0))
 }
 
 /// One row of the fragmentation table: a named single-axis variation of the
@@ -31,70 +29,29 @@ struct Axis {
 }
 
 fn fragmenting_axes() -> Vec<Axis> {
-    let gain = |v: f32| vec![("gain".to_string(), ParamValue::F32(v))];
     vec![
         Axis {
             name: "app",
             key: ProgramKey::new(
                 AppKind::Histogram,
                 ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
                 (32, 32),
                 &gain(1.0),
             ),
         },
         Axis {
             name: "schedule",
-            key: ProgramKey::new(
-                AppKind::Blur,
-                ScheduleChoice::Naive,
-                Backend::Compiled,
-                OptLevel::Default,
-                (32, 32),
-                &gain(1.0),
-            ),
-        },
-        Axis {
-            name: "backend",
-            key: ProgramKey::new(
-                AppKind::Blur,
-                ScheduleChoice::Tuned,
-                Backend::Interp,
-                OptLevel::Default,
-                (32, 32),
-                &gain(1.0),
-            ),
-        },
-        Axis {
-            name: "opt-level",
-            key: ProgramKey::new(
-                AppKind::Blur,
-                ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::None,
-                (32, 32),
-                &gain(1.0),
-            ),
+            key: ProgramKey::new(AppKind::Blur, ScheduleChoice::Naive, (32, 32), &gain(1.0)),
         },
         Axis {
             name: "shape",
-            key: ProgramKey::new(
-                AppKind::Blur,
-                ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
-                (48, 32),
-                &gain(1.0),
-            ),
+            key: ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (48, 32), &gain(1.0)),
         },
         Axis {
             name: "param-signature (extra name)",
             key: ProgramKey::new(
                 AppKind::Blur,
                 ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
                 (32, 32),
                 &[
                     ("gain".to_string(), ParamValue::F32(1.0)),
@@ -107,8 +64,6 @@ fn fragmenting_axes() -> Vec<Axis> {
             key: ProgramKey::new(
                 AppKind::Blur,
                 ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
                 (32, 32),
                 &[("gain".to_string(), ParamValue::I32(1))],
             ),
@@ -121,22 +76,13 @@ fn collapsing_keys() -> Vec<(&'static str, ProgramKey)> {
     vec![
         (
             "different param value",
-            ProgramKey::new(
-                AppKind::Blur,
-                ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
-                (32, 32),
-                &[("gain".to_string(), ParamValue::F32(-7.25))],
-            ),
+            ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (32, 32), &gain(-7.25)),
         ),
         (
             "duplicate binding of the same param",
             ProgramKey::new(
                 AppKind::Blur,
                 ScheduleChoice::Tuned,
-                Backend::Compiled,
-                OptLevel::Default,
                 (32, 32),
                 &[
                     ("gain".to_string(), ParamValue::F32(1.0)),
@@ -149,7 +95,7 @@ fn collapsing_keys() -> Vec<(&'static str, ProgramKey)> {
 
 #[test]
 fn every_axis_fragments_and_nothing_else_does() {
-    let cache = ProgramCache::new();
+    let cache = ProgramCache::new(Backend::Compiled, OptLevel::Default, usize::MAX);
     let base = base_key();
 
     let (_, cold) = cache.get_or_compile(&base).unwrap();
@@ -204,28 +150,24 @@ fn every_axis_fragments_and_nothing_else_does() {
     );
 }
 
-/// The two compiled-backend entries that differ only in [`OptLevel`] are
+/// The same key compiled by caches at the two [`OptLevel`]s gives
 /// genuinely different artifacts: same semantics, different instruction
-/// streams. This is why the level has to live in the key.
+/// streams. This is why a cache is built for one level.
 #[test]
 fn opt_levels_are_distinct_artifacts() {
-    let cache = ProgramCache::new();
-    let key = |opt| {
-        ProgramKey::new(
-            AppKind::Blur,
-            ScheduleChoice::Tuned,
-            Backend::Compiled,
-            opt,
-            (32, 32),
-            &[],
-        )
+    let key = ProgramKey::new(AppKind::Blur, ScheduleChoice::Tuned, (32, 32), &[]);
+    let compile = |opt| {
+        let cache = ProgramCache::new(Backend::Compiled, opt, usize::MAX);
+        let (entry, cold) = cache.get_or_compile(&key).unwrap();
+        assert!(cold);
+        entry
     };
-    let (none, _) = cache.get_or_compile(&key(OptLevel::None)).unwrap();
-    let (opt, _) = cache.get_or_compile(&key(OptLevel::Default)).unwrap();
-    assert_eq!(cache.len(), 2);
+    let none = compile(OptLevel::None);
+    let opt = compile(OptLevel::Default);
 
     let none_report = none.program.as_ref().unwrap().opt_report();
     let opt_report = opt.program.as_ref().unwrap().opt_report();
+    assert_eq!(none_report.level, OptLevel::None);
     assert_eq!(none_report.before_insts, none_report.after_insts);
     assert!(
         opt_report.after_insts < opt_report.before_insts,

@@ -48,7 +48,6 @@ fn main() {
         ..ServeConfig::default()
     });
 
-    println!("registry: {} named pipelines", server.registry().len());
     println!("warming {} programs at {w}x{h}...", apps.len());
     for app in apps {
         let cold = server

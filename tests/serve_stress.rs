@@ -8,7 +8,7 @@ use std::sync::Arc;
 use halide::exec::Realizer;
 use halide::pipelines::{AppKind, ScheduleChoice};
 use halide::runtime::BufferPool;
-use halide::serve::{PipelineServer, Registry, Request, ServeConfig};
+use halide::serve::{PipelineServer, Request, ServeConfig};
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 6;
@@ -107,14 +107,11 @@ fn server_under_concurrent_mixed_load_matches_direct_runs() {
         })
         .collect();
 
-    let server = PipelineServer::with_registry(
-        ServeConfig {
-            max_in_flight: 4,
-            queue_capacity: 64,
-            ..ServeConfig::default()
-        },
-        Registry::with_paper_apps(),
-    );
+    let server = PipelineServer::new(ServeConfig {
+        max_in_flight: 4,
+        queue_capacity: 64,
+        ..ServeConfig::default()
+    });
     let inputs: Vec<Arc<_>> = apps.iter().map(|a| Arc::new(a.make_input(w, h))).collect();
     // Pre-compile so no two threads race the same cold key (a race would
     // compile twice and keep one — correct, but the counts below are exact
@@ -181,14 +178,11 @@ fn coalesced_batch_is_bit_identical_and_realizes_once() {
         .output
         .to_f64_vec();
 
-    let server = Arc::new(PipelineServer::with_registry(
-        ServeConfig {
-            max_in_flight: 4,
-            queue_capacity: 64,
-            ..ServeConfig::default()
-        },
-        Registry::with_paper_apps(),
-    ));
+    let server = Arc::new(PipelineServer::new(ServeConfig {
+        max_in_flight: 4,
+        queue_capacity: 64,
+        ..ServeConfig::default()
+    }));
 
     const BATCHES: usize = 3;
     for batch in 0..BATCHES {
@@ -262,16 +256,12 @@ fn eviction_and_shedding_churn_never_corrupts_results() {
         })
         .collect();
 
-    let server = PipelineServer::with_registry(
-        ServeConfig {
-            max_in_flight: 1,
-            queue_capacity: 2,
-            cache_max_entries: 2, // three hot apps: guaranteed eviction churn
-            default_deadline: Some(Duration::from_secs(5)),
-            ..ServeConfig::default()
-        },
-        Registry::with_paper_apps(),
-    );
+    let server = PipelineServer::new(ServeConfig {
+        max_in_flight: 1,
+        queue_capacity: 2,
+        cache_max_entries: 2, // three hot apps: guaranteed eviction churn
+        ..ServeConfig::default()
+    });
     let inputs: Vec<Arc<_>> = apps.iter().map(|a| Arc::new(a.make_input(w, h))).collect();
 
     let (mut ok, mut overloaded, mut shed) = (0u64, 0u64, 0u64);
@@ -283,13 +273,16 @@ fn eviction_and_shedding_churn_never_corrupts_results() {
                 let (mut ok, mut overloaded, mut shed) = (0u64, 0u64, 0u64);
                 for round in 0..ROUNDS {
                     let i = (t + round) % apps.len();
-                    // A sprinkle of effectively-instant deadlines exercises
-                    // shedding alongside real traffic.
-                    let mut req =
-                        Request::new(apps[i], ScheduleChoice::Tuned, Arc::clone(&inputs[i]));
-                    if (t + round) % 7 == 0 {
-                        req = req.deadline(Duration::ZERO);
-                    }
+                    // Every request carries a 5 s budget; a sprinkle of
+                    // effectively-instant deadlines exercises shedding
+                    // alongside real traffic.
+                    let budget = if (t + round) % 7 == 0 {
+                        Duration::ZERO
+                    } else {
+                        Duration::from_secs(5)
+                    };
+                    let req = Request::new(apps[i], ScheduleChoice::Tuned, Arc::clone(&inputs[i]))
+                        .deadline(budget);
                     match server.call(&req) {
                         Ok(resp) => {
                             ok += 1;

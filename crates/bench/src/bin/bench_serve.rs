@@ -30,9 +30,7 @@
 //!   overflow the queue; its flooded p99 must stay within 2x its
 //!   uncontended p99;
 //! * **coalesce** — a paused-server batch of identical requests must
-//!   compile once, realize once, and fan out to every client;
-//! * **adaptive** — an AIMD-limited server must discover a concurrency
-//!   limit wider than its starting width from p95 feedback alone.
+//!   compile once, realize once, and fan out to every client.
 //!
 //! `--full` additionally measures the **full-resolution tier**: warm-path
 //! latency per app at 1920x1080 (best of two requests after priming, one
@@ -50,7 +48,7 @@ use std::time::Instant;
 
 use halide_bench::{Args, CliSpec};
 use halide_pipelines::{AppKind, ScheduleChoice};
-use halide_serve::{AimdConfig, PipelineServer, Priority, Request, ServeConfig, ServeError};
+use halide_serve::{PipelineServer, Priority, Request, ServeConfig, ServeError};
 use halide_trace::JsonValue;
 
 /// The apps of the full-resolution tier: two light pipelines and two deep
@@ -180,8 +178,6 @@ impl Report {
             ("coalesce_realizations", o.coalesce_realizations.into()),
             ("coalesce_cold_compiles", o.coalesce_cold_compiles.into()),
             ("coalesce_fanout", o.coalesce_fanout.into()),
-            ("adaptive_initial_limit", o.adaptive_initial.into()),
-            ("adaptive_peak_limit", o.adaptive_peak.into()),
         ]);
         JsonValue::object([
             (
@@ -255,13 +251,6 @@ impl Report {
             (overload.coalesce_clients - 1) as u64,
             "every non-leader in the coalesced batch must be served by fan-out"
         );
-        assert!(
-            overload.adaptive_peak > overload.adaptive_initial,
-            "the AIMD controller must discover a wider limit than its starting \
-             width under healthy saturated traffic, got {} -> {}",
-            overload.adaptive_initial,
-            overload.adaptive_peak
-        );
     }
 }
 
@@ -288,8 +277,6 @@ struct OverloadReport {
     coalesce_realizations: u64,
     coalesce_cold_compiles: u64,
     coalesce_fanout: u64,
-    adaptive_initial: usize,
-    adaptive_peak: usize,
 }
 
 /// Nearest-rank p99 of an unsorted latency sample, in ms.
@@ -303,8 +290,7 @@ fn p99_ms(samples: &mut [f64]) -> f64 {
 }
 
 /// Drives the degradation mode end to end: capacity baseline, shed-mode
-/// goodput, high-priority latency under queue-jump, coalescing fan-out,
-/// AIMD discovery.
+/// goodput, high-priority latency under queue-jump, coalescing fan-out.
 ///
 /// High-priority requests use a larger shape than the normal churn: the
 /// latency-sensitive class queue-jumps, so its wait is bounded by the
@@ -510,56 +496,6 @@ fn run_overload_scenario() -> OverloadReport {
     let coalesce_cold_compiles = cstats.cold_compiles - pre.cold_compiles;
     let coalesce_fanout = cstats.coalesced - pre.coalesced;
 
-    // ---- adaptive: AIMD discovers width from p95 feedback ----------------
-    let srv = PipelineServer::new(ServeConfig {
-        max_in_flight: SLOTS * 2,
-        queue_capacity: 4 * SLOTS,
-        threads_per_request: 1,
-        adaptive: Some(AimdConfig {
-            initial_in_flight: 1,
-            window: Duration::from_millis(10),
-            ..AimdConfig::default()
-        }),
-        ..ServeConfig::default()
-    });
-    srv.warm(APP, ScheduleChoice::Tuned, NORMAL_SIZE.0, NORMAL_SIZE.1)
-        .expect("warms");
-    let adaptive_initial = srv.concurrency_limit();
-    let adaptive_inputs: Vec<_> = (0..SLOTS).map(|_| make_input(NORMAL_SIZE)).collect();
-    const ADAPTIVE_PER_CLIENT: usize = 600;
-    // The limit oscillates by design (probe up, back off on a noisy
-    // window), so "discovered width" is the widest limit the controller
-    // reached, sampled while the clients run.
-    let done = std::sync::atomic::AtomicBool::new(false);
-    let adaptive_peak = std::thread::scope(|scope| {
-        let sampler = {
-            let (srv, done) = (&srv, &done);
-            scope.spawn(move || {
-                let mut max = srv.concurrency_limit();
-                while !done.load(std::sync::atomic::Ordering::Relaxed) {
-                    max = max.max(srv.concurrency_limit());
-                    std::thread::yield_now();
-                }
-                max.max(srv.concurrency_limit())
-            })
-        };
-        let mut clients = Vec::new();
-        for input in &adaptive_inputs {
-            let srv = &srv;
-            clients.push(scope.spawn(move || {
-                let req = Request::new(APP, ScheduleChoice::Tuned, Arc::clone(input));
-                for _ in 0..ADAPTIVE_PER_CLIENT {
-                    srv.call(&req).expect("adaptive-phase request");
-                }
-            }));
-        }
-        for c in clients {
-            c.join().expect("adaptive client");
-        }
-        done.store(true, std::sync::atomic::Ordering::Relaxed);
-        sampler.join().expect("limit sampler")
-    });
-
     let report = OverloadReport {
         slots: SLOTS,
         queue_capacity: QUEUE,
@@ -578,14 +514,11 @@ fn run_overload_scenario() -> OverloadReport {
         coalesce_realizations,
         coalesce_cold_compiles,
         coalesce_fanout,
-        adaptive_initial,
-        adaptive_peak,
     };
     eprintln!(
         "overload: capacity {:.0} req/s (p99 {:.3}ms) | shed-mode goodput {:.0} req/s \
          ({:.0}% of capacity; ok {} rejected {} shed {}) | high-prio p99 {:.3}ms \
-         vs uncontended {:.3}ms ({:.2}x) | coalesce {} clients -> {} realization(s) | \
-         adaptive limit {} -> peak {}",
+         vs uncontended {:.3}ms ({:.2}x) | coalesce {} clients -> {} realization(s)",
         report.capacity_rps,
         report.capacity_p99_ms,
         report.goodput_rps,
@@ -598,8 +531,6 @@ fn run_overload_scenario() -> OverloadReport {
         report.high_p99_over_unc,
         report.coalesce_clients,
         report.coalesce_realizations,
-        report.adaptive_initial,
-        report.adaptive_peak,
     );
     report
 }

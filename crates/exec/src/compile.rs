@@ -36,8 +36,9 @@ use std::collections::HashMap;
 
 use halide_ir::{BinOp, CmpOp, ForKind, ScalarType, Stmt};
 use halide_lower::Module;
+use halide_runtime::{binary_op, Value};
 
-use crate::error::Result;
+use crate::error::{ExecError, Result};
 use crate::opt::{optimize, OptLevel, OptReport, PirStage};
 
 /// A unary math intrinsic, resolved to its function pointer.
@@ -56,6 +57,62 @@ pub(crate) enum CIntrinsic {
     Abs,
     /// `min`/`max` as intrinsics: same semantics as the binary operator.
     MinMax(BinOp),
+}
+
+/// Every intrinsic both engines know: name, resolution, arity.
+pub(crate) const INTRINSICS: [(&str, CIntrinsic, usize); 14] = [
+    ("abs", CIntrinsic::Abs, 1),
+    ("sqrt", CIntrinsic::Unary(f64::sqrt), 1),
+    ("exp", CIntrinsic::Unary(f64::exp), 1),
+    ("log", CIntrinsic::Unary(f64::ln), 1),
+    ("sin", CIntrinsic::Unary(f64::sin), 1),
+    ("cos", CIntrinsic::Unary(f64::cos), 1),
+    ("floor", CIntrinsic::Unary(f64::floor), 1),
+    ("ceil", CIntrinsic::Unary(f64::ceil), 1),
+    ("round", CIntrinsic::Unary(f64::round), 1),
+    ("tanh", CIntrinsic::Unary(f64::tanh), 1),
+    ("pow", CIntrinsic::Binary(f64::powf), 2),
+    ("atan2", CIntrinsic::Binary(f64::atan2), 2),
+    ("min", CIntrinsic::MinMax(BinOp::Min), 2),
+    ("max", CIntrinsic::MinMax(BinOp::Max), 2),
+];
+
+impl CIntrinsic {
+    /// Resolves a call of `name` with `nargs` arguments through
+    /// [`INTRINSICS`]; an unknown name or too few arguments is an error.
+    pub(crate) fn resolve(name: &str, nargs: usize) -> Result<CIntrinsic> {
+        let Some(&(_, f, arity)) = INTRINSICS.iter().find(|(n, ..)| *n == name) else {
+            return Err(ExecError::new(format!("unknown intrinsic {name:?}")));
+        };
+        if nargs < arity {
+            return Err(ExecError::new(format!(
+                "intrinsic {name:?} takes {arity} arguments, got {nargs}"
+            )));
+        }
+        Ok(f)
+    }
+
+    /// Applies the intrinsic to evaluated arguments: float-valued math over
+    /// every lane of the first argument (a scalar second argument is
+    /// broadcast), kind-preserving `abs`, and `min`/`max` exactly as the
+    /// binary operator.
+    pub(crate) fn apply(self, args: &[Value]) -> Value {
+        match self {
+            CIntrinsic::Unary(f) => {
+                Value::Float(args[0].to_f64_lanes().into_iter().map(f).collect())
+            }
+            CIntrinsic::Binary(f) => {
+                let a = args[0].to_f64_lanes();
+                let b = args[1].broadcast(args[0].lanes()).to_f64_lanes();
+                Value::Float(a.iter().zip(&b).map(|(x, y)| f(*x, *y)).collect())
+            }
+            CIntrinsic::Abs => match &args[0] {
+                Value::Int(v) => Value::Int(v.iter().map(|x| x.abs()).collect()),
+                Value::Float(v) => Value::Float(v.iter().map(|x| x.abs()).collect()),
+            },
+            CIntrinsic::MinMax(op) => binary_op(op, &args[0], &args[1]),
+        }
+    }
 }
 
 /// A compiled expression node. Slots and buffer indices are resolved;

@@ -17,6 +17,7 @@ use halide_runtime::{
     binary_op, compare_op, select_op, Buffer, BufferPool, Counters, ThreadPool, Value,
 };
 
+use crate::compile::CIntrinsic;
 use crate::error::{ExecError, Result};
 
 /// Shared, thread-safe execution context for one realization.
@@ -204,43 +205,6 @@ impl Frame {
     }
 }
 
-pub(crate) fn eval_intrinsic(name: &str, args: &[Value]) -> Result<Value> {
-    let unary = |f: fn(f64) -> f64| -> Result<Value> {
-        Ok(Value::Float(
-            args[0].to_f64_lanes().iter().map(|v| f(*v)).collect(),
-        ))
-    };
-    let binary = |f: fn(f64, f64) -> f64| -> Result<Value> {
-        let a = args[0].to_f64_lanes();
-        let b = args[1].broadcast(args[0].lanes()).to_f64_lanes();
-        Ok(Value::Float(
-            a.iter().zip(b.iter()).map(|(x, y)| f(*x, *y)).collect(),
-        ))
-    };
-    match name {
-        "abs" => Ok(match &args[0] {
-            Value::Int(v) => Value::Int(v.iter().map(|x| x.abs()).collect()),
-            Value::Float(v) => Value::Float(v.iter().map(|x| x.abs()).collect()),
-        }),
-        "sqrt" => unary(f64::sqrt),
-        "exp" => unary(f64::exp),
-        "log" => unary(f64::ln),
-        "sin" => unary(f64::sin),
-        "cos" => unary(f64::cos),
-        "floor" => unary(f64::floor),
-        "ceil" => unary(f64::ceil),
-        "round" => unary(f64::round),
-        "tanh" => unary(f64::tanh),
-        "pow" => binary(|x, y| x.powf(y)),
-        "atan2" => binary(f64::atan2),
-        // min/max as intrinsics: identical semantics to the binary operator
-        // (kind-preserving, broadcasting the scalar side).
-        "min" => Ok(binary_op(halide_ir::BinOp::Min, &args[0], &args[1])),
-        "max" => Ok(binary_op(halide_ir::BinOp::Max, &args[0], &args[1])),
-        other => Err(ExecError::new(format!("unknown intrinsic {other:?}"))),
-    }
-}
-
 /// Evaluates an expression to a [`Value`].
 pub fn eval_expr(e: &Expr, frame: &Frame, ctx: &Context) -> Result<Value> {
     match e.node() {
@@ -414,6 +378,7 @@ pub fn eval_expr(e: &Expr, frame: &Frame, ctx: &Context) -> Result<Value> {
             ..
         } => match call_type {
             CallType::Intrinsic => {
+                let f = CIntrinsic::resolve(name, args.len())?;
                 let vals: Vec<Value> = args
                     .iter()
                     .map(|a| eval_expr(a, frame, ctx))
@@ -421,7 +386,7 @@ pub fn eval_expr(e: &Expr, frame: &Frame, ctx: &Context) -> Result<Value> {
                 if ctx.instrument {
                     ctx.counters.add_arith(1);
                 }
-                eval_intrinsic(name, &vals)
+                Ok(f.apply(&vals))
             }
             CallType::Halide | CallType::Image => Err(ExecError::new(format!(
                 "call to {name:?} survived lowering; the statement was not flattened"

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use halide_ir::ForKind;
 use halide_runtime::{
-    binary_op, binary_op_owned, cast_owned, compare_op_owned, not_op_owned, scalar_binary_op,
+    binary_op_owned, cast_owned, compare_op_owned, not_op_owned, scalar_binary_op,
     scalar_compare_op, select_op_owned, AccessPattern, Buffer, Lanes, Scalar, Value,
 };
 
@@ -710,53 +710,23 @@ fn oob(prog: &Program, buf: u32, what: &str, i: i64, len: usize) -> ExecError {
     ))
 }
 
-/// Applies a resolved intrinsic with the same lane semantics as
-/// `eval::eval_intrinsic`.
-fn apply_intrinsic(f: CIntrinsic, mut args: Vec<CValue>) -> CValue {
-    match f {
-        CIntrinsic::Unary(f) => match args.swap_remove(0) {
-            CValue::S(s) => CValue::S(Scalar::Float(f(s.as_f64()))),
-            other => vv(Value::Float(
-                other
-                    .into_value()
-                    .to_f64_lanes()
-                    .iter()
-                    .map(|x| f(*x))
-                    .collect(),
-            )),
-        },
-        CIntrinsic::Binary(f) => {
-            let b = args.swap_remove(1);
-            let a = args.swap_remove(0);
-            match (a, b) {
-                (CValue::S(a), CValue::S(b)) => CValue::S(Scalar::Float(f(a.as_f64(), b.as_f64()))),
-                (a, b) => {
-                    let lanes = a.lanes();
-                    let av = a.into_value().to_f64_lanes();
-                    let bv = b.into_value().broadcast(lanes).to_f64_lanes();
-                    vv(Value::Float(
-                        av.iter().zip(bv.iter()).map(|(x, y)| f(*x, *y)).collect(),
-                    ))
-                }
-            }
+/// Applies a resolved intrinsic: unboxed on all-scalar arguments, otherwise
+/// through [`CIntrinsic::apply`], the interpreter's lane rules.
+fn apply_intrinsic(f: CIntrinsic, args: Vec<CValue>) -> CValue {
+    let s = match (f, args.as_slice()) {
+        (CIntrinsic::Unary(f), [CValue::S(x), ..]) => Scalar::Float(f(x.as_f64())),
+        (CIntrinsic::Binary(f), [CValue::S(a), CValue::S(b), ..]) => {
+            Scalar::Float(f(a.as_f64(), b.as_f64()))
         }
-        CIntrinsic::Abs => match args.swap_remove(0) {
-            CValue::S(Scalar::Int(v)) => CValue::S(Scalar::Int(v.abs())),
-            CValue::S(Scalar::Float(v)) => CValue::S(Scalar::Float(v.abs())),
-            other => vv(match other.into_value() {
-                Value::Int(v) => Value::Int(v.iter().map(|x| x.abs()).collect()),
-                Value::Float(v) => Value::Float(v.iter().map(|x| x.abs()).collect()),
-            }),
-        },
-        CIntrinsic::MinMax(op) => {
-            let b = args.swap_remove(1);
-            let a = args.swap_remove(0);
-            match (a, b) {
-                (CValue::S(a), CValue::S(b)) => CValue::S(scalar_binary_op(op, a, b)),
-                (a, b) => vv(binary_op(op, &a.into_value(), &b.into_value())),
-            }
+        (CIntrinsic::Abs, [CValue::S(Scalar::Int(v)), ..]) => Scalar::Int(v.abs()),
+        (CIntrinsic::Abs, [CValue::S(Scalar::Float(v)), ..]) => Scalar::Float(v.abs()),
+        (CIntrinsic::MinMax(op), [CValue::S(a), CValue::S(b), ..]) => scalar_binary_op(op, *a, *b),
+        _ => {
+            let vals: Vec<Value> = args.into_iter().map(CValue::into_value).collect();
+            return vv(f.apply(&vals));
         }
-    }
+    };
+    CValue::S(s)
 }
 
 /// Executes a compiled statement.
@@ -1018,31 +988,49 @@ mod tests {
         )
     }
 
+    /// Every entry of the shared intrinsic table gives bit-identical results
+    /// on both backends for float and integer scalars and a float vector.
     #[test]
     fn intrinsics_agree_on_both_backends() {
-        let x = Expr::var_i32("i").cast(Type::f32()) + 0.5f32;
-        let xi = Expr::var_i32("i") - 3;
-        let cases: Vec<Expr> = vec![
-            x.sqrt(),
-            x.exp(),
-            x.log(),
-            x.pow(Expr::f32(1.7)),
-            x.abs(),
-            xi.abs().cast(Type::f32()),
-            x.floor(),
-            x.ceil(),
-            Expr::intrinsic("round", vec![x.clone()], Type::f32()),
-            Expr::intrinsic("sin", vec![x.clone()], Type::f32()),
-            Expr::intrinsic("cos", vec![x.clone()], Type::f32()),
-            Expr::intrinsic("tanh", vec![x.clone()], Type::f32()),
-            Expr::intrinsic("atan2", vec![x.clone(), Expr::f32(2.0)], Type::f32()),
-            Expr::intrinsic("min", vec![x.clone(), Expr::f32(3.0)], Type::f32()),
-            Expr::intrinsic("max", vec![x.clone(), Expr::f32(3.0)], Type::f32()),
-            Expr::intrinsic("min", vec![xi.clone(), Expr::int(0)], Type::i32()).cast(Type::f32()),
-            Expr::intrinsic("max", vec![xi, Expr::int(0)], Type::i32()).cast(Type::f32()),
+        let i = Expr::var_i32("i");
+        let ramp = Expr::ramp(i.clone() * 4, Expr::int(1), 4);
+        let float = i.clone().cast(Type::f32()) + 0.5f32;
+        let vector = ramp.clone().cast(Type::f32()) * 0.25f32 + 0.5f32;
+        let shapes = [
+            (float, Expr::f32(1.7), i.clone()),
+            (i.clone() - 3, Expr::int(0), i),
+            (vector, Expr::f32(1.7), ramp),
         ];
-        for value in cases {
-            assert_backends_agree(&store_loop(value, 8, ForKind::Serial), &[("out", 8)]);
+        for (name, _, arity) in crate::compile::INTRINSICS {
+            for (x, y, index) in &shapes {
+                let args = [x.clone(), y.clone()][..arity].to_vec();
+                let as_float = Type::f32().with_lanes(x.ty().lanes());
+                let value = Expr::intrinsic(name, args, x.ty()).cast(as_float);
+                let s = Stmt::for_loop(
+                    "i",
+                    Expr::int(0),
+                    Expr::int(4),
+                    ForKind::Serial,
+                    Stmt::store("out", value, index.clone()),
+                );
+                assert_backends_agree(&s, &[("out", 16)]);
+            }
+        }
+    }
+
+    /// Unknown names and too-short calls are the same typed error on both
+    /// backends.
+    #[test]
+    fn bad_intrinsic_calls_fail_alike_on_both_backends() {
+        for (name, args) in [("no_such_intrinsic", 1), ("pow", 1), ("min", 0)] {
+            let call = Expr::intrinsic(name, vec![Expr::f32(2.0); args], Type::f32());
+            let s = Stmt::store("out", call, Expr::int(0));
+            let compiled = Program::compile_stmt(&s).unwrap_err().to_string();
+            let mut frame = Frame::default();
+            let out = Buffer::with_extents(ScalarType::Float(32), &[1]);
+            frame.insert_buffer("out", Arc::new(out));
+            let interp = eval_stmt(&s, &mut frame, &ctx()).unwrap_err().to_string();
+            assert_eq!(interp, compiled, "{name}");
         }
     }
 

@@ -722,30 +722,6 @@ fn dense_ramp(index: &Expr) -> Option<(&Expr, u16)> {
     None
 }
 
-/// Resolves an intrinsic name to its compiled form and arity.
-pub(crate) fn resolve_intrinsic(name: &str) -> Option<(CIntrinsic, usize)> {
-    fn powf(x: f64, y: f64) -> f64 {
-        x.powf(y)
-    }
-    Some(match name {
-        "abs" => (CIntrinsic::Abs, 1),
-        "sqrt" => (CIntrinsic::Unary(f64::sqrt), 1),
-        "exp" => (CIntrinsic::Unary(f64::exp), 1),
-        "log" => (CIntrinsic::Unary(f64::ln), 1),
-        "sin" => (CIntrinsic::Unary(f64::sin), 1),
-        "cos" => (CIntrinsic::Unary(f64::cos), 1),
-        "floor" => (CIntrinsic::Unary(f64::floor), 1),
-        "ceil" => (CIntrinsic::Unary(f64::ceil), 1),
-        "round" => (CIntrinsic::Unary(f64::round), 1),
-        "tanh" => (CIntrinsic::Unary(f64::tanh), 1),
-        "pow" => (CIntrinsic::Binary(powf), 2),
-        "atan2" => (CIntrinsic::Binary(f64::atan2), 2),
-        "min" => (CIntrinsic::MinMax(BinOp::Min), 2),
-        "max" => (CIntrinsic::MinMax(BinOp::Max), 2),
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Linearization
 // ---------------------------------------------------------------------------
@@ -1150,15 +1126,7 @@ impl Linearizer {
                 ..
             } => match call_type {
                 CallType::Intrinsic => {
-                    let Some((f, arity)) = resolve_intrinsic(name) else {
-                        return Err(ExecError::new(format!("unknown intrinsic {name:?}")));
-                    };
-                    if args.len() < arity {
-                        return Err(ExecError::new(format!(
-                            "intrinsic {name:?} takes {arity} arguments, got {}",
-                            args.len()
-                        )));
-                    }
+                    let f = CIntrinsic::resolve(name, args.len())?;
                     // `min`/`max` intrinsics have exactly the binary
                     // operator's semantics and count as one arithmetic op
                     // either way — linearize them as `Bin` so evaluation

@@ -7,9 +7,9 @@
 //!
 //! Generation is seeded and deterministic: the same seed always yields the
 //! same case. Schedules are **valid by construction**: every candidate
-//! directive is committed only if the whole case still passes the shared
-//! legality predicate (`halide_schedule::legality`), the same rules the
-//! compiler enforces while lowering.
+//! directive is committed only if the whole case still passes the legality
+//! predicate (`halide_schedule::legality`), a conservative subset of the
+//! rules the compiler enforces itself while lowering.
 
 use halide_schedule::TailStrategy;
 use rand::rngs::StdRng;

@@ -9,9 +9,9 @@
 //! pipelines: seeded, random-but-valid func DAGs (point ops, stencils,
 //! reductions, scans, multi-stage chains over odd and sub-vector extents)
 //! with random *legal* schedules (valid by construction against
-//! `halide_schedule::legality`, the same predicate lowering enforces), runs
-//! each through the matrix plus a pooled-output check, and on failure
-//! shrinks to a minimal plain-text reproduction for `tests/corpus/`.
+//! `halide_schedule::legality`, a conservative subset of the rules lowering
+//! enforces itself), runs each through the matrix plus a pooled-output
+//! check, and on failure shrinks to a minimal reproduction for the corpus.
 //!
 //! Pieces:
 //!

@@ -6,17 +6,17 @@
 //! exists in its consumer and encloses every use, a vectorized loop must
 //! end up with a constant extent after every split, an output split must
 //! not exceed the realized extent. The compiler (`halide-lower`) enforces
-//! these while lowering, but by then the only answer is an error message.
-//! This module exposes the same rules *ahead of time* over a plain
-//! description of the pipeline ([`PipelineInfo`]), so schedule *generators*
-//! — the fuzzer (`halide-fuzz`) and the autotuner — can produce schedules
-//! that are valid by construction instead of lowering candidates to see
-//! what sticks.
+//! its own rules while lowering, where the only answer is an error. This
+//! module states a conservative subset of them *ahead of time* over a plain
+//! description of the pipeline ([`PipelineInfo`]), so a schedule generator
+//! can produce schedules that are valid by construction instead of lowering
+//! candidates to see what sticks. Its only user is the fuzzer's generator
+//! (`halide-fuzz`); lowering shares just the two width limits below.
 //!
-//! The predicate is deliberately **conservative**: everything it accepts
-//! must lower and run; schedules it rejects may still be accepted by the
+//! Everything the predicate accepts must lower and run, and the fuzzer
+//! checks that direction; schedules it rejects may still be accepted by the
 //! compiler (e.g. a producer whose consumers are enclosed by a shared
-//! ancestor loop). Generators only need the sound direction.
+//! ancestor loop).
 
 use std::collections::BTreeMap;
 

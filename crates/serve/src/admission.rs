@@ -1,12 +1,12 @@
 //! Bounded admission: a fixed set of execution slots behind a bounded wait
-//! queue with two priority classes, per-request deadlines, and a movable
-//! concurrency limit (the AIMD controller's lever).
+//! queue with two priority classes and per-request deadlines.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::clock::{deadline_passed, Clock};
+use crate::unpoison;
 
 /// Scheduling class of a request: [`Priority::High`] waiters take any freed
 /// slot before [`Priority::Normal`] waiters, regardless of arrival order
@@ -38,10 +38,6 @@ struct Waiter {
 
 #[derive(Debug)]
 struct AdmissionState {
-    /// Concurrency limit currently in force (≤ the physical slot count;
-    /// moved by the AIMD controller when adaptive mode is on).
-    limit: usize,
-    in_flight: usize,
     free_slots: Vec<usize>,
     waiters: Vec<Waiter>,
     /// Slots granted by `dispatch` but not yet collected by their waiter.
@@ -52,9 +48,9 @@ struct AdmissionState {
 }
 
 /// Bounded admission: a fixed set of execution slots plus a bounded wait
-/// queue with priorities, deadlines, and a movable concurrency limit.
+/// queue with priorities and deadlines.
 ///
-/// `acquire` blocks while capacity is busy and the queue has room, fails
+/// `acquire` blocks while every slot is busy and the queue has room, fails
 /// fast once the queue is full, and sheds itself the moment its deadline
 /// passes. Freed capacity is *dispatched*: the grant goes to the best
 /// waiter (highest priority, then earliest ticket) that has not expired, so
@@ -64,21 +60,18 @@ struct AdmissionState {
 pub(crate) struct Admission {
     state: Mutex<AdmissionState>,
     /// Single condvar for every admission wake (grant, release, resume,
-    /// limit move, and virtual-clock advance via the registered waker).
+    /// and virtual-clock advance via the registered waker).
     cv: Arc<Condvar>,
     queue_capacity: usize,
-    slots: usize,
     clock: Clock,
 }
 
 impl Admission {
-    pub(crate) fn new(slots: usize, limit: usize, queue_capacity: usize, clock: Clock) -> Self {
+    pub(crate) fn new(slots: usize, queue_capacity: usize, clock: Clock) -> Self {
         let cv = Arc::new(Condvar::new());
         clock.register_waker(&cv);
         Admission {
             state: Mutex::new(AdmissionState {
-                limit: limit.clamp(1, slots),
-                in_flight: 0,
                 free_slots: (0..slots).collect(),
                 waiters: Vec::new(),
                 grants: HashMap::new(),
@@ -87,18 +80,17 @@ impl Admission {
             }),
             cv,
             queue_capacity,
-            slots,
             clock,
         }
     }
 
-    /// Hands free capacity to the best eligible waiters: highest priority
+    /// Hands free slots to the best eligible waiters: highest priority
     /// first, earliest ticket within a priority, expired waiters skipped
     /// (they wake and shed themselves).
     fn dispatch(&self, st: &mut AdmissionState) {
         let now = self.clock.now();
         let mut granted = false;
-        while !st.paused && st.in_flight < st.limit && !st.free_slots.is_empty() {
+        while !st.paused && !st.free_slots.is_empty() {
             let best = st
                 .waiters
                 .iter()
@@ -107,9 +99,10 @@ impl Admission {
                 .max_by_key(|(_, w)| (w.priority, std::cmp::Reverse(w.ticket)))
                 .map(|(i, _)| i);
             let Some(i) = best else { break };
+            let Some(slot) = st.free_slots.pop() else {
+                break;
+            };
             let w = st.waiters.remove(i);
-            let slot = st.free_slots.pop().expect("free slot under the limit");
-            st.in_flight += 1;
             st.grants.insert(w.ticket, slot);
             granted = true;
         }
@@ -126,18 +119,17 @@ impl Admission {
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<usize, AdmitError> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoison(self.state.lock());
         if deadline_passed(deadline, self.clock.now()) {
             return Err(AdmitError::Expired);
         }
         // Reject only arrivals that can neither run now nor queue: admission
-        // with spare capacity (and no waiter this request would have to get
+        // with a free slot (and no waiter this request would have to get
         // behind) bypasses the queue-capacity check. Queue room is counted
         // per class — an arrival only competes with same-or-higher-priority
         // waiters — so a backlog of normal traffic cannot lock
         // high-priority requests out of the queue they are meant to jump.
         let runnable_now = !st.paused
-            && st.in_flight < st.limit
             && !st.free_slots.is_empty()
             && !st.waiters.iter().any(|w| w.priority >= priority);
         let competing = st.waiters.iter().filter(|w| w.priority >= priority).count();
@@ -158,7 +150,6 @@ impl Admission {
                     // Expired between grant and wake: hand the slot straight
                     // to the next waiter instead of running doomed work.
                     st.free_slots.push(slot);
-                    st.in_flight -= 1;
                     self.dispatch(&mut st);
                     return Err(AdmitError::Expired);
                 }
@@ -172,82 +163,52 @@ impl Admission {
         }
     }
 
-    /// Returns a slot and re-dispatches. The returned flag says whether the
-    /// release happened *saturated* — the limit fully used or work queued —
-    /// which is what licenses the AIMD controller to probe upward.
-    pub(crate) fn release(&self, slot: usize) -> bool {
-        let mut st = self.state.lock().unwrap();
-        let saturated = st.in_flight >= st.limit || !st.waiters.is_empty();
+    /// Returns a slot and re-dispatches it.
+    pub(crate) fn release(&self, slot: usize) {
+        let mut st = unpoison(self.state.lock());
         st.free_slots.push(slot);
-        st.in_flight -= 1;
         self.dispatch(&mut st);
-        saturated
     }
 
     /// Wraps a granted slot so that every exit path returns it.
     pub(crate) fn guard(&self, slot: usize) -> SlotGuard<'_> {
         SlotGuard {
             admission: self,
-            slot: Some(slot),
+            slot,
         }
     }
 
-    /// Moves the concurrency limit (clamped to `1..=slots`), dispatching any
-    /// waiters a raised limit can now run.
-    pub(crate) fn set_limit(&self, limit: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.limit = limit.clamp(1, self.slots);
-        self.dispatch(&mut st);
-    }
-
-    pub(crate) fn limit(&self) -> usize {
-        self.state.lock().unwrap().limit
-    }
-
     pub(crate) fn queued(&self) -> usize {
-        self.state.lock().unwrap().waiters.len()
-    }
-
-    pub(crate) fn in_flight(&self) -> usize {
-        self.state.lock().unwrap().in_flight
+        unpoison(self.state.lock()).waiters.len()
     }
 
     pub(crate) fn pause(&self) {
-        self.state.lock().unwrap().paused = true;
+        unpoison(self.state.lock()).paused = true;
     }
 
     pub(crate) fn resume(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoison(self.state.lock());
         st.paused = false;
         self.dispatch(&mut st);
     }
 }
 
-/// Returns the admission slot on every exit path of a realization, unless
-/// defused by [`SlotGuard::release_now`] (the success path, which wants the
-/// saturation reading back).
+/// Returns the admission slot on every exit path of a realization.
 pub(crate) struct SlotGuard<'a> {
     admission: &'a Admission,
-    slot: Option<usize>,
+    slot: usize,
 }
 
 impl SlotGuard<'_> {
     /// The slot this guard holds.
     pub(crate) fn slot(&self) -> usize {
-        self.slot.expect("held until released")
-    }
-
-    pub(crate) fn release_now(mut self) -> bool {
-        let slot = self.slot.take().expect("released once");
-        self.admission.release(slot)
+        self.slot
     }
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            self.admission.release(slot);
-        }
+        self.admission.release(self.slot);
     }
 }
 
@@ -260,7 +221,7 @@ mod tests {
     #[test]
     fn high_priority_jumps_the_queue() {
         let clock = Clock::manual();
-        let admission = Arc::new(Admission::new(1, 1, 8, clock.clone()));
+        let admission = Arc::new(Admission::new(1, 8, clock.clone()));
         let slot = admission.acquire(Priority::Normal, None).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
 
@@ -304,7 +265,7 @@ mod tests {
     #[test]
     fn dispatch_skips_expired_waiters() {
         let clock = Clock::manual();
-        let admission = Arc::new(Admission::new(1, 1, 8, clock.clone()));
+        let admission = Arc::new(Admission::new(1, 8, clock.clone()));
         let slot = admission.acquire(Priority::Normal, None).unwrap();
 
         let doomed = {
@@ -332,26 +293,46 @@ mod tests {
         admission.release(slot);
         let granted = live.join().unwrap().expect("live waiter runs");
         admission.release(granted);
-        assert_eq!(admission.in_flight(), 0);
+        assert_eq!(admission.state.lock().unwrap().free_slots.len(), 1);
     }
 
-    /// Raising the limit dispatches already-queued waiters.
+    /// Two slots admit two requests at once; a third waits and is granted
+    /// exactly when one of them is released.
     #[test]
-    fn raising_the_limit_dispatches_waiters() {
-        let clock = Clock::manual();
-        let admission = Arc::new(Admission::new(4, 1, 8, clock));
+    fn third_request_waits_for_one_of_two_slots() {
+        let admission = Arc::new(Admission::new(2, 8, Clock::manual()));
         let first = admission.acquire(Priority::Normal, None).unwrap();
-        let waiter = {
+        let second = admission.acquire(Priority::Normal, None).unwrap();
+        let third = {
             let admission = Arc::clone(&admission);
             std::thread::spawn(move || admission.acquire(Priority::Normal, None))
         };
         while admission.queued() != 1 {
             std::thread::yield_now();
         }
-        admission.set_limit(2);
-        let second = waiter.join().unwrap().expect("limit now admits two");
-        assert_eq!(admission.in_flight(), 2);
+        assert!(!third.is_finished(), "both slots are held");
         admission.release(first);
+        let granted = third.join().unwrap().expect("granted on release");
+        assert_eq!(granted, first, "the freed slot");
+        admission.release(granted);
         admission.release(second);
+    }
+
+    /// A panic while holding the state lock poisons it; later acquires and
+    /// releases still go through.
+    #[test]
+    fn admission_survives_a_poisoned_lock() {
+        let admission = Arc::new(Admission::new(1, 8, Clock::manual()));
+        let holder = Arc::clone(&admission);
+        std::thread::spawn(move || {
+            let _st = holder.state.lock().unwrap();
+            panic!("poisons the admission lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(admission.state.is_poisoned());
+        let slot = admission.acquire(Priority::Normal, None).unwrap();
+        admission.release(slot);
+        assert_eq!(admission.acquire(Priority::Normal, None), Ok(slot));
     }
 }

@@ -26,7 +26,7 @@ use halide_ir::ScalarType;
 use halide_lower::Module;
 use halide_pipelines::{AppKind, ScheduleChoice};
 
-use crate::{ServeError, ServeResult};
+use crate::{unpoison, ServeError, ServeResult};
 
 /// A scalar parameter value a request binds, hashable so it can participate
 /// in the cache key (floats are compared by bit pattern).
@@ -205,7 +205,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
     /// Looks up `key`; a hit refreshes the entry's credit (it earns
     /// `L + cost` again) and returns a clone of the value.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoison(self.state.lock());
         let l_clock = st.l_clock;
         let seq = st.next_seq;
         let hit = st.map.get_mut(key).map(|slot| {
@@ -232,7 +232,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
     /// resident value and whether this call inserted it. Inserting evicts
     /// minimum-credit entries until the budget holds.
     pub fn insert_or_get(&self, key: K, value: V, cost: Duration) -> (V, bool) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoison(self.state.lock());
         let l_clock = st.l_clock;
         let seq = st.next_seq;
         let resident = st.map.get_mut(&key).map(|slot| {
@@ -273,7 +273,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().map.len()
+        unpoison(self.state.lock()).map.len()
     }
 
     /// True when nothing is resident.
@@ -283,18 +283,18 @@ impl<K: Eq + Hash + Clone, V: Clone> CostLru<K, V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CostLruStats {
-        self.state.lock().unwrap().stats
+        unpoison(self.state.lock()).stats
     }
 
     /// Whether `key` is resident, without refreshing its credit (for tests
     /// and introspection — a probe must not look like traffic).
     pub fn contains(&self, key: &K) -> bool {
-        self.state.lock().unwrap().map.contains_key(key)
+        unpoison(self.state.lock()).map.contains_key(key)
     }
 
     /// Every resident key, in no particular order.
     pub fn resident_keys(&self) -> Vec<K> {
-        self.state.lock().unwrap().map.keys().cloned().collect()
+        unpoison(self.state.lock()).map.keys().cloned().collect()
     }
 }
 

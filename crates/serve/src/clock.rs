@@ -1,13 +1,12 @@
 //! The injectable time source every serving control loop reads.
 //!
-//! Deadlines, cost-aware eviction, and the AIMD concurrency controller are
-//! all *time-dependent* decisions. If they read `Instant::now()` directly,
-//! their tests degrade to sleep-and-hope; instead every component takes a
-//! [`Clock`] and asks it for [`Clock::now`]. Production servers use
-//! [`Clock::system`] (a monotonic reading against a fixed epoch); tests use
-//! [`Clock::manual`], a virtual clock that only moves when the test calls
-//! [`Clock::advance`] — so a queued request can be expired, or an AIMD
-//! window closed, without a single real millisecond passing.
+//! Deadlines, queue waits and request latencies are *time-dependent*. If
+//! they read `Instant::now()` directly, their tests degrade to
+//! sleep-and-hope; instead every component takes a [`Clock`] and asks it for
+//! [`Clock::now`]. Production servers use [`Clock::system`] (a monotonic
+//! reading against a fixed epoch); tests use [`Clock::manual`], a virtual
+//! clock that only moves when the test calls [`Clock::advance`] — so a
+//! queued request can be expired without a single real millisecond passing.
 //!
 //! Blocking waits go through the crate-internal `Clock::wait`: under the
 //! system clock it is a plain `Condvar::wait_timeout` against the deadline;
@@ -19,6 +18,8 @@
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
+
+use crate::unpoison;
 
 /// A cloneable handle on a time source: either the real monotonic clock or a
 /// shared virtual clock tests advance by hand. Clones observe the same time.
@@ -76,7 +77,7 @@ impl Clock {
     pub fn now(&self) -> Duration {
         match &self.inner {
             ClockInner::System(epoch) => epoch.elapsed(),
-            ClockInner::Manual(v) => *v.now.lock().unwrap(),
+            ClockInner::Manual(v) => *unpoison(v.now.lock()),
         }
     }
 
@@ -91,12 +92,12 @@ impl Clock {
             ClockInner::System(_) => panic!("Clock::advance on the system clock"),
             ClockInner::Manual(v) => {
                 {
-                    let mut now = v.now.lock().unwrap();
+                    let mut now = unpoison(v.now.lock());
                     *now += delta;
                 }
                 // Wake everything parked on a registered condvar; dead
                 // registrations are pruned as we go.
-                v.wakers.lock().unwrap().retain(|w| match w.upgrade() {
+                unpoison(v.wakers.lock()).retain(|w| match w.upgrade() {
                     Some(cv) => {
                         cv.notify_all();
                         true
@@ -111,7 +112,7 @@ impl Clock {
     /// the system clock, where `wait` carries its own timeout.
     pub(crate) fn register_waker(&self, cv: &Arc<Condvar>) {
         if let ClockInner::Manual(v) = &self.inner {
-            v.wakers.lock().unwrap().push(Arc::downgrade(cv));
+            unpoison(v.wakers.lock()).push(Arc::downgrade(cv));
         }
     }
 
@@ -128,9 +129,9 @@ impl Clock {
         match (&self.inner, deadline) {
             (ClockInner::System(_), Some(deadline)) => {
                 let remaining = deadline.saturating_sub(self.now());
-                cv.wait_timeout(guard, remaining).unwrap().0
+                unpoison(cv.wait_timeout(guard, remaining)).0
             }
-            _ => cv.wait(guard).unwrap(),
+            _ => unpoison(cv.wait(guard)),
         }
     }
 }
@@ -207,5 +208,33 @@ mod tests {
         clock.advance(Duration::from_millis(6));
         let woke_at = waiter.join().unwrap();
         assert_eq!(woke_at, Duration::from_millis(6));
+    }
+
+    /// A wait that reacquires a mutex poisoned by a panicking holder
+    /// returns the guard instead of panicking.
+    #[test]
+    fn wait_survives_a_poisoned_mutex() {
+        let clock = Clock::manual();
+        let lock = Arc::new(Mutex::new(()));
+        let cv = Arc::new(Condvar::new());
+        clock.register_waker(&cv);
+        let holder = Arc::clone(&lock);
+        std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("poisons the lock");
+        })
+        .join()
+        .unwrap_err();
+        let waiter = {
+            let (clock, lock, cv) = (clock.clone(), Arc::clone(&lock), Arc::clone(&cv));
+            std::thread::spawn(move || drop(clock.wait(&cv, unpoison(lock.lock()), None)))
+        };
+        // Advancing notifies the condvar; repeat until the waiter has parked
+        // and woken.
+        while !waiter.is_finished() {
+            clock.advance(Duration::from_millis(1));
+            std::thread::yield_now();
+        }
+        waiter.join().expect("wait returned instead of panicking");
     }
 }

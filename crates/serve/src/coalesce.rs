@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use halide_pipelines::{AppKind, ScheduleChoice};
@@ -20,6 +20,7 @@ use halide_runtime::{Buffer, BufferPool, CounterSnapshot, PooledBuffer};
 
 use crate::clock::{deadline_passed, Clock};
 use crate::server::Request;
+use crate::unpoison;
 use crate::{ServeError, ServeResult};
 
 /// Everything that must match for two requests to share one realization:
@@ -99,6 +100,8 @@ pub(crate) enum Role<'a> {
 /// The coalescing hub: in-flight realizations keyed by [`FlightKey`].
 #[derive(Debug)]
 pub(crate) struct CoalesceHub {
+    /// Locked through `unpoison`: a leader's guard must be able to publish
+    /// while its thread unwinds.
     flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
     cv: Arc<Condvar>,
     /// Followers currently parked on a flight (gauge, for tests and drains).
@@ -121,17 +124,10 @@ impl CoalesceHub {
         }
     }
 
-    /// The flight map. Every critical section is one map operation or one
-    /// result store, so a poisoned lock still guards a consistent map — and
-    /// a leader's guard must be able to publish while its thread unwinds.
-    fn flights(&self) -> MutexGuard<'_, HashMap<FlightKey, Arc<Flight>>> {
-        self.flights.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Attaches to the in-progress flight for `key`, or registers a new one
     /// with the caller as leader.
     pub(crate) fn join_or_lead(&self, key: FlightKey, input: &Arc<Buffer>) -> Role<'_> {
-        let mut flights = self.flights();
+        let mut flights = unpoison(self.flights.lock());
         if let Some(flight) = flights.get(&key) {
             flight.followers.fetch_add(1, Ordering::Relaxed);
             return Role::Follower(Arc::clone(flight));
@@ -160,7 +156,7 @@ impl CoalesceHub {
         deadline: Option<Duration>,
     ) -> ServeResult<Shared> {
         self.waiting.fetch_add(1, Ordering::Relaxed);
-        let mut flights = self.flights();
+        let mut flights = unpoison(self.flights.lock());
         let result = loop {
             if let Some(result) = flight.result.get() {
                 break result.clone();
@@ -186,7 +182,7 @@ impl CoalesceHub {
     /// Removes `key`'s flight from the hub and returns its follower count,
     /// final from here on: nothing joins a flight that has left the map.
     fn conclude(&self, key: &FlightKey, flight: &Flight) -> u64 {
-        self.flights().remove(key);
+        unpoison(self.flights.lock()).remove(key);
         flight.followers.load(Ordering::Relaxed)
     }
 
@@ -194,7 +190,7 @@ impl CoalesceHub {
     /// hub lock is taken so the store is ordered against every follower's
     /// check-then-wait.
     fn publish(&self, flight: &Flight, result: ServeResult<Shared>) {
-        let _flights = self.flights();
+        let _flights = unpoison(self.flights.lock());
         let _ = flight.result.set(result);
         self.cv.notify_all();
     }

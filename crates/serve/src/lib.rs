@@ -14,9 +14,9 @@
 //! * a shared [`BufferPool`](halide_runtime::BufferPool) that outputs and
 //!   scratch buffers cycle through, so steady-state requests perform **zero
 //!   large allocations** (hit rates are part of [`ServerStats`]);
-//! * bounded concurrent **admission**: up to the concurrency limit executes
-//!   at once over persistent per-slot worker pools, `queue_capacity` more
-//!   may wait, and anything past that is rejected with
+//! * bounded concurrent **admission**: up to `max_in_flight` requests
+//!   execute at once over persistent per-slot worker pools, `queue_capacity`
+//!   more may wait, and anything past that is rejected with
 //!   [`ServeError::Overloaded`] — backpressure, not collapse;
 //! * **request coalescing**: concurrent requests for the same *(app,
 //!   schedule, shape, parameter values, input image)* share one realization
@@ -24,15 +24,12 @@
 //! * per-request **deadlines** and two [`Priority`] classes: high-priority
 //!   waiters jump the queue, and a request whose deadline passes is shed
 //!   with [`ServeError::DeadlineExceeded`] instead of occupying a slot;
-//! * optional **AIMD adaptive concurrency** ([`AimdConfig`]): the effective
-//!   limit is discovered from observed p95 latency instead of trusted from
-//!   `max_in_flight`;
 //! * per-request **latency recording** (p50/p95/p99 over a bounded ring) and
 //!   request counters.
 //!
 //! Every time-dependent decision reads the injectable [`Clock`] seam, so
-//! deadline expiry, queue-jump, and AIMD cycles are all testable under a
-//! manual clock with no sleeping.
+//! deadline expiry and queue-jump are testable under a manual clock with no
+//! sleeping.
 //!
 //! See `docs/serving.md` for the design walkthrough and benchmark numbers
 //! (`bench_serve` emits `BENCH_serve.json`, including the overload
@@ -65,7 +62,6 @@
 #![warn(rust_2018_idioms)]
 
 mod admission;
-pub mod aimd;
 pub mod cache;
 pub mod clock;
 mod coalesce;
@@ -74,11 +70,12 @@ mod reqtrace;
 pub mod server;
 
 pub use admission::Priority;
-pub use aimd::{AimdConfig, AimdController, AimdDecision};
 pub use cache::{CompiledApp, CostLru, CostLruStats, ParamValue, ProgramCache, ProgramKey};
 pub use clock::Clock;
 pub use metrics::{LatencyRecorder, LatencyStats, ServerStats, DEFAULT_LATENCY_WINDOW};
 pub use server::{PipelineServer, Request, Response, ServeConfig};
+
+use std::sync::{LockResult, PoisonError};
 
 /// Everything that can go wrong while serving a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +83,7 @@ pub enum ServeError {
     /// The server is saturated and its wait queue is full — retry later or
     /// shed load upstream.
     Overloaded {
-        /// The concurrency limit in force when the request was refused.
+        /// The server's execution slots (`max_in_flight`), all busy.
         in_flight: usize,
         /// The configured wait-queue bound that was reached.
         queued: usize,
@@ -126,3 +123,10 @@ impl std::error::Error for ServeError {}
 
 /// Serving result alias.
 pub type ServeResult<T> = std::result::Result<T, ServeError>;
+
+/// Takes the guard out of a poisoned lock or condvar wait. Every critical
+/// section in this crate leaves its state consistent between statements, so
+/// a panic under a lock must not turn into a panic in every later request.
+pub(crate) fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

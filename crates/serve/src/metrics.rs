@@ -5,6 +5,8 @@ use std::time::Duration;
 
 use halide_runtime::PoolStats;
 
+use crate::unpoison;
+
 /// Samples a default [`LatencyRecorder`] retains. Percentiles are computed
 /// over the most recent window of this size; older samples age out.
 pub const DEFAULT_LATENCY_WINDOW: usize = 4096;
@@ -62,7 +64,7 @@ impl LatencyRecorder {
     /// once the window is full.
     pub fn record(&self, latency: Duration) {
         let ms = latency.as_secs_f64() * 1e3;
-        let mut ring = self.state.lock().unwrap();
+        let mut ring = unpoison(self.state.lock());
         if ring.samples_ms.len() < self.window {
             ring.samples_ms.push(ms);
         } else {
@@ -76,7 +78,7 @@ impl LatencyRecorder {
     /// Drops every retained sample and zeroes the total (for phase-separated
     /// benchmarking).
     pub fn reset(&self) {
-        let mut ring = self.state.lock().unwrap();
+        let mut ring = unpoison(self.state.lock());
         ring.samples_ms.clear();
         ring.next = 0;
         ring.total = 0;
@@ -86,7 +88,7 @@ impl LatencyRecorder {
     /// the percentiles describe the most recent `window` samples.
     pub fn snapshot(&self) -> LatencyStats {
         let (mut samples, total) = {
-            let ring = self.state.lock().unwrap();
+            let ring = unpoison(self.state.lock());
             (ring.samples_ms.clone(), ring.total)
         };
         samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
@@ -131,7 +133,7 @@ impl LatencyStats {
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+fn percentile(sorted: &[f64], q: f64) -> f64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
@@ -159,9 +161,6 @@ pub struct ServerStats {
     pub cached_programs: u64,
     /// Programs evicted from the cache to satisfy its budget.
     pub evicted_programs: u64,
-    /// The concurrency limit currently in force (fixed `max_in_flight`, or
-    /// the AIMD controller's discovered width when adaptive mode is on).
-    pub concurrency_limit: u64,
     /// Latency distribution over served requests.
     pub latency: LatencyStats,
     /// Buffer-pool accounting (outputs and scratch combined).

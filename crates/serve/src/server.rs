@@ -6,11 +6,10 @@
 //! waits for the leader's result and copies it; the leader takes an
 //! admission slot, looks the program up (compiling it if cold), realizes
 //! into a pooled output, publishes to its followers and responds. The
-//! pieces live beside this file: `admission.rs` (execution slots, the
-//! priority and deadline wait queue, the movable limit), `coalesce.rs`
-//! (flights and the leader's publish guard), `reqtrace.rs` (per-request
-//! span trees), [`cache`](crate::cache) (the cost-aware program cache) and
-//! [`aimd`](crate::aimd) (adaptive concurrency). Every control loop reads
+//! pieces live beside this file: `admission.rs` (the fixed execution slots
+//! and the priority and deadline wait queue), `coalesce.rs` (flights and the
+//! leader's publish guard), `reqtrace.rs` (per-request span trees) and
+//! [`cache`](crate::cache) (the cost-aware program cache). Everything reads
 //! time through the injectable [`Clock`], so all of it runs
 //! deterministically in tests.
 
@@ -23,7 +22,6 @@ use halide_pipelines::{AppKind, ScheduleChoice};
 use halide_runtime::{Buffer, BufferPool, CounterSnapshot, PooledBuffer, ThreadPool};
 
 use crate::admission::{Admission, AdmitError, Priority};
-use crate::aimd::{AimdConfig, AimdController};
 use crate::cache::{ParamValue, ProgramCache, ProgramKey};
 use crate::clock::{deadline_passed, Clock};
 use crate::coalesce::{CoalesceHub, FlightKey, Realized, Role, Shared};
@@ -38,8 +36,7 @@ const POOL_IDLE_BYTES: usize = 256 << 20;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Requests allowed to execute simultaneously (each gets its own
-    /// persistent worker [`ThreadPool`]). With [`ServeConfig::adaptive`] set
-    /// this is the *ceiling*; the effective limit is discovered at runtime.
+    /// persistent worker [`ThreadPool`]).
     pub max_in_flight: usize,
     /// Requests allowed to *wait* for an execution slot before further
     /// arrivals are rejected with [`ServeError::Overloaded`] — the
@@ -56,10 +53,6 @@ pub struct ServeConfig {
     /// Compiled programs the cache may hold before evicting (cost-aware
     /// LRU; `usize::MAX` = unbounded).
     pub cache_max_entries: usize,
-    /// When set, an AIMD controller adapts the concurrency limit between
-    /// `adaptive.min_in_flight` and `max_in_flight` from observed p95
-    /// latency; when `None`, the limit is the fixed `max_in_flight`.
-    pub adaptive: Option<AimdConfig>,
     /// The time source every control loop reads — [`Clock::system`] in
     /// production, [`Clock::manual`] in deterministic tests.
     pub clock: Clock,
@@ -68,7 +61,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     /// Four concurrent requests, a 16-deep wait queue, one thread per
     /// request, the compiled backend at [`OptLevel::Default`], an unbounded
-    /// cache, a fixed concurrency limit, the system clock.
+    /// cache, the system clock.
     fn default() -> Self {
         ServeConfig {
             max_in_flight: 4,
@@ -77,7 +70,6 @@ impl Default for ServeConfig {
             backend: Backend::Compiled,
             opt: OptLevel::Default,
             cache_max_entries: usize::MAX,
-            adaptive: None,
             clock: Clock::system(),
         }
     }
@@ -172,7 +164,6 @@ pub struct PipelineServer {
     slot_pools: Vec<ThreadPool>,
     admission: Admission,
     hub: CoalesceHub,
-    aimd: Option<AimdController>,
     latency: LatencyRecorder,
     requests: AtomicU64,
     rejected: AtomicU64,
@@ -189,17 +180,12 @@ impl PipelineServer {
     pub fn new(config: ServeConfig) -> Self {
         let slots = config.max_in_flight.max(1);
         let clock = config.clock.clone();
-        let aimd = config
-            .adaptive
-            .clone()
-            .map(|cfg| AimdController::new(cfg, slots, clock.now()));
-        let initial_limit = aimd.as_ref().map_or(slots, AimdController::limit);
         let buffer_pool = Arc::new(BufferPool::new(POOL_IDLE_BYTES));
         PipelineServer {
             slot_pools: (0..slots)
                 .map(|_| ThreadPool::new(config.threads_per_request.max(1)))
                 .collect(),
-            admission: Admission::new(slots, initial_limit, config.queue_capacity, clock.clone()),
+            admission: Admission::new(slots, config.queue_capacity, clock.clone()),
             hub: CoalesceHub::new(clock.clone(), Arc::clone(&buffer_pool)),
             cache: ProgramCache::new(config.backend, config.opt, config.cache_max_entries),
             buffer_pool,
@@ -210,26 +196,14 @@ impl PipelineServer {
             coalesced: AtomicU64::new(0),
             realizations: AtomicU64::new(0),
             trace_seq: AtomicU64::new(0),
-            aimd,
             clock,
             config,
         }
     }
 
-    /// The concurrency limit currently in force (`max_in_flight`, or the
-    /// AIMD controller's current discovery in adaptive mode).
-    pub fn concurrency_limit(&self) -> usize {
-        self.admission.limit()
-    }
-
     /// Requests currently waiting for an execution slot (gauge).
     pub fn queued(&self) -> usize {
         self.admission.queued()
-    }
-
-    /// Requests currently holding an execution slot (gauge).
-    pub fn in_flight(&self) -> usize {
-        self.admission.in_flight()
     }
 
     /// Coalescing followers currently parked on an in-progress flight
@@ -271,15 +245,15 @@ impl PipelineServer {
         Ok(cold.then(|| entry.compile_time))
     }
 
-    /// Serves one request: coalescing, admission (priorities, deadlines,
-    /// the adaptive limit), program lookup (compiling if cold), realization
-    /// into a pooled output buffer, latency recording.
+    /// Serves one request: coalescing, admission (priorities, deadlines),
+    /// program lookup (compiling if cold), realization into a pooled output
+    /// buffer, latency recording.
     ///
     /// Blocks while the server is saturated but the wait queue has room.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] once the concurrency limit is filled *and*
+    /// [`ServeError::Overloaded`] once every slot is busy *and*
     /// `queue_capacity` more are waiting; [`ServeError::DeadlineExceeded`]
     /// when the request's time budget runs out first;
     /// [`ServeError::Shape`] for inputs the app cannot consume; compile and
@@ -366,8 +340,7 @@ impl PipelineServer {
     }
 
     /// Admission, program lookup (compiling if cold), and the realization
-    /// itself — the slice of a request that holds an execution slot. Feeds
-    /// the AIMD controller on completion.
+    /// itself — the slice of a request that holds an execution slot.
     fn realize_admitted(
         &self,
         req: &Request,
@@ -380,7 +353,7 @@ impl PipelineServer {
             Ok(slot) => self.admission.guard(slot),
             Err(AdmitError::Full) => {
                 return Err(ServeError::Overloaded {
-                    in_flight: self.admission.limit(),
+                    in_flight: self.slot_pools.len(),
                     queued: self.config.queue_capacity,
                 })
             }
@@ -437,15 +410,6 @@ impl PipelineServer {
             counters.pool_misses += 1;
         }
         self.realizations.fetch_add(1, Ordering::Relaxed);
-
-        let saturated = slot.release_now();
-        if let Some(ctrl) = &self.aimd {
-            let now = self.clock.now();
-            if let Some(decision) = ctrl.observe(now.saturating_sub(submitted), saturated, now) {
-                self.admission.set_limit(decision.limit());
-            }
-        }
-
         Ok(Realized {
             output: PooledBuffer::attached(Arc::clone(&self.buffer_pool), realization.output),
             counters,
@@ -461,7 +425,7 @@ impl PipelineServer {
 
     /// Aggregate statistics: request, rejection, shed, and coalescing
     /// counts, realizations, cold compiles, cache residency and evictions,
-    /// the concurrency limit, the latency distribution, and pool accounting.
+    /// the latency distribution, and pool accounting.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             requests: self.requests.load(Ordering::Relaxed),
@@ -472,7 +436,6 @@ impl PipelineServer {
             cold_compiles: self.cache.cold_compiles(),
             cached_programs: self.cache.len() as u64,
             evicted_programs: self.cache.evictions(),
-            concurrency_limit: self.admission.limit() as u64,
             latency: self.latency.snapshot(),
             pool: self.buffer_pool.stats(),
         }
@@ -656,7 +619,6 @@ mod tests {
         assert_eq!(server.queued(), 0, "expired waiter left the queue");
         // Releasing the slot later finds no one to run.
         server.admission.release(slot);
-        assert_eq!(server.in_flight(), 0);
     }
 
     // ---- coalescing -------------------------------------------------------
@@ -725,40 +687,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.coalesced, 0);
         assert_eq!(stats.realizations, 3, "sequential requests never coalesce");
-    }
-
-    // ---- adaptive concurrency --------------------------------------------
-
-    /// With a zero-length decision window every completion closes a window,
-    /// so a few serial saturated requests are enough to watch the limit
-    /// climb from 1 toward the ceiling.
-    #[test]
-    fn adaptive_limit_discovers_width() {
-        let server = PipelineServer::new(ServeConfig {
-            max_in_flight: 4,
-            adaptive: Some(AimdConfig {
-                initial_in_flight: 1,
-                window: Duration::ZERO,
-                ..AimdConfig::default()
-            }),
-            ..ServeConfig::default()
-        });
-        assert_eq!(server.concurrency_limit(), 1);
-        let req = blur_request(64, 32);
-        for _ in 0..3 {
-            server.call(&req).unwrap();
-        }
-        // Serial traffic fills the whole limit (in_flight == limit), so each
-        // healthy window probes one slot wider.
-        assert!(
-            server.concurrency_limit() > 1,
-            "limit stayed at {}",
-            server.concurrency_limit()
-        );
-        assert_eq!(
-            server.stats().concurrency_limit,
-            server.concurrency_limit() as u64
-        );
     }
 
     // ---- request-lifecycle tracing ----------------------------------------

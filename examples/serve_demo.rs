@@ -88,7 +88,7 @@ fn main() {
     println!("shed (deadline) {:>10}", stats.shed);
     println!("coalesced       {:>10}", stats.coalesced);
     println!("realizations    {:>10}", stats.realizations);
-    println!("slot limit      {:>10}", stats.concurrency_limit);
+    println!("slots           {:>10}", clients.max(1));
     println!("throughput      {rps:>10.1} req/s");
     println!("latency p50     {:>10.2} ms", stats.latency.p50_ms);
     println!("latency p95     {:>10.2} ms", stats.latency.p95_ms);

@@ -235,7 +235,7 @@ pub struct FuzzCase {
 pub const EXTENT_CHOICES: [i64; 14] = [1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 24, 31, 33];
 
 /// Split factors the generator proposes (legality filters per-case).
-const FACTOR_CHOICES: [i64; 6] = [2, 3, 4, 5, 8, 16];
+const FACTOR_CHOICES: [i64; 8] = [2, 3, 4, 5, 8, 16, 32, 64];
 
 fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
     xs[rng.gen_range(0..xs.len())]

@@ -21,7 +21,7 @@
 //! makes the result evaluatable right at the realization point.
 
 use halide_ir::interval::{bounds_of_expr_in_scope, loop_interval, Interval};
-use halide_ir::{CallType, Expr, ExprNode, Range, Scope, Stmt, StmtNode};
+use halide_ir::{simplify, CallType, CmpOp, Expr, ExprNode, Range, Scope, Stmt, StmtNode};
 
 use crate::error::{LowerError, Result};
 
@@ -164,6 +164,48 @@ impl RegionWalker<'_> {
         }
     }
 
+    /// Narrows in-scope variables under an `if`'s condition for the
+    /// duration of its then-branch: each `v < e` conjunct caps `v` at
+    /// `max(e) - 1`. A predicate tail guards its last, partial vector with
+    /// exactly this (`old < old_min + old_extent`), so the masked lanes
+    /// stop widening the producers' regions. Returns the names pushed, which
+    /// the caller pops after the then-branch.
+    fn push_guard(&mut self, condition: &Expr) -> Vec<String> {
+        match condition.node() {
+            ExprNode::And { a, b } => {
+                let mut names = self.push_guard(a);
+                names.extend(self.push_guard(b));
+                names
+            }
+            ExprNode::Cmp {
+                op: CmpOp::Lt,
+                a,
+                b,
+            } => {
+                let (Some(name), Some(limit)) =
+                    (a.as_var(), bounds_of_expr_in_scope(b, &self.scope).max)
+                else {
+                    return Vec::new();
+                };
+                let Some(current) = self.scope.get(name) else {
+                    return Vec::new();
+                };
+                let last = limit - 1;
+                let max = match &current.max {
+                    Some(hi) => Expr::min(hi.clone(), last),
+                    None => last,
+                };
+                let narrowed = Interval {
+                    min: current.min.clone(),
+                    max: Some(simplify(&max)),
+                };
+                self.scope.push(name.to_string(), narrowed);
+                vec![name.to_string()]
+            }
+            _ => Vec::new(),
+        }
+    }
+
     fn visit_stmt(&mut self, s: &Stmt) {
         match s.node() {
             StmtNode::LetStmt { name, value, body } => {
@@ -243,7 +285,11 @@ impl RegionWalker<'_> {
                 else_case,
             } => {
                 self.visit_expr(condition);
+                let narrowed = self.push_guard(condition);
                 self.visit_stmt(then_case);
+                for name in narrowed.iter().rev() {
+                    self.scope.pop(name);
+                }
                 if let Some(e) = else_case {
                     self.visit_stmt(e);
                 }
@@ -407,5 +453,61 @@ mod tests {
             .unwrap();
         assert_eq!(ranges[0].min.as_const_int(), Some(0));
         assert_eq!(ranges[0].extent.as_const_int(), Some(9));
+    }
+
+    /// `for x in [0, 128): if (x < 96) { then } else { else }`, with `g(x)`
+    /// consumed in the branches given, as `g`'s single-dimension range.
+    fn guarded_region(then_calls: bool, else_calls: bool) -> (Option<i64>, Option<i64>) {
+        let use_g = |on: bool| {
+            let value = if on {
+                call("g", vec![Expr::var_i32("x")])
+            } else {
+                Expr::f32(0.0)
+            };
+            Stmt::provide("out", value, vec![Expr::var_i32("x")])
+        };
+        let guard = Expr::lt(Expr::var_i32("x"), Expr::int(96));
+        let body = Stmt::if_then_else(guard, use_g(then_calls), Some(use_g(else_calls)));
+        let s = Stmt::for_loop("x", Expr::int(0), Expr::int(128), ForKind::Serial, body);
+        let ranges = region_required(&s, "g", 1)
+            .to_ranges("g", &dims(&["x"]))
+            .unwrap();
+        (
+            ranges[0].min.as_const_int(),
+            ranges[0].extent.as_const_int(),
+        )
+    }
+
+    #[test]
+    fn guard_narrows_an_in_scope_variable_in_the_then_branch() {
+        assert_eq!(guarded_region(true, false), (Some(0), Some(96)));
+    }
+
+    #[test]
+    fn guard_does_not_narrow_the_else_branch() {
+        assert_eq!(guarded_region(false, true), (Some(0), Some(128)));
+        assert_eq!(guarded_region(true, true), (Some(0), Some(128)));
+    }
+
+    #[test]
+    fn guard_on_an_out_of_scope_variable_is_ignored() {
+        // `y` is bound outside the analyzed statement: its coordinate stays
+        // the symbol itself, one row, whatever the guard says.
+        let body = Stmt::if_then_else(
+            Expr::lt(Expr::var_i32("y"), Expr::int(4)),
+            Stmt::provide(
+                "out",
+                call("g", vec![Expr::var_i32("x"), Expr::var_i32("y")]),
+                vec![Expr::var_i32("x"), Expr::var_i32("y")],
+            ),
+            None,
+        );
+        let s = Stmt::for_loop("x", Expr::int(0), Expr::int(8), ForKind::Serial, body);
+        let ranges = region_required(&s, "g", 2)
+            .to_ranges("g", &dims(&["x", "y"]))
+            .unwrap();
+        assert_eq!(ranges[0].extent.as_const_int(), Some(8));
+        assert_eq!(ranges[1].min.to_string(), "y");
+        assert_eq!(ranges[1].extent.as_const_int(), Some(1));
     }
 }

@@ -360,11 +360,12 @@ fn level_loop_name(env: &BTreeMap<String, FuncDef>, level: &LoopLevel) -> Result
 }
 
 /// Per-dimension allocation padding for split loops: how far past the
-/// required extent the loop nest can store. Padding the allocation by this
-/// much guarantees tail iterations can never store outside it —
-/// shift-inwards tails when a required extent is smaller than a split
-/// factor, and round_up tails whose last tile runs up to one factor past
-/// the required region.
+/// required extent the loop nest can store, whatever that extent is.
+/// Padding the allocation by this much guarantees tail iterations can never
+/// store outside it — shift-inwards tails when a required extent is smaller
+/// than a split factor, and round_up tails whose last tile runs up to one
+/// factor past the required region. It sizes allocations that serve many
+/// compute regions; [`traversed_extent`] is exact for one region.
 ///
 /// Walking the split chain *backwards*, `pad(d)` bounds the overrun of
 /// dimension `d`'s traversal given the splits later applied to its halves
@@ -394,6 +395,41 @@ fn split_padding(func: &FuncDef) -> Vec<i64> {
         .iter()
         .map(|a| pad.get(a.as_str()).copied().unwrap_or(0))
         .collect()
+}
+
+/// The extent `func`'s loop nest traverses along dimension `dim` when the
+/// region it computes there is `extent` wide, counting only the splits from
+/// position `from` on (a split's inner half may reuse its old name).
+///
+/// This is exact where [`split_padding`] is a constant bound: a shift-inwards
+/// split traverses `max(extent, factor)` (plus its inner half's overrun), a
+/// round_up split whole tiles, and a partitioned split exactly `extent`. It
+/// holds only for the region the nest is built over, so it sizes an
+/// allocation only when the function is stored where it is computed.
+fn traversed_extent(func: &FuncDef, dim: &str, from: usize, extent: Expr) -> Expr {
+    use halide_schedule::TailStrategy;
+    let splits = &func.schedule.splits;
+    let Some((i, s)) = splits
+        .iter()
+        .enumerate()
+        .skip(from)
+        .find(|(_, s)| s.old == dim)
+    else {
+        return extent;
+    };
+    let factor = Expr::int(s.factor as i32);
+    let inner = traversed_extent(func, &s.inner, i + 1, factor.clone());
+    match s.tail {
+        // old = min(outer*f, max(e-f, 0)) + inner.
+        TailStrategy::ShiftInwards => Expr::max(extent, factor.clone()) - factor + inner,
+        // old = outer*f + inner over whole tiles of the outer half.
+        TailStrategy::RoundUp => {
+            let tiles = (extent + (factor.clone() - 1)) / factor.clone();
+            let outer = traversed_extent(func, &s.outer, i + 1, tiles);
+            (outer - 1) * factor + inner
+        }
+        TailStrategy::GuardWithIf | TailStrategy::Predicate => extent,
+    }
 }
 
 /// Builds the complete (pre-flattening) statement for a pipeline: the output
@@ -531,15 +567,21 @@ pub fn build_pipeline_stmt(
                 .to_ranges(&def.name, &def.args)?
         };
 
-        // The Realize covers the symbolic region, padded per dimension so
-        // shifted split tails can never store outside the allocation.
+        // The Realize covers the symbolic region, grown per dimension so
+        // split tails can never store outside the allocation: to exactly what
+        // the nest traverses when it is stored where it is computed, by the
+        // constant worst case when one realization serves many computes.
         let sym_region = symbolic_region(def);
         let realize_bounds: Vec<Range> = sym_region
             .iter()
+            .zip(&def.args)
             .zip(split_padding(def))
-            .map(|(r, pad)| {
+            .map(|((r, arg), pad)| {
                 if pad == 0 {
                     r.clone()
+                } else if same_level {
+                    let extent = traversed_extent(def, arg, 0, r.extent.clone());
+                    Range::new(r.min.clone(), simplify(&extent))
                 } else {
                     Range::new(r.min.clone(), r.extent.clone() + Expr::int(pad as i32))
                 }
@@ -604,7 +646,7 @@ pub fn build_pipeline_stmt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halide_ir::Type;
+    use halide_ir::{IrVisitor, Type};
     use halide_lang::{Func, ImageParam, Pipeline, Var};
 
     fn blur_pipeline(prefix: &str) -> (Pipeline, String, String) {
@@ -748,5 +790,81 @@ mod tests {
         assert_eq!(def.updates.len(), 1);
         assert_eq!(def.updates[0].rdom.as_ref().unwrap().dims.len(), 1);
         assert_eq!(def.ty, Type::i32());
+    }
+
+    /// `blurx`'s traversed x extent over a region `extent` wide, once from
+    /// [`traversed_extent`] and once from the Realize that lowering emits
+    /// for it (computed and stored at root), with `split` applied to it.
+    fn traversed_and_realized(prefix: &str, split: impl Fn(&Func), extent: i64) -> (i64, i64) {
+        let (p, blurx, out) = blur_pipeline(prefix);
+        let f = p.func(&blurx).unwrap();
+        f.compute_root();
+        split(f);
+        let env = snapshot_pipeline(&p);
+        let traversed = simplify(&traversed_extent(
+            &env[&blurx],
+            "x",
+            0,
+            Expr::int(extent as i32),
+        ));
+        let stmt = build_pipeline_stmt(&env, &p.realization_order(), &out).unwrap();
+        struct FindRealize<'a>(&'a str, Option<Expr>);
+        impl IrVisitor for FindRealize<'_> {
+            fn visit_stmt(&mut self, s: &Stmt) {
+                if let StmtNode::Realize { name, bounds, .. } = s.node() {
+                    if name == self.0 {
+                        self.1 = Some(bounds[0].extent.clone());
+                    }
+                }
+                halide_ir::visit_stmt_children(self, s);
+            }
+        }
+        let mut find = FindRealize(&blurx, None);
+        find.visit_stmt(&stmt);
+        // blurx's x region is the output's, which lowering may name instead.
+        let region: HashMap<String, Expr> = [&blurx, &out]
+            .map(|f| (bound_extent_var(f, "x"), Expr::int(extent as i32)))
+            .into();
+        let realized = simplify(&halide_ir::substitute_map(
+            &find.1.expect("blurx is realized"),
+            &region,
+        ));
+        (
+            traversed.as_const_int().expect("constant traversal"),
+            realized.as_const_int().expect("constant realize extent"),
+        )
+    }
+
+    #[test]
+    fn allocation_is_exactly_what_the_split_nest_traverses() {
+        use halide_schedule::TailStrategy;
+        // Shifting inwards: a region narrower than the factor still runs one
+        // whole vector; a wider one runs exactly its extent.
+        let shift = |f: &Func| {
+            f.split_dim("x", "xo", "xi", 8);
+        };
+        assert_eq!(traversed_and_realized("inject_tr_shift5", shift, 5), (8, 8));
+        assert_eq!(
+            traversed_and_realized("inject_tr_shift20", shift, 20),
+            (20, 20)
+        );
+        // Rounding up with the outer half re-split by 3: 14 columns are 4
+        // tiles of 4, and 4 outer tiles round up to 6, so 24 columns.
+        let resplit = |f: &Func| {
+            f.split_dim_tail("x", "xo", "xi", 4, TailStrategy::RoundUp)
+                .split_dim_tail("xo", "xoo", "xoi", 3, TailStrategy::RoundUp);
+        };
+        assert_eq!(
+            traversed_and_realized("inject_tr_resplit", resplit, 14),
+            (24, 24)
+        );
+        // A predicated split never runs past the region.
+        let predicate = |f: &Func| {
+            f.split_dim_tail("x", "xo", "xi", 8, TailStrategy::Predicate);
+        };
+        assert_eq!(
+            traversed_and_realized("inject_tr_pred", predicate, 5),
+            (5, 5)
+        );
     }
 }

@@ -341,7 +341,10 @@ mod tests {
 
     #[test]
     fn excessive_width_is_error() {
-        let s = store_loop(ForKind::Vectorized, Expr::int(1024));
+        let s = store_loop(
+            ForKind::Vectorized,
+            Expr::int((MAX_VECTOR_LANES + 1) as i32),
+        );
         assert!(vectorize_and_unroll(&s).is_err());
     }
 

@@ -9,7 +9,7 @@
 //! bilinear demosaic.
 
 use halide_ir::{Expr, ScalarType, Type};
-use halide_lang::{Func, ImageParam, Pipeline, Var};
+use halide_lang::{Func, ImageParam, Pipeline, TailStrategy, Var};
 use halide_runtime::Buffer;
 
 /// Raw sensor white level (10-bit sensor).
@@ -216,8 +216,20 @@ impl CameraPipeApp {
     /// through overlapping strips), the LUT computed once at root, the
     /// channel loop moved inside the strip loop (so the shared Bayer stages
     /// are produced once per strip instead of once per channel), and every
-    /// stage vectorized 8 wide along x — the demosaic selects run as masked
-    /// blends and the LUT lookups as bulk gathers on the compiled engine.
+    /// stage vectorized along x — the output 32 wide, the stages computed per
+    /// strip 16 wide; the demosaic selects run as masked blends and the LUT
+    /// lookups as bulk gathers on the compiled engine. (Wider per-strip
+    /// stages run faster still, but the tree-walking interpreter gains more
+    /// from them than the compiled engine does, and the gap between the two
+    /// is gated by `bench_exec`.)
+    /// The output masks its last partial vector (`Predicate`). The stages
+    /// computed per strip round up instead: a predicated loop is split into
+    /// main and tail copies before bounds inference, which through this
+    /// six-stage chain multiplies lowering time, and shifting the last
+    /// vector inwards doubles it through the `min`/`max` its bounds carry.
+    /// The one exception is `denoised`, the chain's last producer: the
+    /// demosaic reads it through a stencil, so rounding it up as well would
+    /// add a whole vector to a region that is already rounded.
     /// `docs/scheduling.md` walks this schedule up from naive one directive
     /// at a time.
     pub fn schedule_good(&self) {
@@ -225,11 +237,10 @@ impl CameraPipeApp {
         self.out
             .split_dim("y", "yo", "yi", 16)
             .parallelize("yo")
-            .split_dim("x", "xo", "xi", 8)
+            .split_dim_tail("x", "xo", "xi", 32, TailStrategy::Predicate)
             .vectorize_dim("xi")
             .reorder_dims(&["yo", "c", "yi", "xo", "xi"]);
         for f in [
-            &self.denoised,
             &self.green,
             &self.red,
             &self.blue,
@@ -237,9 +248,13 @@ impl CameraPipeApp {
             &self.curved,
         ] {
             f.compute_at(&self.out, "yo")
-                .split_dim("x", "xo", "xi", 8)
+                .split_dim_tail("x", "xo", "xi", 16, TailStrategy::RoundUp)
                 .vectorize_dim("xi");
         }
+        self.denoised
+            .compute_at(&self.out, "yo")
+            .split_dim("x", "xo", "xi", 16)
+            .vectorize_dim("xi");
     }
 }
 

@@ -3,7 +3,7 @@
 //! into a CDF, and a point-wise, data-dependent gather remaps the input.
 
 use halide_ir::{Expr, ScalarType, Type};
-use halide_lang::{Func, ImageParam, Pipeline, RDom, Var};
+use halide_lang::{Func, ImageParam, Pipeline, RDom, TailStrategy, Var};
 use halide_runtime::Buffer;
 
 /// Number of intensity bins (8-bit input).
@@ -19,9 +19,6 @@ pub struct HistogramApp {
     pub cdf: Func,
     /// The output stage (data-dependent gather through the CDF).
     pub out: Func,
-    /// Input width the algorithm was built for (the reduction domain spans
-    /// it); schedules consult it for width-dependent choices.
-    width: i32,
 }
 
 impl HistogramApp {
@@ -77,7 +74,6 @@ impl HistogramApp {
             histogram,
             cdf,
             out,
-            width,
         }
     }
 
@@ -90,18 +86,18 @@ impl HistogramApp {
     /// and computed at root; the output stage is parallelized over rows and
     /// vectorized across x. The remap `cdf(bucket(input(x, y)))` then runs as
     /// one dense vector load of the input row, a vector bucket computation,
-    /// and one bulk clamped **gather** through the 256-entry CDF per 8
-    /// pixels, instead of 8 scalar loads and table lookups (the reductions
-    /// themselves are serial by data dependence and stay scalar). Images
-    /// narrower than one vector keep the scalar inner loop — the split
-    /// would otherwise reject them at realize time.
+    /// and one bulk clamped **gather** through the 256-entry CDF per 64
+    /// pixels, instead of 64 scalar loads and table lookups (the reductions
+    /// themselves are serial by data dependence and stay scalar). The last,
+    /// partial vector of a row is masked, so any width works, including
+    /// images narrower than one vector.
     pub fn schedule_good(&self) {
         self.histogram.compute_root();
         self.cdf.compute_root();
-        self.out.parallelize("y");
-        if self.width >= 8 {
-            self.out.split_dim("x", "xo", "xi", 8).vectorize_dim("xi");
-        }
+        self.out
+            .parallelize("y")
+            .split_dim_tail("x", "xo", "xi", 64, TailStrategy::Predicate)
+            .vectorize_dim("xi");
     }
 }
 
@@ -169,15 +165,21 @@ mod tests {
     }
 
     /// The tuned schedule must keep serving images narrower than one
-    /// vector (it falls back to the scalar inner loop instead of emitting
-    /// a split the realizer would reject).
+    /// vector (1, 3, 4 and 7 wide: the masked tail covers the whole row) and
+    /// rows that end in a partial vector (67 and 129 wide).
     #[test]
     fn tuned_schedule_handles_tiny_widths() {
-        let input = make_input(4, 4);
-        let app = HistogramApp::new(4, 4);
-        app.schedule_good();
-        let result = crate::realize(&app.pipeline(), &app.input, &input, &[4, 4], 1);
-        assert_eq!(result.output.max_abs_diff(&reference(&input)), 0.0);
+        for (w, h) in [(4, 4), (1, 1), (3, 9), (7, 5), (67, 49), (129, 31)] {
+            let input = make_input(w, h);
+            let app = HistogramApp::new(w as i32, h as i32);
+            app.schedule_good();
+            let result = crate::realize(&app.pipeline(), &app.input, &input, &[w, h], 2);
+            assert_eq!(
+                result.output.max_abs_diff(&reference(&input)),
+                0.0,
+                "{w}x{h}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,11 @@ use crate::{ForKind, FuncSchedule, LoopLevel, Result, ScheduleError, TailStrateg
 /// Widest vector a `vectorize` may produce. The lowering pass
 /// (`halide-lower`'s vectorizer) re-exports and enforces this same limit, so
 /// the predicate and the compiler cannot drift apart.
-pub const MAX_VECTOR_LANES: i64 = 64;
+pub const MAX_VECTOR_LANES: i64 = 4096;
+
+// The engines carry a vector's lane count in a `u16`, which is the real
+// ceiling on this limit.
+const _: () = assert!(MAX_VECTOR_LANES <= u16::MAX as i64);
 
 /// Deepest unroll the lowering pass accepts, shared the same way as
 /// [`MAX_VECTOR_LANES`].

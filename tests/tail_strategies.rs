@@ -206,3 +206,62 @@ fn round_up_on_the_output_is_rejected() {
     assert!(err.contains("round_up"), "error: {err}");
     assert!(err.contains("caller-allocated"), "error: {err}");
 }
+
+/// A producer read through a 3-wide stencil by the output `prefix_out`.
+fn stencil_consumer(prefix: &str) -> (ImageParam, Func, Func) {
+    let input = ImageParam::new(format!("{prefix}_in"), Type::f32(), 2);
+    let (x, y) = (Var::new("x"), Var::new("y"));
+    let prod = Func::new(format!("{prefix}_prod"));
+    prod.define(
+        &[x.clone(), y.clone()],
+        input.at_clamped(vec![x.expr(), y.expr()]) * 3.0f32,
+    );
+    let out = Func::new(format!("{prefix}_out"));
+    out.define(
+        &[x.clone(), y.clone()],
+        prod.at(vec![x.expr() - 1, y.expr()]) + prod.at(vec![x.expr() + 1, y.expr()]),
+    );
+    (input, prod, out)
+}
+
+#[test]
+fn predicate_tail_does_not_widen_its_producer() {
+    // A 96-wide output split by 64: the tail's masked lanes reach x = 127,
+    // but the guard bounds them at 95, so the producer spans the output plus
+    // the stencil (98 columns), not the rounded-up 130.
+    const WIDE: i64 = 96;
+    let (input, prod, out) = stencil_consumer("tail_pred_bounds");
+    prod.compute_root();
+    out.split_dim_tail("x", "xo", "xi", 64, TailStrategy::Predicate)
+        .vectorize_dim("xi");
+    let module = lower(&Pipeline::new(&out)).unwrap();
+    let (ref_input, _, ref_out) = stencil_consumer("tail_pred_bounds_ref");
+    let ref_module = lower(&Pipeline::new(&ref_out)).unwrap();
+    let expected = Realizer::new(&ref_module)
+        .input(ref_input.name(), input_image(WIDE, H))
+        .backend(Backend::Interp)
+        .realize(&[WIDE, H])
+        .unwrap()
+        .output;
+    for backend in Backend::ALL {
+        let r = Realizer::new(&module)
+            .input(input.name(), input_image(WIDE, H))
+            .backend(backend)
+            .instrument(true)
+            .realize(&[WIDE, H])
+            .unwrap_or_else(|e| panic!("{}: {e}", backend.name()));
+        assert_eq!(
+            r.output.max_abs_diff(&expected),
+            0.0,
+            "{} diverged from the reference",
+            backend.name()
+        );
+        assert!(r.counters.masked_stores > 0, "counters: {}", r.counters);
+        assert_eq!(
+            r.counters.bytes_allocated,
+            ((WIDE + 2) * H * 4) as u64,
+            "{}: the producer should be allocated at the output's extent plus the stencil",
+            backend.name()
+        );
+    }
+}

@@ -1,17 +1,18 @@
-//! Turning a plain-data [`FuzzCase`] into things that run: its schedules
-//! (for the legality predicate) and a live `halide_lang::Pipeline`.
+//! Turning a plain-data [`FuzzCase`] into things that run, and deciding
+//! which cases the fuzzer runs at all.
 //!
-//! Everything here is deterministic in the case, and the schedules the
-//! built pipeline carries are *exactly* the schedules the predicate
-//! validated (applied by the same code, differing only in the
-//! registry-uniquified function names).
-
-use std::collections::BTreeMap;
+//! [`admit`] is the one admission check, shared by generation, shrinking
+//! and replay: a structural check of the case, one rule about the request
+//! ([`check_request`]), then `halide_lower::lower` itself. The fuzzer keeps
+//! no copy of the compiler's schedule rules — a schedule is legal exactly
+//! when it lowers, so the generator explores every schedule users can write.
+//!
+//! Everything here is deterministic in the case.
 
 use halide_ir::{Expr, Type};
 use halide_lang::{Func, ImageParam, Pipeline, RDom, Var};
-use halide_schedule::legality::{ConsumerEdge, FuncInfo, PipelineInfo};
-use halide_schedule::{FuncSchedule, LoopLevel, Result, ScheduleError};
+use halide_lower::Module;
+use halide_schedule::{FuncSchedule, LoopLevel, Result, ScheduleError, TailStrategy};
 
 use crate::grammar::{CombineOp, Directive, FuzzCase, PointOp, Source, StageOp};
 
@@ -24,9 +25,9 @@ pub fn stage_name(i: usize) -> String {
 pub const INPUT_NAME: &str = "fuzz_in";
 
 /// Applies a stage's directive list to a schedule, mapping `ComputeAt`
-/// stage indices to function names via `consumer_name`. This is the single
-/// implementation used both for legality validation and for the real
-/// pipeline, so the two can never drift.
+/// stage indices to function names via `consumer_name`. The generator's view
+/// of a stage's loops ([`stage_schedules`]) and the built pipeline both
+/// apply directives through this one function.
 ///
 /// # Errors
 ///
@@ -73,10 +74,6 @@ pub fn apply_directives(
     Ok(())
 }
 
-fn xy_args() -> Vec<String> {
-    vec!["x".to_string(), "y".to_string()]
-}
-
 /// The schedule of every stage after applying its directives (canonical
 /// stage names).
 ///
@@ -88,7 +85,7 @@ pub fn stage_schedules(case: &FuzzCase) -> Result<Vec<FuncSchedule>> {
         .iter()
         .enumerate()
         .map(|(i, stage)| {
-            let mut s = FuncSchedule::default_for_args(&xy_args());
+            let mut s = FuncSchedule::default_for_args(&["x".to_string(), "y".to_string()]);
             apply_directives(&mut s, &stage.directives, stage_name)
                 .map_err(|e| ScheduleError::new(format!("stage {i}: {e}")))?;
             Ok(s)
@@ -156,64 +153,63 @@ fn validate_structure(case: &FuzzCase) -> Result<()> {
     Ok(())
 }
 
-/// The case as a [`PipelineInfo`] for the shared legality predicate.
+/// The one rule the fuzzer states for itself. It is about the request, not
+/// the schedule: a shift-inwards split of an output argument may not be
+/// wider than the extent the case realizes. Lowering accepts any factor
+/// there — the output's extent is only known when it is realized — and
+/// guards it with a run-time assertion; a case that trips that assertion
+/// tests nothing.
 ///
 /// # Errors
 ///
-/// Fails on structural problems or inapplicable directives.
-pub fn case_info(case: &FuzzCase) -> Result<PipelineInfo> {
-    validate_structure(case)?;
-    let schedules = stage_schedules(case)?;
-    let n = case.stages.len();
-    let mut funcs = BTreeMap::new();
-    for (i, (stage, schedule)) in case.stages.iter().zip(schedules).enumerate() {
-        let known_extents = if i + 1 == n {
-            vec![Some(case.width), Some(case.height)]
-        } else {
-            vec![None, None]
-        };
-        // Consumers of stage i: every later stage whose op reads Stage(i).
-        let consumers = case
-            .stages
-            .iter()
-            .enumerate()
-            .skip(i + 1)
-            .filter(|(_, s)| s.op.sources().contains(&Source::Stage(i)))
-            .map(|(j, s)| ConsumerEdge {
-                consumer: stage_name(j),
-                pure_only: s.op.reads_pure_only(Source::Stage(i)),
-            })
-            .collect();
-        funcs.insert(
-            stage_name(i),
-            FuncInfo {
-                name: stage_name(i),
-                args: xy_args(),
-                known_extents,
-                schedule,
-                has_updates: stage.op.has_updates(),
-                consumers,
-            },
-        );
+/// Names the split that does not fit.
+pub fn check_request(case: &FuzzCase) -> Result<()> {
+    let Some(output) = case.stages.last() else {
+        return Ok(());
+    };
+    for d in &output.directives {
+        if let Directive::Split {
+            dim,
+            factor,
+            tail: TailStrategy::ShiftInwards,
+        } = d
+        {
+            let extent = match dim.as_str() {
+                "x" => case.width,
+                "y" => case.height,
+                _ => continue,
+            };
+            if *factor > extent {
+                return Err(ScheduleError::new(format!(
+                    "the output's split of {dim:?} by {factor} is wider than the requested \
+                     extent {extent}"
+                )));
+            }
+        }
     }
-    Ok(PipelineInfo {
-        output: stage_name(n - 1),
-        funcs,
-    })
+    Ok(())
 }
 
-/// The full validity predicate over a case: structure, directives, and the
-/// shared schedule-legality rules. Everything this accepts must lower and
-/// run on every engine.
+/// Admits a case: the structural check, [`check_request`], then lowering,
+/// which alone decides whether the schedule is legal. Returns the built case
+/// and its lowered module, so a caller that goes on to run the case lowers
+/// it once and can admit the case's reference schedule through the same
+/// `Func`s.
+///
+/// This builds a new set of `Func`s. A caller that admits many schedules of
+/// the same stages builds once and calls [`BuiltCase::admit`] instead.
 ///
 /// # Errors
 ///
-/// Returns the first violation found.
-pub fn validate_case(case: &FuzzCase) -> Result<()> {
-    case_info(case)?.validate()
+/// The first failure, prefixed with the step that rejected the case.
+pub fn admit(case: &FuzzCase) -> std::result::Result<(BuiltCase, Module), String> {
+    let built = build_pipeline(case).map_err(|e| format!("build: {e}"))?;
+    let module = built.admit(case)?;
+    Ok((built, module))
 }
 
 /// A case built into a live pipeline, ready to lower.
+#[derive(Debug)]
 pub struct BuiltCase {
     /// The pipeline rooted at the case's output stage.
     pub pipeline: Pipeline,
@@ -221,6 +217,42 @@ pub struct BuiltCase {
     pub input_name: String,
     /// Output extents (`[width, height]`).
     pub extents: Vec<i64>,
+    /// One `Func` per stage, in stage order.
+    funcs: Vec<Func>,
+    /// Each stage's schedule before any directive.
+    defaults: Vec<FuncSchedule>,
+}
+
+impl BuiltCase {
+    /// Replaces every stage's schedule with its defaults plus `case`'s
+    /// directives.
+    fn schedule(&self, case: &FuzzCase) -> Result<()> {
+        for (i, stage) in case.stages.iter().enumerate() {
+            let mut s = self.defaults[i].clone();
+            apply_directives(&mut s, &stage.directives, |j| self.funcs[j].name())
+                .map_err(|e| ScheduleError::new(format!("stage {i}: {e}")))?;
+            self.funcs[i].set_schedule(s);
+        }
+        Ok(())
+    }
+
+    /// [`admit`] through these `Func`s: reschedules them to `case`'s
+    /// directives and lowers. `case` must have the stages and extents this
+    /// was built from; only its directives may differ. Every `Func` is
+    /// registered for the life of the process, so generation, which tries
+    /// many schedules per case, and the invariance check reschedule one
+    /// build rather than building each schedule anew.
+    ///
+    /// # Errors
+    ///
+    /// As [`admit`].
+    pub fn admit(&self, case: &FuzzCase) -> std::result::Result<Module, String> {
+        debug_assert_eq!(self.extents, [case.width, case.height]);
+        debug_assert_eq!(self.funcs.len(), case.stages.len());
+        self.schedule(case).map_err(|e| format!("build: {e}"))?;
+        check_request(case).map_err(|e| format!("request: {e}"))?;
+        halide_lower::lower(&self.pipeline).map_err(|e| format!("lower: {e}"))
+    }
 }
 
 fn point_expr(s: Expr, op: PointOp) -> Expr {
@@ -237,13 +269,15 @@ fn point_expr(s: Expr, op: PointOp) -> Expr {
     }
 }
 
-/// Builds the case into real `Func`s with the validated schedules applied.
+/// Builds the case into real `Func`s with its schedules applied. Only the
+/// structure is checked here; whether the schedule lowers is [`admit`]'s
+/// question.
 ///
 /// # Errors
 ///
-/// Fails if the case is invalid ([`validate_case`]).
+/// Fails on a structural problem or an inapplicable directive.
 pub fn build_pipeline(case: &FuzzCase) -> Result<BuiltCase> {
-    validate_case(case)?;
+    validate_structure(case)?;
     let input = ImageParam::new(INPUT_NAME, Type::f32(), 2);
     let (x, y) = (Var::new("x"), Var::new("y"));
     let funcs: Vec<Func> = (0..case.stages.len())
@@ -275,10 +309,7 @@ pub fn build_pipeline(case: &FuzzCase) -> Result<BuiltCase> {
                         Some(acc) => acc + term,
                     });
                 }
-                f.define(
-                    &args,
-                    sum.expect("validated: taps non-empty") / (*div as f32),
-                );
+                f.define(&args, sum.expect("checked: taps non-empty") / (*div as f32));
             }
             StageOp::Combine { a, b, op } => {
                 let ea = read(*a, x.expr(), y.expr());
@@ -319,17 +350,15 @@ pub fn build_pipeline(case: &FuzzCase) -> Result<BuiltCase> {
             }
         }
     }
-    for (i, stage) in case.stages.iter().enumerate() {
-        let mut s = funcs[i].schedule();
-        apply_directives(&mut s, &stage.directives, |j| funcs[j].name())
-            .map_err(|e| ScheduleError::new(format!("stage {i}: {e}")))?;
-        funcs[i].set_schedule(s);
-    }
-    Ok(BuiltCase {
-        pipeline: Pipeline::new(funcs.last().expect("validated: non-empty")),
+    let built = BuiltCase {
+        pipeline: Pipeline::new(funcs.last().expect("checked: non-empty")),
         input_name: INPUT_NAME.to_string(),
         extents: vec![case.width, case.height],
-    })
+        defaults: funcs.iter().map(Func::schedule).collect(),
+        funcs,
+    };
+    built.schedule(case)?;
+    Ok(built)
 }
 
 #[cfg(test)]
@@ -369,24 +398,24 @@ mod tests {
     #[test]
     fn valid_case_builds_and_lowers() {
         let case = point_case();
-        assert!(validate_case(&case).is_ok());
         let built = build_pipeline(&case).unwrap();
         assert_eq!(built.pipeline.len(), 2);
-        halide_lower::lower(&built.pipeline).expect("validated case must lower");
+        admit(&case).expect("an admitted case is a lowered case");
     }
 
     #[test]
     fn structural_violations_are_rejected() {
+        let rejected = |c: &FuzzCase| admit(c).unwrap_err().starts_with("build: ");
         let mut c = point_case();
         c.width = 0;
-        assert!(validate_case(&c).is_err());
+        assert!(rejected(&c));
 
         let mut c = point_case();
         c.stages[0].op = StageOp::Point {
             src: Source::Stage(0),
             op: PointOp::AddC(1),
         };
-        assert!(validate_case(&c).is_err());
+        assert!(rejected(&c));
 
         // interior reduce
         let mut c = point_case();
@@ -395,7 +424,7 @@ mod tests {
             rx: 2,
             ry: 2,
         };
-        assert!(validate_case(&c).is_err());
+        assert!(rejected(&c));
 
         // scan writes past the output width
         let mut c = point_case();
@@ -403,9 +432,11 @@ mod tests {
             src: Source::Stage(0),
             extent: 8,
         };
-        assert!(validate_case(&c).is_err());
+        assert!(rejected(&c));
     }
 
+    /// Admission rejects what lowering rejects, and one thing more: the
+    /// request rule. Each schedule rule's own test lives with lowering.
     #[test]
     fn illegal_schedules_are_rejected_by_the_shared_predicate() {
         // Vectorize of a symbolic-extent dim.
@@ -413,16 +444,23 @@ mod tests {
         c.stages[0]
             .directives
             .push(Directive::Vectorize("x".to_string()));
-        assert!(validate_case(&c).is_err());
+        assert!(admit(&c).unwrap_err().starts_with("lower: "));
 
-        // Split wider than the output extent.
+        // A shift-inwards split wider than the requested output extent:
+        // lowering would accept it behind a run-time assertion.
         let mut c = point_case();
-        c.stages[1].directives = vec![Directive::Split {
+        let split = |factor, tail| Directive::Split {
             dim: "x".to_string(),
-            factor: 16,
-            tail: Default::default(),
-        }];
-        assert!(validate_case(&c).is_err());
+            factor,
+            tail,
+        };
+        c.stages[1].directives = vec![split(16, TailStrategy::ShiftInwards)];
+        assert!(admit(&c).unwrap_err().starts_with("request: "));
+        // As wide as the request, or with a tail strategy, it fits.
+        c.stages[1].directives = vec![split(8, TailStrategy::ShiftInwards)];
+        assert!(admit(&c).is_ok());
+        c.stages[1].directives = vec![split(16, TailStrategy::GuardWithIf)];
+        assert!(admit(&c).is_ok());
 
         // compute_at into a reduce's window (update-stage call site).
         let mut c = point_case();
@@ -436,22 +474,27 @@ mod tests {
             consumer: 1,
             dim: "y".to_string(),
         }];
-        assert!(validate_case(&c).is_err());
+        assert!(admit(&c).unwrap_err().starts_with("lower: "));
         c.stages[0].directives.clear();
-        assert!(validate_case(&c).is_ok());
+        assert!(admit(&c).is_ok());
     }
 
     #[test]
     fn built_schedules_match_validated_schedules() {
         let mut case = point_case();
-        // Split/vectorize live on the (root-computed) output; the producer
-        // carries the compute_at, whose consumer index must map to the
-        // uniquified Func name. (Splits on an At-computed producer are
-        // illegal — its realized footprint can be constant and tiny.)
-        case.stages[0].directives = vec![Directive::ComputeAt {
-            consumer: 1,
-            dim: "y".to_string(),
-        }];
+        // The producer is split and computed at a consumer loop, whose
+        // stage index must map to the uniquified Func name.
+        case.stages[0].directives = vec![
+            Directive::Split {
+                dim: "x".to_string(),
+                factor: 2,
+                tail: TailStrategy::RoundUp,
+            },
+            Directive::ComputeAt {
+                consumer: 1,
+                dim: "y".to_string(),
+            },
+        ];
         case.stages[1].directives = vec![
             Directive::Split {
                 dim: "x".to_string(),
@@ -460,13 +503,14 @@ mod tests {
             },
             Directive::Vectorize("x_i".to_string()),
         ];
-        assert!(validate_case(&case).is_ok());
+        assert!(admit(&case).is_ok());
         let canonical = stage_schedules(&case).unwrap();
         let built = build_pipeline(&case).unwrap();
         let order = built.pipeline.realization_order();
         // Producer: compute level maps to the uniquified consumer name.
         let producer = built.pipeline.func(&order[0]).unwrap().schedule();
         assert_eq!(producer.dims, canonical[0].dims);
+        assert_eq!(producer.splits, canonical[0].splits);
         match (&producer.compute_level, &canonical[0].compute_level) {
             (LoopLevel::At { var: a, .. }, LoopLevel::At { var: b, .. }) => assert_eq!(a, b),
             (a, b) => panic!("compute levels diverge: {a} vs {b}"),

@@ -131,7 +131,7 @@ fn parse_num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
 ///
 /// Fails with a line-numbered message on any malformed line. Parsing does
 /// not validate the case semantically — replay harnesses call
-/// [`crate::build::validate_case`] (or just run it) after parsing.
+/// [`crate::build::admit`] (or just run it) after parsing.
 pub fn from_text(text: &str) -> Result<FuzzCase, String> {
     let mut case = FuzzCase {
         seed: 0,

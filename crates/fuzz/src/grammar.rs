@@ -7,15 +7,15 @@
 //!
 //! Generation is seeded and deterministic: the same seed always yields the
 //! same case. Schedules are **valid by construction**: every candidate
-//! directive is committed only if the whole case still passes the legality
-//! predicate (`halide_schedule::legality`), a conservative subset of the
-//! rules the compiler enforces itself while lowering.
+//! directive is committed only if the whole case is still admitted by
+//! [`build::admit`] — that is, only if it still lowers. The compiler is the
+//! one judge of a schedule; the generator keeps no rules of its own.
 
 use halide_schedule::TailStrategy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::build;
+use crate::build::{self, BuiltCase};
 
 /// Where a stage reads its data from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +88,7 @@ pub enum StageOp {
     /// A windowed box reduction over an `rx × ry` RDom:
     /// `f(x,y) = 0; f(x,y) += src(x + r.x, y + r.y)`.
     /// The source is read from the update stage, so it can never be
-    /// `compute_at` this stage (the legality predicate knows).
+    /// `compute_at` this stage (lowering rejects it).
     Reduce {
         /// The source the window reads.
         src: Source,
@@ -129,16 +129,6 @@ impl StageOp {
     /// True for ops defined with an update stage (reductions/scans).
     pub fn has_updates(&self) -> bool {
         matches!(self, StageOp::Reduce { .. } | StageOp::Scan { .. })
-    }
-
-    /// True when `src` is read only from this op's *pure* definition —
-    /// the bit that decides whether `src` may be computed inside this
-    /// stage's pure loop nest.
-    pub fn reads_pure_only(&self, src: Source) -> bool {
-        // Reduce reads its source inside the update stage's window body;
-        // every other op (including Scan, whose update references only
-        // itself) reads sources from the pure definition.
-        self.sources().contains(&src) && !matches!(self, StageOp::Reduce { .. })
     }
 
     /// A short tag for stats histograms.
@@ -234,7 +224,7 @@ pub struct FuzzCase {
 /// case, not the exception.
 pub const EXTENT_CHOICES: [i64; 14] = [1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 24, 31, 33];
 
-/// Split factors the generator proposes (legality filters per-case).
+/// Split factors the generator proposes (admission filters per-case).
 const FACTOR_CHOICES: [i64; 8] = [2, 3, 4, 5, 8, 16, 32, 64];
 
 fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
@@ -387,11 +377,16 @@ pub fn prune_unreachable(case: &mut FuzzCase) {
 }
 
 /// Tentatively appends `directive` to stage `stage`, keeping it only if the
-/// whole case still passes the legality predicate. Returns whether it was
-/// kept.
-fn try_directive(case: &mut FuzzCase, stage: usize, directive: Directive) -> bool {
+/// whole case is still admitted (it lowers) through `built`, the case's
+/// stages built once. Returns whether it was kept.
+fn try_directive(
+    built: &BuiltCase,
+    case: &mut FuzzCase,
+    stage: usize,
+    directive: Directive,
+) -> bool {
     case.stages[stage].directives.push(directive);
-    if build::validate_case(case).is_ok() {
+    if built.admit(case).is_ok() {
         true
     } else {
         case.stages[stage].directives.pop();
@@ -401,7 +396,7 @@ fn try_directive(case: &mut FuzzCase, stage: usize, directive: Directive) -> boo
 
 /// Current loop dims of a stage under its directives so far (for picking
 /// directive targets). Falls back to the default dims if the directive list
-/// is somehow inapplicable (legality filtering makes that unreachable).
+/// is somehow inapplicable (admission makes that unreachable).
 fn current_dims(case: &FuzzCase, stage: usize) -> Vec<String> {
     build::stage_schedules(case)
         .ok()
@@ -410,7 +405,7 @@ fn current_dims(case: &FuzzCase, stage: usize) -> Vec<String> {
         .unwrap_or_else(|| vec!["y".to_string(), "x".to_string()])
 }
 
-fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
+fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stage: usize) {
     // Domain-order directives.
     let n_domain = rng.gen_range(0usize..4);
     for _ in 0..n_domain {
@@ -421,8 +416,8 @@ fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
                 let inner = format!("{dim}_i");
                 // Extents are odd-biased, so most splits do not divide; half
                 // of them draw an explicit tail strategy and exercise the
-                // partitioned/predicated lowering paths (legality filters
-                // round_up off the output and re-splits of partitioned dims).
+                // partitioned/predicated lowering paths (lowering rejects
+                // round_up on the output and re-splits of partitioned dims).
                 let tail = match rng.gen_range(0u8..6) {
                     0..=2 => TailStrategy::ShiftInwards,
                     3 => TailStrategy::GuardWithIf,
@@ -437,13 +432,13 @@ fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
                 // Only split-inner dims have lowering-constant extents, so a
                 // fresh split is the one reliable chance to vectorize or
                 // unroll — take it often, while it is the innermost loop.
-                if try_directive(case, stage, split) && rng.gen_bool(0.5) {
+                if try_directive(built, case, stage, split) && rng.gen_bool(0.5) {
                     let d = if rng.gen_bool(0.7) {
                         Directive::Vectorize(inner)
                     } else {
                         Directive::Unroll(inner)
                     };
-                    try_directive(case, stage, d);
+                    try_directive(built, case, stage, d);
                 }
                 continue;
             }
@@ -461,7 +456,7 @@ fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
             4 => Directive::Vectorize(dim),
             _ => Directive::Unroll(dim),
         };
-        try_directive(case, stage, d);
+        try_directive(built, case, stage, d);
     }
     // Call-schedule directive (non-output stages only; the output must stay
     // at root).
@@ -469,16 +464,16 @@ fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
     if !is_output {
         let roll: f64 = rng.gen_range(0.0..1.0);
         if roll < 0.2 {
-            try_directive(case, stage, Directive::ComputeInline);
+            try_directive(built, case, stage, Directive::ComputeInline);
         } else if roll < 0.55 {
             // Pick a random later stage and one of its current dims.
             let consumer = rng.gen_range(stage + 1..case.stages.len());
             let dims = current_dims(case, consumer);
             let dim = dims[rng.gen_range(0..dims.len())].clone();
-            if try_directive(case, stage, Directive::ComputeAt { consumer, dim })
+            if try_directive(built, case, stage, Directive::ComputeAt { consumer, dim })
                 && rng.gen_bool(0.3)
             {
-                try_directive(case, stage, Directive::StoreRoot);
+                try_directive(built, case, stage, Directive::StoreRoot);
             }
         }
     }
@@ -486,9 +481,15 @@ fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
 
 /// Generates the case for `seed`: a random DAG of 1–5 stages over odd-biased
 /// extents, then (consumers first, so `ComputeAt` targets see final loop
-/// nests) a random legal directive list per stage. The result always passes
-/// [`build::validate_case`].
+/// nests) a random legal directive list per stage. The result is always
+/// admitted by [`build::admit`].
 pub fn generate(seed: u64) -> FuzzCase {
+    generate_built(seed).0
+}
+
+/// [`generate`], also returning the `Func`s the case was admitted through,
+/// so a caller that runs the case reschedules them instead of building anew.
+pub fn generate_built(seed: u64) -> (FuzzCase, BuiltCase) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
     let width = pick(&mut rng, &EXTENT_CHOICES);
     let height = pick(&mut rng, &EXTENT_CHOICES);
@@ -506,11 +507,12 @@ pub fn generate(seed: u64) -> FuzzCase {
             .collect(),
     };
     prune_unreachable(&mut case);
+    let built = build::build_pipeline(&case).expect("generated stages are well formed");
     for stage in (0..case.stages.len()).rev() {
-        gen_directives(&mut rng, &mut case, stage);
+        gen_directives(&mut rng, &built, &mut case, stage);
     }
-    debug_assert!(build::validate_case(&case).is_ok());
-    case
+    debug_assert!(built.admit(&case).is_ok());
+    (case, built)
 }
 
 #[cfg(test)]
@@ -529,8 +531,8 @@ mod tests {
         for seed in 0..200u64 {
             let case = generate(seed);
             assert!(!case.stages.is_empty());
-            build::validate_case(&case)
-                .unwrap_or_else(|e| panic!("seed {seed} generated an illegal case: {e}"));
+            build::admit(&case)
+                .unwrap_or_else(|e| panic!("seed {seed} generated an inadmissible case: {e}"));
         }
     }
 

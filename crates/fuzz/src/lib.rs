@@ -8,18 +8,20 @@
 //! identical work counters on every pipeline. This crate generates the
 //! pipelines: seeded, random-but-valid func DAGs (point ops, stencils,
 //! reductions, scans, multi-stage chains over odd and sub-vector extents)
-//! with random *legal* schedules (valid by construction against
-//! `halide_schedule::legality`, a conservative subset of the rules lowering
-//! enforces itself), runs each through the matrix plus a pooled-output
-//! check, and on failure shrinks to a minimal reproduction for the corpus.
+//! with random *legal* schedules (valid by construction: a directive is
+//! kept only if the case still lowers — the compiler is the one judge of a
+//! schedule), runs each through the matrix, a pooled-output check and a
+//! schedule-invariance check, and on failure shrinks to a minimal
+//! reproduction for the corpus.
 //!
 //! Pieces:
 //!
 //! * [`grammar`] — the [`grammar::FuzzCase`] data model and the seeded
 //!   generator;
-//! * [`build`] — case → live `Pipeline`, and the case-level validity
-//!   predicate shared by generation, shrinking, and replay;
-//! * [`run`] — the differential runner (one case, four realizations);
+//! * [`build`] — case → live `Pipeline`, and [`build::admit`], the one
+//!   admission check shared by generation, shrinking, and replay;
+//! * [`run`] — the differential runner (one case, four realizations, plus
+//!   the unscheduled reference, inlines kept, the schedule must not change);
 //! * [`mod@shrink`] — greedy minimization of failing cases;
 //! * [`corpus`] — the text format regression cases are stored in.
 //!
@@ -37,7 +39,7 @@ pub mod grammar;
 pub mod run;
 pub mod shrink;
 
-pub use build::{build_pipeline, validate_case};
+pub use build::{admit, build_pipeline};
 pub use corpus::{from_text, to_text};
 pub use grammar::{generate, FuzzCase};
 pub use run::run_case;

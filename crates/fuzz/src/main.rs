@@ -102,11 +102,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(e) = halide_fuzz::build::validate_case(&case) {
-            eprintln!("{}: illegal case: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        return match run::run_case(&case) {
+        let (built, module) = match halide_fuzz::admit(&case) {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                eprintln!("{}: inadmissible case: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        return match run::run_case_lowered(&case, &built, &module) {
             Ok(()) => {
                 println!("{}: PASS", path.display());
                 ExitCode::SUCCESS
@@ -152,7 +155,7 @@ fn main() -> ExitCode {
     for i in 0..args.cases {
         let seed = args.seed + i;
         let t = Instant::now();
-        let case = grammar::generate(seed);
+        let (case, built) = grammar::generate_built(seed);
         gen_time += t.elapsed();
         stage_count += case.stages.len();
         for s in &case.stages {
@@ -162,10 +165,10 @@ fn main() -> ExitCode {
             }
         }
         let t = Instant::now();
-        let lowered = run::lower_case(&case);
+        let lowered = built.admit(&case);
         lower_time += t.elapsed();
         let t = Instant::now();
-        let outcome = lowered.and_then(|module| run::run_case_lowered(&case, &module));
+        let outcome = lowered.and_then(|module| run::run_case_lowered(&case, &built, &module));
         matrix_time += t.elapsed();
         match outcome {
             Ok(()) => {

@@ -13,9 +13,16 @@
 //! on parallel timing; the pooled run additionally excludes the pool
 //! hit/miss counters its acquisition path touches).
 //!
-//! A legality-validated case that fails to lower or realize is also a
-//! failure: the predicate is supposed to be sound, so any rejection
-//! downstream is a bug in one layer or the other.
+//! The engines can agree on a wrong answer: a lowering bug that both
+//! execute faithfully passes the matrix. So the interpreter's output must
+//! also match a fifth realization that does not depend on the schedule —
+//! the same case with every directive except `compute_inline` removed,
+//! realized by the interpreter on one thread. Inlining stays because both
+//! engines evaluate f32 arithmetic in f64 lanes and round only at stores:
+//! inlining a stage removes a store, and with it a rounding point.
+//!
+//! An admitted case that fails to realize is also a failure: admission
+//! means it lowered, so any rejection downstream is a bug.
 
 use std::sync::Arc;
 
@@ -24,8 +31,8 @@ use halide_ir::ScalarType;
 use halide_lower::Module;
 use halide_runtime::{Buffer, BufferPool, CounterSnapshot};
 
-use crate::build;
-use crate::grammar::FuzzCase;
+use crate::build::{self, BuiltCase};
+use crate::grammar::{Directive, FuzzCase};
 
 /// The deterministic input image for a case: small mixed-sign values,
 /// exactly representable in f32, independent of the seed so corpus cases
@@ -45,11 +52,12 @@ fn counters_for_compare(mut c: CounterSnapshot, pooled: bool) -> CounterSnapshot
     c
 }
 
-fn compare_outputs(label: &str, got: &Buffer, want: &[f64]) -> Result<(), String> {
+/// Compares `got` bit for bit against `want`, which `want_from` produced.
+fn compare_outputs(label: &str, got: &Buffer, want: &[f64], want_from: &str) -> Result<(), String> {
     let a = got.to_f64_vec();
     if a.len() != want.len() {
         return Err(format!(
-            "{label}: output has {} elements, interpreter produced {}",
+            "{label}: output has {} elements, {want_from} produced {}",
             a.len(),
             want.len()
         ));
@@ -57,7 +65,7 @@ fn compare_outputs(label: &str, got: &Buffer, want: &[f64]) -> Result<(), String
     for (i, (x, y)) in a.iter().zip(want.iter()).enumerate() {
         if x.to_bits() != y.to_bits() {
             return Err(format!(
-                "{label}: outputs diverge at flat index {i}: got {x}, interpreter says {y}"
+                "{label}: outputs diverge at flat index {i}: got {x}, {want_from} says {y}"
             ));
         }
     }
@@ -79,36 +87,38 @@ fn compare_counters(
     Ok(())
 }
 
-/// Lowers `case` and runs the full differential matrix.
+/// Admits (lowers) `case` and runs the full differential matrix.
 ///
 /// # Errors
 ///
-/// Returns a description of the first divergence (or lowering/realization
-/// error) found. Any `Err` from a case that passed
-/// [`build::validate_case`] is a bug somewhere in the stack.
+/// Returns a description of the first divergence (or admission/realization
+/// error) found. Any `Err` from an admitted case is a bug somewhere in the
+/// stack.
 pub fn run_case(case: &FuzzCase) -> Result<(), String> {
-    let module = lower_case(case)?;
-    run_case_lowered(case, &module)
+    let (built, module) = build::admit(case)?;
+    run_case_lowered(case, &built, &module)
 }
 
-/// Builds and lowers a case (shared with the stats harness, which wants
-/// per-phase timing).
-///
-/// # Errors
-///
-/// Propagates build/lowering failures as strings.
-pub fn lower_case(case: &FuzzCase) -> Result<Module, String> {
-    let built = build::build_pipeline(case).map_err(|e| format!("build: {e}"))?;
-    halide_lower::lower(&built.pipeline).map_err(|e| format!("lower: {e}"))
+/// `case` without its schedule: every directive except `compute_inline`
+/// removed — the reference of the invariance check.
+fn unscheduled(case: &FuzzCase) -> FuzzCase {
+    let mut reference = case.clone();
+    for stage in &mut reference.stages {
+        stage
+            .directives
+            .retain(|d| matches!(d, Directive::ComputeInline));
+    }
+    reference
 }
 
-/// The realize-and-compare half of [`run_case`], on an already-lowered
-/// module.
+/// The realize-and-compare half of [`run_case`], on the module `built`
+/// lowered for `case` ([`BuiltCase::admit`]). The invariance reference is
+/// lowered through `built` too, so this reschedules its `Func`s.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_case`].
-pub fn run_case_lowered(case: &FuzzCase, module: &Module) -> Result<(), String> {
+pub fn run_case_lowered(case: &FuzzCase, built: &BuiltCase, module: &Module) -> Result<(), String> {
     let input = make_input(case.width, case.height);
     let extents = [case.width, case.height];
     let run = |backend: Backend, opt: OptLevel| {
@@ -132,7 +142,7 @@ pub fn run_case_lowered(case: &FuzzCase, module: &Module) -> Result<(), String> 
     ] {
         let got =
             run(Backend::Compiled, opt).map_err(|e| format!("{label}: realization failed: {e}"))?;
-        compare_outputs(label, &got.output, &want)?;
+        compare_outputs(label, &got.output, &want, "interpreter")?;
         compare_counters(label, got.counters, &want_counters, false)?;
     }
 
@@ -152,10 +162,27 @@ pub fn run_case_lowered(case: &FuzzCase, module: &Module) -> Result<(), String> 
         .opt_level(OptLevel::Default)
         .realize_into(out)
         .map_err(|e| format!("{label}: realization failed: {e}"))?;
-    compare_outputs(label, &pooled.output, &want)?;
+    compare_outputs(label, &pooled.output, &want, "interpreter")?;
     compare_counters(label, pooled.counters, &want_counters_pooled, true)?;
 
-    Ok(())
+    // The scheduled interpreter output is the side under test: report it as
+    // diverging from the unscheduled reference.
+    let label = "schedule invariance: scheduled interpreter output";
+    let reference = built
+        .admit(&unscheduled(case))
+        .map_err(|e| format!("{label}: {e}"))?;
+    let reference = Realizer::new(&reference)
+        .input(build::INPUT_NAME, input)
+        .threads(1)
+        .backend(Backend::Interp)
+        .realize(&extents)
+        .map_err(|e| format!("{label}: reference realization failed: {e}"))?;
+    compare_outputs(
+        label,
+        &interp.output,
+        &reference.output.to_f64_vec(),
+        "unscheduled reference (inlines kept)",
+    )
 }
 
 #[cfg(test)]
@@ -199,6 +226,24 @@ mod tests {
             ],
         };
         run_case(&case).unwrap();
+    }
+
+    #[test]
+    fn the_invariance_reference_keeps_only_inlining() {
+        let mut case = grammar::generate(0);
+        case.stages[0].directives = vec![
+            Directive::ComputeInline,
+            Directive::Parallel("y".to_string()),
+        ];
+        let reference = unscheduled(&case);
+        assert_eq!(
+            reference.stages[0].directives,
+            vec![Directive::ComputeInline]
+        );
+        assert!(reference.stages[1..]
+            .iter()
+            .all(|s| s.directives.is_empty()));
+        assert_eq!(reference.stages.len(), case.stages.len());
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! Greedy delta-debugging to a fixpoint: repeatedly propose a structurally
 //! smaller candidate (drop a stage, strip a directive, simplify an op,
-//! halve the extents, drop threads) and keep it if it is still a *legal*
-//! case that still *fails*. Any failure counts — shrinking may walk from
-//! one symptom of a bug to another, and the minimal case is what gets
-//! checked into the corpus either way.
+//! halve the extents, drop threads) and keep it if it is still an
+//! *admissible* case ([`build::admit`]: it lowers) that still *fails*. Any
+//! failure counts — shrinking may walk from one symptom of a bug to
+//! another, and the minimal case is what gets checked into the corpus
+//! either way.
 
 use crate::build;
 use crate::grammar::{Directive, FuzzCase, PointOp, Source, StageOp};
 use crate::run;
 
-/// Does `case` still reproduce *a* failure (and remain legal)?
+/// Does `case` still reproduce *a* failure (and remain admissible)?
 fn still_fails(case: &FuzzCase) -> bool {
-    build::validate_case(case).is_ok() && run::run_case(case).is_err()
+    build::admit(case)
+        .is_ok_and(|(built, module)| run::run_case_lowered(case, &built, &module).is_err())
 }
 
 fn remap_source(s: &mut Source, dropped: usize, replacement: Source) {
@@ -59,7 +61,7 @@ fn drop_stage(case: &FuzzCase, k: usize) -> FuzzCase {
     out
 }
 
-/// Structurally smaller candidates, most aggressive first. Illegal
+/// Structurally smaller candidates, most aggressive first. Inadmissible
 /// candidates are filtered by the caller via [`still_fails`].
 fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     let mut out = Vec::new();
@@ -223,21 +225,18 @@ mod tests {
                 op: crate::grammar::CombineOp::Add,
             }
         );
-        assert!(build::validate_case(&dropped).is_ok());
+        assert!(build::admit(&dropped).is_ok());
     }
 
     #[test]
     fn candidates_are_mostly_legal() {
-        // Shrink steps should usually remain in the legal space — a smoke
-        // check that candidate construction is not generating garbage.
+        // Shrink steps should usually remain admissible — a smoke check
+        // that candidate construction is not generating garbage.
         for seed in 0..30u64 {
             let case = crate::grammar::generate(seed);
             let cands = candidates(&case);
             assert!(!cands.is_empty() || case.stages.len() == 1);
-            let legal = cands
-                .iter()
-                .filter(|c| build::validate_case(c).is_ok())
-                .count();
+            let legal = cands.iter().filter(|c| build::admit(c).is_ok()).count();
             assert!(
                 legal * 2 >= cands.len(),
                 "seed {seed}: only {legal}/{} candidates legal",

@@ -30,9 +30,9 @@ fn every_corpus_case_passes_the_differential_matrix() {
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: unreadable: {e}"));
         let case = halide_fuzz::corpus::from_text(&text)
             .unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
-        halide_fuzz::build::validate_case(&case)
-            .unwrap_or_else(|e| panic!("{name}: case is no longer legal: {e}"));
-        halide_fuzz::run::run_case(&case)
+        let (built, module) = halide_fuzz::admit(&case)
+            .unwrap_or_else(|e| panic!("{name}: case is no longer admissible: {e}"));
+        halide_fuzz::run::run_case_lowered(&case, &built, &module)
             .unwrap_or_else(|e| panic!("{name}: differential failure:\n{e}"));
     }
 }

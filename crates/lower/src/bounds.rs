@@ -100,6 +100,14 @@ struct RegionWalker<'a> {
 }
 
 impl RegionWalker<'_> {
+    /// Unions the bounds of one access's coordinates into the region.
+    fn touch(&mut self, args: &[Expr]) {
+        for (d, a) in args.iter().enumerate().take(self.ndims) {
+            let b = bounds_of_expr_in_scope(a, &self.scope);
+            self.region.union_in_place(d, &b);
+        }
+    }
+
     fn visit_expr(&mut self, e: &Expr) {
         if let ExprNode::Call {
             name,
@@ -109,10 +117,7 @@ impl RegionWalker<'_> {
         } = e.node()
         {
             if name == self.func && matches!(call_type, CallType::Halide | CallType::Image) {
-                for (d, a) in args.iter().enumerate().take(self.ndims) {
-                    let b = bounds_of_expr_in_scope(a, &self.scope);
-                    self.region.union_in_place(d, &b);
-                }
+                self.touch(args);
             }
         }
         // Recurse manually over children (including call args, which may
@@ -245,10 +250,13 @@ impl RegionWalker<'_> {
                 self.visit_stmt(body);
                 self.scope.pop(name);
             }
-            StmtNode::Provide { value, args, .. } => {
+            StmtNode::Provide { name, value, args } => {
                 self.visit_expr(value);
                 for a in args {
                     self.visit_expr(a);
+                }
+                if name == self.func {
+                    self.touch(args);
                 }
             }
             StmtNode::Store {
@@ -300,8 +308,16 @@ impl RegionWalker<'_> {
     }
 }
 
-/// Computes the region of `func` (with `ndims` pure dimensions) required by
-/// every call site inside `stmt`.
+/// Computes the region of `func` (with `ndims` pure dimensions) touched
+/// inside `stmt`: every coordinate it is read at (its call sites) and every
+/// coordinate it is written at (its `Provide` sites).
+///
+/// A produce nest can write more than its consumers read — a split tail
+/// rounds up, or a read the simplifier dropped still sized the compute
+/// region — so a storage fold sized from this region holds every write.
+/// Queried at a consumer's level before the producer is injected, the
+/// producer has no `Provide` sites there and this is exactly what the
+/// consumers read.
 ///
 /// Loop variables bound *inside* `stmt` are folded into the region (their
 /// whole range is assumed to execute); variables bound outside remain
@@ -453,6 +469,22 @@ mod tests {
             .unwrap();
         assert_eq!(ranges[0].min.as_const_int(), Some(0));
         assert_eq!(ranges[0].extent.as_const_int(), Some(9));
+    }
+
+    #[test]
+    fn touched_region_counts_writes() {
+        // for x in [0, 4): g(x + 2) = g(x)
+        let body = Stmt::provide(
+            "g",
+            call("g", vec![Expr::var_i32("x")]),
+            vec![Expr::var_i32("x") + 2],
+        );
+        let s = Stmt::for_loop("x", Expr::int(0), Expr::int(4), ForKind::Serial, body);
+        let range = |r: RegionBox| {
+            let r = r.to_ranges("g", &dims(&["x"])).unwrap().remove(0);
+            (r.min.as_const_int(), r.extent.as_const_int())
+        };
+        assert_eq!(range(region_required(&s, "g", 1)), (Some(0), Some(6)));
     }
 
     /// `for x in [0, 128): if (x < 96) { then } else { else }`, with `g(x)`

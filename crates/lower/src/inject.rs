@@ -31,7 +31,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use halide_ir::{
-    simplify, simplify_stmt, CallType, Expr, ExprNode, IrMutator, Range, Stmt, StmtNode, Type,
+    simplify, simplify_stmt, CallType, Expr, ExprNode, ForKind, IrMutator, Range, Stmt, StmtNode,
+    Type,
 };
 use halide_lang::{Pipeline, RVar};
 use halide_schedule::{FuncSchedule, LoopLevel};
@@ -354,6 +355,22 @@ fn level_loop_name(env: &BTreeMap<String, FuncDef>, level: &LoopLevel) -> Result
                     "compute_at/store_at references loop {var:?} which is not a dimension of {func:?}"
                 )));
             }
+            // Vectorization replaces a loop variable by a ramp everywhere in
+            // the loop's body, so a realization there would get vector
+            // bounds: its loops and allocation would have no scalar extent.
+            // Unrolling substitutes scalars and stays legal.
+            let dims = &consumer.schedule.dims;
+            let enclosing = consumer
+                .schedule
+                .dim_index(var)
+                .map_or(&[][..], |i| &dims[..=i]);
+            if let Some(v) = enclosing.iter().find(|d| d.kind == ForKind::Vectorized) {
+                return Err(LowerError::new(format!(
+                    "compute_at/store_at {func}.{var} is at or inside the vectorized loop \
+                     {:?}; producers cannot be realized inside a vector",
+                    v.name
+                )));
+            }
             Ok(Some(loop_var(func, var)))
         }
     }
@@ -451,6 +468,14 @@ pub fn build_pipeline_stmt(
     let out_def = env
         .get(output)
         .ok_or_else(|| LowerError::new(format!("unknown output function {output:?}")))?;
+    // Nothing encloses the output, so a compute level there would be ignored.
+    if !out_def.schedule.compute_level.is_root() {
+        return Err(LowerError::new(format!(
+            "the output function {output:?} is computed at {}; it must be computed at root",
+            out_def.schedule.compute_level
+        ))
+        .in_func(output));
+    }
     let mut stmt = build_produce_nest(out_def, &symbolic_region(out_def))?;
 
     // The output buffer is supplied by the caller and cannot be padded, so
@@ -503,8 +528,9 @@ pub fn build_pipeline_stmt(
             continue;
         }
 
-        let compute_loop = level_loop_name(env, &def.schedule.compute_level)?;
-        let store_loop = level_loop_name(env, &def.schedule.store_level)?;
+        let level_loop = |level| level_loop_name(env, level).map_err(|e| e.in_func(&def.name));
+        let compute_loop = level_loop(&def.schedule.compute_level)?;
+        let store_loop = level_loop(&def.schedule.store_level)?;
 
         // Region required at the compute level. The leading lets of the
         // compute body — bounds bindings of already-injected realizations —
@@ -554,6 +580,17 @@ pub fn build_pipeline_stmt(
                     .in_func(&def.name)
                 })?,
             };
+            // The realization must wrap the produce, so the storage loop
+            // has to enclose the compute loop, not sit inside it.
+            if let Some(c) = &compute_loop {
+                if loop_body(&store_body, c).is_none() {
+                    return Err(LowerError::new(format!(
+                        "{}: store level {} does not enclose its compute level {}",
+                        def.name, def.schedule.store_level, def.schedule.compute_level
+                    ))
+                    .in_func(&def.name));
+                }
+            }
             let (_, store_body) = peel_leading_lets(&store_body);
             let calls_in_store = count_calls(&store_body, &def.name);
             if calls_in_store < total_calls {

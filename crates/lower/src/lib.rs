@@ -45,6 +45,8 @@ pub mod bounds;
 pub mod error;
 pub mod flatten;
 pub mod inject;
+#[cfg(test)]
+mod legality;
 pub mod licm;
 pub mod nest;
 pub mod sliding;

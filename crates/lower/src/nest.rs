@@ -85,11 +85,30 @@ fn region_map(func: &FuncDef, region: &[Range]) -> HashMap<String, (Expr, Expr)>
 /// must run where the concrete region is still at hand — injection calls it
 /// right after bounds inference.
 ///
+/// It also rejects a nest with more than one vectorized loop: each turns
+/// the index into a ramp of its own width, and the engines would broadcast
+/// the narrower ramp against the wider one rather than fail, storing wrong
+/// pixels.
+///
 /// # Errors
 ///
 /// Fails if a split factor exceeds the constant extent of the dimension it
-/// splits, or if a split references a dimension the function does not have.
+/// splits, if a split references a dimension the function does not have, or
+/// if two of the function's loops are vectorized.
 pub fn validate_splits(func: &FuncDef, region: &[Range]) -> Result<()> {
+    let mut vectorized = func
+        .schedule
+        .dims
+        .iter()
+        .filter(|d| d.kind == ForKind::Vectorized);
+    if let (Some(a), Some(b)) = (vectorized.next(), vectorized.next()) {
+        return Err(LowerError::new(format!(
+            "{} vectorizes both {:?} and {:?}; a loop nest may vectorize one loop",
+            func.name, a.name, b.name
+        ))
+        .in_func(&func.name)
+        .in_dim(&b.name));
+    }
     // Tracks the (constant, when known) extent of every dimension as splits
     // rewrite them, mirroring the bookkeeping in `build_pure_nest`.
     let mut extents: HashMap<String, Option<i64>> = func
@@ -161,27 +180,6 @@ pub fn validate_splits(func: &FuncDef, region: &[Range]) -> Result<()> {
                 ))
                 .in_func(&func.name)
                 .in_dim(&split.old));
-            }
-            // A vectorized predicate tail masks every memory op under the
-            // guard with a vector over the *inner* dim's lanes; a second
-            // vectorized loop nested inside would give those ops a
-            // different lane count than the mask.
-            if split.tail == TailStrategy::Predicate {
-                let i = i.expect("checked above");
-                let dims = &func.schedule.dims;
-                if dims[i].kind == ForKind::Vectorized {
-                    if let Some(v) = dims[i + 1..].iter().find(|d| d.kind == ForKind::Vectorized) {
-                        return Err(LowerError::new(format!(
-                            "predicate split of {:?} in {}: its vectorized inner loop \
-                             {:?} masks stores with {}-lane predicates, but the \
-                             vectorized loop {:?} nested inside would give them a \
-                             different lane count; vectorize one or the other",
-                            split.old, func.name, split.inner, split.factor, v.name
-                        ))
-                        .in_func(&func.name)
-                        .in_dim(&v.name));
-                    }
-                }
             }
         }
         let outer = old.map(|e| (e + split.factor - 1) / split.factor);

@@ -320,6 +320,9 @@ impl SlidingPass<'_> {
         let mut new_bounds = bounds.to_vec();
         if self.enable_folding {
             if let Some(lb) = loop_body {
+                // Everything one iteration reads *or writes*: the fold must
+                // hold the produce nest's whole output, not just what the
+                // consumers read back.
                 let footprint = region_required(&lb, &func.name, func.args.len());
                 for (d, interval) in footprint.dims.iter().enumerate() {
                     let per_iter_extent = interval.extent().and_then(|e| e.as_const_int());
@@ -537,6 +540,60 @@ mod tests {
         assert!(report.slid.is_empty(), "slid across a parallel loop");
         assert!(report.folded.is_empty(), "folded across a parallel loop");
         assert_eq!(optimized.to_string(), stmt.to_string());
+    }
+
+    /// The fold factors `p` gets when computed per pixel of `c(x, y) =
+    /// sum(w * p(x + dx, y + dy))` and stored at root, with `split` applied
+    /// to `p`.
+    fn folds_of(
+        prefix: &str,
+        taps: &[(i32, i32, f32)],
+        split: impl Fn(&Func),
+    ) -> Vec<(usize, i64)> {
+        let input = ImageParam::new(format!("{prefix}_in"), Type::f32(), 2);
+        let (x, y) = (Var::new("x"), Var::new("y"));
+        let p = Func::new(format!("{prefix}_p"));
+        p.define(
+            &[x.clone(), y.clone()],
+            input.at_clamped(vec![x.expr(), y.expr()]) + 1.0f32,
+        );
+        let c = Func::new(format!("{prefix}_c"));
+        let read = |&(dx, dy, w): &(i32, i32, f32)| p.at(vec![x.expr() + dx, y.expr() + dy]) * w;
+        let sum = taps.iter().map(read).reduce(|a, b| a + b).unwrap();
+        c.define(&[x.clone(), y.clone()], sum);
+        split(&p);
+        p.compute_at(&c, "x").store_root();
+        let pipeline = Pipeline::new(&c);
+        let env = snapshot_pipeline(&pipeline);
+        let order = pipeline.realization_order();
+        let stmt = build_pipeline_stmt(&env, &order, &c.name()).unwrap();
+        let (_, report) = sliding_and_folding(&stmt, &env, true, true);
+        let p = p.name();
+        report
+            .folded
+            .into_iter()
+            .filter(|(f, _, _)| *f == p)
+            .map(|(_, d, c)| (d, c))
+            .collect()
+    }
+
+    #[test]
+    fn fold_holds_what_the_produce_nest_writes() {
+        // The weight-0 tap is simplified out of the reads, but it sized the
+        // compute region: each iteration writes two rows of `p` and reads
+        // one back. A fold sized from the reads alone wraps the second row
+        // onto the first.
+        let taps = [(-1, 1, 0.0), (-1, 0, 3.0)];
+        assert_eq!(
+            folds_of("slide_fold_rows", &taps, |_| {}),
+            vec![(0, 1), (1, 2)]
+        );
+        // A round_up split writes a whole 8-wide tile per output pixel.
+        let round_up = |p: &Func| {
+            p.split_dim_tail("x", "xo", "xi", 8, halide_schedule::TailStrategy::RoundUp);
+        };
+        let folds = folds_of("slide_fold_tile", &[(0, 0, 1.0)], round_up);
+        assert!(folds.contains(&(0, 8)), "{folds:?}");
     }
 
     #[test]

@@ -20,15 +20,16 @@ use halide_ir::{
 use crate::error::{LowerError, Result};
 
 /// The widest vector the backend accepts. Wider vectorize factors are almost
-/// certainly schedule bugs (or autotuner excess) and are rejected. Shared
-/// with the ahead-of-time legality predicate (`halide_schedule::legality`)
-/// so schedule generators and this pass can never disagree on the limit.
-pub use halide_schedule::legality::MAX_VECTOR_LANES;
+/// certainly schedule bugs (or autotuner excess) and are rejected.
+pub const MAX_VECTOR_LANES: i64 = 4096;
+
+// The engines carry a vector's lane count in a `u16`, which is the real
+// ceiling on this limit.
+const _: () = assert!(MAX_VECTOR_LANES <= u16::MAX as i64);
 
 /// How many times a loop may be unrolled before we refuse (guards against
-/// code-size explosion from careless schedules). Shared with
-/// `halide_schedule::legality` like [`MAX_VECTOR_LANES`].
-pub use halide_schedule::legality::MAX_UNROLL;
+/// code-size explosion from careless schedules).
+pub const MAX_UNROLL: i64 = 64;
 
 struct VectorizeUnroll {
     error: Option<LowerError>,

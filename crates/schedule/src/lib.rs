@@ -21,8 +21,6 @@ use std::fmt;
 
 pub use halide_ir::ForKind;
 
-pub mod legality;
-
 /// Error produced when a schedule is malformed.
 ///
 /// The autotuner depends on these being raised (rather than silently

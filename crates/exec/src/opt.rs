@@ -108,8 +108,13 @@ const PASSES: &[(&str, fn(&mut PirProgram) -> u64)] = &[
     ("dce", dce),
 ];
 
-/// Safety valve: the pipeline converges in 2-4 iterations on every app;
-/// cap it in case a future pass pair oscillates.
+/// Cap on fixed-point iterations. It binds: over the benchmark's twelve
+/// programs (six apps, naive and tuned, at 512x384) the pipeline runs 4-10
+/// iterations, 100 in all, and five programs reach the cap (blur, bilateral
+/// grid, camera pipe and local Laplacian tuned; local Laplacian naive).
+/// Tuned bilateral grid, camera pipe and local Laplacian are still
+/// rewriting at iteration 10; local Laplacian makes 3 CSE and 6 copy-prop
+/// rewrites there. Raising the cap changes the emitted programs.
 const MAX_ITERATIONS: u32 = 10;
 
 /// Runs the pass pipeline on `p` to a fixed point. When `trace` is given,

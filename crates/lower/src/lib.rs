@@ -16,20 +16,23 @@
 //! 3. sliding window optimization and storage folding ([`sliding`];
 //!    let-aware: bounds are resolved through the visible bindings before
 //!    monotonicity is tested),
-//! 4. flattening ([`flatten`]; buffer layout symbols are `let`s referencing
-//!    the bounds names),
+//! 4. flattening ([`flatten`]; each internal buffer's layout is resolved
+//!    in place: immediates and bounds names go straight into the indices,
+//!    and only compound components such as `max(f.x.extent, 64)` are bound
+//!    to `let`s),
 //! 5. vectorization and unrolling ([`vectorize`]; extents resolve through
 //!    the visible bindings, so a let-bound constant extent still counts as
 //!    constant),
 //! 6. loop-invariant mask hoisting ([`licm`]; `select` conditions invariant
 //!    in an enclosing loop become leading `let`s of its body, which the
 //!    execution engines evaluate once per loop entry),
-//! 7. simplification (throughout; the statement simplifier is
-//!    scope-carrying, folding min/max terms over let-bound bounds names).
+//! 7. simplification (after injection, after sliding and once at the end;
+//!    the statement simplifier is scope-carrying, folding min/max terms over
+//!    let-bound bounds names).
 //!
 //! Each pass assumes the previous ones ran: sliding/folding pattern-match
 //! the `Realize`/`Producer` structure injection emits, flattening assumes
-//! bounds are already named (its layout lets just alias them), and
+//! bounds are already named (so most layout components are bare names), and
 //! vectorization assumes storage is flat (it rewrites `Load`/`Store`
 //! indices, not `Call`/`Provide` coordinates).
 //!

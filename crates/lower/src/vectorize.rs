@@ -12,9 +12,8 @@
 //! copies of its body with the loop variable bound to `min + i`.
 
 use halide_ir::{
-    const_int, mutate_expr_children, mutate_stmt_children, simplify_stmt, substitute_in_stmt,
-    visit_expr_children, Expr, ExprNode, ForKind, IrMutator, IrVisitor, LetResolver, Stmt,
-    StmtNode,
+    const_int, mutate_expr_children, mutate_stmt_children, substitute_in_stmt, visit_expr_children,
+    Expr, ExprNode, ForKind, IrMutator, IrVisitor, LetResolver, Stmt, StmtNode,
 };
 
 use crate::error::{LowerError, Result};
@@ -289,7 +288,7 @@ pub fn vectorize_and_unroll(stmt: &Stmt) -> Result<Stmt> {
     let out = pred.mutate_stmt(&out);
     match pred.error {
         Some(e) => Err(e),
-        None => Ok(simplify_stmt(&out)),
+        None => Ok(out),
     }
 }
 

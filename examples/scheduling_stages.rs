@@ -9,8 +9,10 @@
 //! ```
 //!
 //! Each excerpt is spliced between `<!-- generated:NAME -->` /
-//! `<!-- /generated:NAME -->` markers, so the handbook's IR can never
-//! silently drift from what the compiler actually produces.
+//! `<!-- /generated:NAME -->` markers (see `support`), so the handbook's IR
+//! can never silently drift from what the compiler actually produces.
+
+mod support;
 
 use std::fmt::Write as _;
 
@@ -157,61 +159,11 @@ fn stage_funcs(app: &CameraPipeApp) -> [&halide::Func; 6] {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let write_to = flag_value(&args, "--write");
-    let check_against = flag_value(&args, "--check");
-
-    if args.iter().any(|a| a == "--time") {
+    if std::env::args().any(|a| a == "--time") {
         time_stages();
         return;
     }
-
-    let blocks = stages();
-
-    if let Some(path) = check_against {
-        let doc =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let mut drifted = Vec::new();
-        for (name, text) in &blocks {
-            match extract_block(&doc, name) {
-                Some(found) if found.trim_end() == text.trim_end() => {}
-                Some(_) => drifted.push(name.to_string()),
-                None => drifted.push(format!("{name} (markers missing)")),
-            }
-        }
-        if drifted.is_empty() {
-            println!(
-                "{path}: all {} generated IR excerpts are current",
-                blocks.len()
-            );
-            return;
-        }
-        eprintln!(
-            "{path}: generated IR excerpts have drifted from the compiler's output: {}",
-            drifted.join(", ")
-        );
-        eprintln!(
-            "regenerate with: cargo run --release --example scheduling_stages -- --write {path}"
-        );
-        std::process::exit(1);
-    }
-
-    if let Some(path) = write_to {
-        let mut doc =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        for (name, text) in &blocks {
-            doc = splice_block(&doc, name, text)
-                .unwrap_or_else(|| panic!("{path} has no markers for generated block {name:?}"));
-        }
-        std::fs::write(&path, doc).expect("writing the doc");
-        println!("{path}: spliced {} generated IR excerpts", blocks.len());
-        return;
-    }
-
-    for (name, text) in &blocks {
-        println!("\n{}\n== {name}\n{}\n", "=".repeat(72), "=".repeat(72));
-        println!("{text}");
-    }
+    support::run("scheduling_stages", &stages());
 }
 
 /// Runs every walkthrough stage on both execution engines and prints the
@@ -275,50 +227,6 @@ fn scrub(text: &str) -> String {
 /// A registered name without its `$n` uniquification suffix.
 fn base_name(name: &str) -> &str {
     name.split('$').next().unwrap_or(name)
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-// ---- generated-block splicing ---------------------------------------------
-
-fn markers(name: &str) -> (String, String) {
-    (
-        format!("<!-- generated:{name} -->"),
-        format!("<!-- /generated:{name} -->"),
-    )
-}
-
-/// The text between a block's markers (exclusive), without the ```text fence.
-fn extract_block(doc: &str, name: &str) -> Option<String> {
-    let (open, close) = markers(name);
-    let start = doc.find(&open)? + open.len();
-    let end = doc[start..].find(&close)? + start;
-    let body = &doc[start..end];
-    let body = body.trim_start_matches('\n');
-    let body = body.strip_prefix("```text\n")?;
-    let body = body
-        .strip_suffix("```\n")
-        .or_else(|| body.strip_suffix("```"))?;
-    Some(body.to_string())
-}
-
-/// Replaces a block's contents, keeping the markers and the ```text fence.
-fn splice_block(doc: &str, name: &str, text: &str) -> Option<String> {
-    let (open, close) = markers(name);
-    let start = doc.find(&open)? + open.len();
-    let end = doc[start..].find(&close)? + start;
-    let mut out = String::with_capacity(doc.len() + text.len());
-    out.push_str(&doc[..start]);
-    out.push_str("\n```text\n");
-    out.push_str(text.trim_end());
-    out.push_str("\n```\n");
-    out.push_str(&doc[end..]);
-    Some(out)
 }
 
 // ---- IR skeletons ---------------------------------------------------------

@@ -338,6 +338,24 @@ impl Report {
                  the scalar naive schedule on the compiled backend, got {s:.2}x"
             );
         }
+        // The histogram's scatter is a factored 64-lane reduction on the
+        // tuned schedule; the serial scalar scatter it replaced held the
+        // tuned schedule near 2x.
+        let naive = self
+            .row("Histogram equalize", "naive")
+            .compiled
+            .as_secs_f64();
+        let tuned = self
+            .row("Histogram equalize", "tuned")
+            .compiled
+            .as_secs_f64();
+        let s = naive / tuned.max(1e-12);
+        println!("Histogram equalize tuned over naive (compiled): {s:.2}x");
+        assert!(
+            s >= 4.0,
+            "the tuned histogram schedule (a 64-lane rfactor of its scatter) must be at \
+             least 4x faster than the scalar naive schedule on the compiled backend, got {s:.2}x"
+        );
         if full_tier {
             assert!(
                 self.full_res.iter().filter(|r| r.width == 1920).count() == AppKind::ALL.len(),

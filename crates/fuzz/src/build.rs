@@ -9,10 +9,12 @@
 //!
 //! Everything here is deterministic in the case.
 
-use halide_ir::{Expr, Type};
+use halide_ir::{Expr, ForKind, Type};
 use halide_lang::{Func, ImageParam, Pipeline, RDom, Var};
 use halide_lower::Module;
-use halide_schedule::{FuncSchedule, LoopLevel, Result, ScheduleError, TailStrategy};
+use halide_schedule::{
+    FuncSchedule, LoopLevel, Result, ScheduleError, StageSchedule, TailStrategy,
+};
 
 use crate::grammar::{CombineOp, Directive, FuzzCase, PointOp, Source, StageOp};
 
@@ -69,6 +71,7 @@ pub fn apply_directives(
                 schedule.store_level = LoopLevel::Inline;
             }
             Directive::StoreRoot => schedule.store_level = LoopLevel::Root,
+            Directive::Update(_) => {}
         }
     }
     Ok(())
@@ -91,6 +94,72 @@ pub fn stage_schedules(case: &FuzzCase) -> Result<Vec<FuncSchedule>> {
             Ok(s)
         })
         .collect()
+}
+
+/// The default schedule of stage `stage`'s update definition, as
+/// [`build_pipeline`] defines it, or `None` for a stage without one.
+fn default_update_schedule(case: &FuzzCase, stage: usize) -> Option<StageSchedule> {
+    let r = format!("r{stage}");
+    let (pure, rvars) = match case.stages[stage].op {
+        StageOp::Reduce { .. } => (vec!["x", "y"], vec![format!("{r}.x"), format!("{r}.y")]),
+        StageOp::Scan { .. } => (vec!["y"], vec![format!("{r}.x")]),
+        _ => return None,
+    };
+    let pure: Vec<String> = pure.into_iter().map(String::from).collect();
+    Some(StageSchedule::default_for(&pure, &rvars))
+}
+
+/// Applies a stage's `Update` directives to its update's schedule.
+///
+/// # Errors
+///
+/// Fails if a directive is inapplicable, or the stage has no update.
+fn apply_update_directives(
+    schedule: Option<&mut StageSchedule>,
+    directives: &[Directive],
+) -> Result<()> {
+    let mut updates = directives.iter().filter_map(|d| match d {
+        Directive::Update(d) => Some(&**d),
+        _ => None,
+    });
+    let Some(schedule) = schedule else {
+        return match updates.next() {
+            Some(_) => Err(ScheduleError::new("the stage has no update definition")),
+            None => Ok(()),
+        };
+    };
+    for d in updates {
+        match d {
+            Directive::Split { dim, factor, tail } => schedule.split_with_tail(
+                dim,
+                format!("{dim}_o"),
+                format!("{dim}_i"),
+                *factor,
+                *tail,
+            )?,
+            Directive::Parallel(dim) => schedule.set_kind(dim, ForKind::Parallel)?,
+            Directive::Vectorize(dim) => schedule.set_kind(dim, ForKind::Vectorized)?,
+            other => {
+                return Err(ScheduleError::new(format!(
+                    "{} is not an update-stage directive",
+                    other.tag()
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The current loop dims of stage `stage`'s update definition under its
+/// `Update` directives so far (empty for a stage without one).
+pub fn update_dims(case: &FuzzCase, stage: usize) -> Vec<String> {
+    let mut schedule = default_update_schedule(case, stage);
+    match apply_update_directives(schedule.as_mut(), &case.stages[stage].directives) {
+        Ok(()) => schedule
+            .map(|s| s.dims.into_iter().map(|d| d.name).collect())
+            .unwrap_or_default(),
+        Err(_) => Vec::new(),
+    }
 }
 
 /// Structural sanity of a case, independent of scheduling: extents and
@@ -224,14 +293,20 @@ pub struct BuiltCase {
 }
 
 impl BuiltCase {
-    /// Replaces every stage's schedule with its defaults plus `case`'s
-    /// directives.
+    /// Replaces every stage's schedules (its pure definition's and its
+    /// update's) with their defaults plus `case`'s directives.
     fn schedule(&self, case: &FuzzCase) -> Result<()> {
         for (i, stage) in case.stages.iter().enumerate() {
+            let in_stage = |e: ScheduleError| ScheduleError::new(format!("stage {i}: {e}"));
             let mut s = self.defaults[i].clone();
             apply_directives(&mut s, &stage.directives, |j| self.funcs[j].name())
-                .map_err(|e| ScheduleError::new(format!("stage {i}: {e}")))?;
+                .map_err(in_stage)?;
             self.funcs[i].set_schedule(s);
+            let mut update = default_update_schedule(case, i);
+            apply_update_directives(update.as_mut(), &stage.directives).map_err(in_stage)?;
+            if let Some(update) = update {
+                self.funcs[i].update_stage(0).set_schedule(update);
+            }
         }
         Ok(())
     }

@@ -89,26 +89,68 @@ pub fn to_text(case: &FuzzCase) -> String {
     }
     for (i, stage) in case.stages.iter().enumerate() {
         for d in &stage.directives {
-            let line = match d {
-                Directive::Split { dim, factor, tail } => {
-                    if *tail == TailStrategy::default() {
-                        format!("split {dim} {factor}")
-                    } else {
-                        format!("split {dim} {factor} {tail}")
-                    }
-                }
-                Directive::Reorder(dims) => format!("reorder {}", dims.join(" ")),
-                Directive::Parallel(dim) => format!("parallel {dim}"),
-                Directive::Vectorize(dim) => format!("vectorize {dim}"),
-                Directive::Unroll(dim) => format!("unroll {dim}"),
-                Directive::ComputeAt { consumer, dim } => format!("compute_at {consumer} {dim}"),
-                Directive::ComputeInline => "compute_inline".to_string(),
-                Directive::StoreRoot => "store_root".to_string(),
-            };
+            let line = directive_text(d);
             let _ = writeln!(out, "sched {i} {line}");
         }
     }
     out
+}
+
+/// One directive as the text after `sched <stage> `.
+fn directive_text(d: &Directive) -> String {
+    match d {
+        Directive::Split { dim, factor, tail } => {
+            if *tail == TailStrategy::default() {
+                format!("split {dim} {factor}")
+            } else {
+                format!("split {dim} {factor} {tail}")
+            }
+        }
+        Directive::Reorder(dims) => format!("reorder {}", dims.join(" ")),
+        Directive::Parallel(dim) => format!("parallel {dim}"),
+        Directive::Vectorize(dim) => format!("vectorize {dim}"),
+        Directive::Unroll(dim) => format!("unroll {dim}"),
+        Directive::ComputeAt { consumer, dim } => format!("compute_at {consumer} {dim}"),
+        Directive::ComputeInline => "compute_inline".to_string(),
+        Directive::StoreRoot => "store_root".to_string(),
+        Directive::Update(d) => format!("update {}", directive_text(d)),
+    }
+}
+
+/// Parses the tokens of one directive (the text after `sched <stage> `).
+fn parse_directive(toks: &[&str]) -> Result<Directive, String> {
+    Ok(match (toks[0], toks.len()) {
+        ("split", 3) => Directive::Split {
+            dim: toks[1].to_string(),
+            factor: parse_num(toks[2], "split factor")?,
+            tail: TailStrategy::default(),
+        },
+        ("split", 4) => Directive::Split {
+            dim: toks[1].to_string(),
+            factor: parse_num(toks[2], "split factor")?,
+            tail: match toks[3] {
+                "shift_inwards" => TailStrategy::ShiftInwards,
+                "guard_with_if" => TailStrategy::GuardWithIf,
+                "predicate" => TailStrategy::Predicate,
+                "round_up" => TailStrategy::RoundUp,
+                other => return Err(format!("unknown tail strategy {other:?}")),
+            },
+        },
+        ("reorder", n) if n >= 2 => {
+            Directive::Reorder(toks[1..].iter().map(|s| s.to_string()).collect())
+        }
+        ("parallel", 2) => Directive::Parallel(toks[1].to_string()),
+        ("vectorize", 2) => Directive::Vectorize(toks[1].to_string()),
+        ("unroll", 2) => Directive::Unroll(toks[1].to_string()),
+        ("compute_at", 3) => Directive::ComputeAt {
+            consumer: parse_num(toks[1], "consumer index")?,
+            dim: toks[2].to_string(),
+        },
+        ("compute_inline", 1) => Directive::ComputeInline,
+        ("store_root", 1) => Directive::StoreRoot,
+        ("update", n) if n >= 2 => Directive::Update(Box::new(parse_directive(&toks[1..])?)),
+        (other, _) => return Err(format!("unknown or malformed directive {other:?}")),
+    })
 }
 
 fn parse_src(tok: &str) -> Result<Source, String> {
@@ -223,36 +265,9 @@ pub fn from_text(text: &str) -> Result<FuzzCase, String> {
                 if idx >= case.stages.len() {
                     return err(format!("sched references undeclared stage {idx}"));
                 }
-                let d = match (toks[2], toks.len()) {
-                    ("split", 5) => Directive::Split {
-                        dim: toks[3].to_string(),
-                        factor: parse_num(toks[4], "split factor")?,
-                        tail: TailStrategy::default(),
-                    },
-                    ("split", 6) => Directive::Split {
-                        dim: toks[3].to_string(),
-                        factor: parse_num(toks[4], "split factor")?,
-                        tail: match toks[5] {
-                            "shift_inwards" => TailStrategy::ShiftInwards,
-                            "guard_with_if" => TailStrategy::GuardWithIf,
-                            "predicate" => TailStrategy::Predicate,
-                            "round_up" => TailStrategy::RoundUp,
-                            other => return err(format!("unknown tail strategy {other:?}")),
-                        },
-                    },
-                    ("reorder", n) if n >= 4 => {
-                        Directive::Reorder(toks[3..].iter().map(|s| s.to_string()).collect())
-                    }
-                    ("parallel", 4) => Directive::Parallel(toks[3].to_string()),
-                    ("vectorize", 4) => Directive::Vectorize(toks[3].to_string()),
-                    ("unroll", 4) => Directive::Unroll(toks[3].to_string()),
-                    ("compute_at", 5) => Directive::ComputeAt {
-                        consumer: parse_num(toks[3], "consumer index")?,
-                        dim: toks[4].to_string(),
-                    },
-                    ("compute_inline", 3) => Directive::ComputeInline,
-                    ("store_root", 3) => Directive::StoreRoot,
-                    (other, _) => return err(format!("unknown or malformed directive {other:?}")),
+                let d = match parse_directive(&toks[2..]) {
+                    Ok(d) => d,
+                    Err(e) => return err(e),
                 };
                 case.stages[idx].directives.push(d);
             }
@@ -293,6 +308,28 @@ mod tests {
         let err =
             from_text("size 4 4\nstage point input addc 1\nsched 3 parallel y\n").unwrap_err();
         assert!(err.contains("undeclared stage"), "{err}");
+    }
+
+    #[test]
+    fn update_directives_round_trip() {
+        let text = "size 9 5\nstage reduce input 2 3\n\
+                    sched 0 update split r0.x 2 guard_with_if\n\
+                    sched 0 update split x 4 predicate\n\
+                    sched 0 update vectorize x_i\n\
+                    sched 0 update parallel y\n";
+        let case = from_text(text).unwrap();
+        assert_eq!(
+            case.stages[0].directives[0],
+            Directive::Update(Box::new(Directive::Split {
+                dim: "r0.x".to_string(),
+                factor: 2,
+                tail: TailStrategy::GuardWithIf,
+            }))
+        );
+        assert_eq!(from_text(&to_text(&case)).unwrap(), case);
+        crate::run::run_case(&case).expect("the scheduled window sum matches its reference");
+        let err = from_text("size 4 4\nstage scan input 2\nsched 0 update bogus\n").unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
     }
 
     #[test]

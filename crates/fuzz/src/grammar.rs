@@ -177,6 +177,10 @@ pub enum Directive {
     /// Hoist storage to root while keeping the compute level (sliding
     /// window). Only meaningful after a `ComputeAt`.
     StoreRoot,
+    /// A `Split`, `Parallel` or `Vectorize` of the stage's update
+    /// definition (reduce/scan stages only), over its pure `x`/`y` and its
+    /// reduction variables `r{i}.x`/`r{i}.y`.
+    Update(Box<Directive>),
 }
 
 impl Directive {
@@ -191,6 +195,12 @@ impl Directive {
             Directive::ComputeAt { .. } => "compute_at",
             Directive::ComputeInline => "compute_inline",
             Directive::StoreRoot => "store_root",
+            Directive::Update(d) => match **d {
+                Directive::Split { .. } => "update_split",
+                Directive::Parallel(_) => "update_parallel",
+                Directive::Vectorize(_) => "update_vectorize",
+                _ => "update",
+            },
         }
     }
 }
@@ -458,6 +468,9 @@ fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stag
         };
         try_directive(built, case, stage, d);
     }
+    if case.stages[stage].op.has_updates() {
+        gen_update_directives(rng, built, case, stage);
+    }
     // Call-schedule directive (non-output stages only; the output must stay
     // at root).
     let is_output = stage + 1 == case.stages.len();
@@ -475,6 +488,56 @@ fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stag
             {
                 try_directive(built, case, stage, Directive::StoreRoot);
             }
+        }
+    }
+}
+
+/// Update-stage directives for a reduce/scan stage: parallelize or
+/// vectorize a pure loop of its update (lowering admits it only where the
+/// update's points are independent, and a vector only over a constant
+/// extent, so mostly the inner half of a fresh guarded split), or split a
+/// reduction variable, whose tail is then guarded.
+fn gen_update_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stage: usize) {
+    for _ in 0..rng.gen_range(0usize..4) {
+        let dims = build::update_dims(case, stage);
+        let (rvars, pure): (Vec<String>, Vec<String>) =
+            dims.into_iter().partition(|d| d.starts_with('r'));
+        let update = |d| Directive::Update(Box::new(d));
+        match rng.gen_range(0u8..4) {
+            0 if !pure.is_empty() => {
+                let dim = pure[rng.gen_range(0..pure.len())].clone();
+                let inner = format!("{dim}_i");
+                let tail = if rng.gen_bool(0.5) {
+                    TailStrategy::GuardWithIf
+                } else {
+                    TailStrategy::Predicate
+                };
+                let split = update(Directive::Split {
+                    dim,
+                    factor: pick(rng, &FACTOR_CHOICES),
+                    tail,
+                });
+                if try_directive(built, case, stage, split) && rng.gen_bool(0.7) {
+                    try_directive(built, case, stage, update(Directive::Vectorize(inner)));
+                }
+            }
+            1 if !pure.is_empty() => {
+                let dim = pure[rng.gen_range(0..pure.len())].clone();
+                try_directive(built, case, stage, update(Directive::Parallel(dim)));
+            }
+            2 if !pure.is_empty() => {
+                let dim = pure[rng.gen_range(0..pure.len())].clone();
+                try_directive(built, case, stage, update(Directive::Vectorize(dim)));
+            }
+            3 if !rvars.is_empty() => {
+                let split = update(Directive::Split {
+                    dim: rvars[rng.gen_range(0..rvars.len())].clone(),
+                    factor: pick(rng, &FACTOR_CHOICES[..4]),
+                    tail: TailStrategy::GuardWithIf,
+                });
+                try_directive(built, case, stage, split);
+            }
+            _ => {}
         }
     }
 }
@@ -561,6 +624,9 @@ mod tests {
             "unroll",
             "compute_at",
             "compute_inline",
+            "update_split",
+            "update_parallel",
+            "update_vectorize",
         ] {
             assert!(dirs.contains(d), "no generated case used directive {d:?}");
         }

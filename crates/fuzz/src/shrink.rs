@@ -140,6 +140,9 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         if stage.op != identity {
             let mut c = case.clone();
             c.stages[i].op = identity;
+            c.stages[i]
+                .directives
+                .retain(|d| !matches!(d, Directive::Update(_)));
             out.push(c);
         }
     }

@@ -9,10 +9,11 @@
 use std::sync::{Arc, Mutex};
 
 use halide_ir::{CallType, Expr, Type};
-use halide_schedule::{FuncSchedule, LoopLevel};
+use halide_schedule::{FuncSchedule, LoopLevel, StageSchedule};
 
 use crate::rdom::RDom;
 use crate::registry;
+use crate::stage::Stage;
 use crate::var::Var;
 
 /// One update (reduction) definition of a function.
@@ -26,6 +27,20 @@ pub struct UpdateDef {
     pub value: Expr,
     /// The reduction domain the update iterates over, if any.
     pub rdom: Option<RDom>,
+    /// The update stage's own domain order (see [`Func::update_stage`]).
+    pub schedule: StageSchedule,
+}
+
+/// The pure arguments (of `args`) an update with coordinates `coords`
+/// loops over: those whose own coordinate mentions them. A pure argument
+/// whose coordinate does not mention it is not looped (the update touches
+/// a lower-dimensional slice).
+pub fn looped_args(args: &[String], coords: &[Expr]) -> Vec<String> {
+    args.iter()
+        .zip(coords)
+        .filter(|(a, coord)| halide_ir::expr_uses_var(coord, a))
+        .map(|(a, _)| a.clone())
+        .collect()
 }
 
 #[derive(Debug)]
@@ -172,7 +187,40 @@ impl Func {
             inner.name,
             inner.args.len()
         );
-        inner.updates.push(UpdateDef { args, value, rdom });
+        let mut update = UpdateDef {
+            args,
+            value,
+            rdom,
+            schedule: StageSchedule::default(),
+        };
+        let rvars: Vec<String> = update
+            .rdom
+            .iter()
+            .flat_map(|r| r.dims().iter().map(|d| d.name().to_string()))
+            .collect();
+        update.schedule =
+            StageSchedule::default_for(&looped_args(&inner.args, &update.args), &rvars);
+        inner.updates.push(update);
+    }
+
+    /// A handle on update definition `index` (0 is the first update), for
+    /// scheduling it. The name `update` is the definition method.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function has no such update.
+    pub fn update_stage(&self, index: usize) -> Stage {
+        let n = self.lock().updates.len();
+        assert!(
+            index < n,
+            "function {} has {n} update definitions, no update {index}",
+            self.name
+        );
+        Stage::new(self.clone(), index)
+    }
+
+    pub(crate) fn with_inner<T>(&self, op: impl FnOnce(&mut FuncInner) -> T) -> T {
+        op(&mut self.lock())
     }
 
     /// The value type of the function (the type of its pure definition).

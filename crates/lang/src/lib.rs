@@ -43,6 +43,7 @@ pub mod image;
 pub mod pipeline;
 pub mod rdom;
 mod registry;
+pub mod stage;
 pub mod var;
 
 pub use analysis::{analyze, PipelineStats};
@@ -51,4 +52,5 @@ pub use halide_schedule::TailStrategy;
 pub use image::{buffer_field_var, ImageParam, Param};
 pub use pipeline::{called_funcs, called_images, definition_exprs, Pipeline};
 pub use rdom::{RDom, RVar};
+pub use stage::Stage;
 pub use var::Var;

@@ -227,6 +227,11 @@ impl Pipeline {
             f.schedule()
                 .validate()
                 .map_err(|e| halide_schedule::ScheduleError::new(format!("{}: {e}", f.name())))?;
+            for (i, u) in f.updates().iter().enumerate() {
+                u.schedule.validate().map_err(|e| {
+                    halide_schedule::ScheduleError::new(format!("{} update {i}: {e}", f.name()))
+                })?;
+            }
         }
         Ok(())
     }

@@ -132,6 +132,14 @@ impl RDom {
         RDom { name, dims }
     }
 
+    /// A domain over the given, already named, reduction variables.
+    pub(crate) fn from_rvars(name: impl Into<String>, dims: Vec<RVar>) -> Self {
+        RDom {
+            name: name.into(),
+            dims,
+        }
+    }
+
     /// A one-dimensional domain over `[min, min+extent)`.
     pub fn over(name: impl Into<String>, min: i32, extent: i32) -> Self {
         RDom::new(name, vec![(Expr::int(min), Expr::int(extent))])

@@ -35,7 +35,7 @@ use halide_ir::{
     Type,
 };
 use halide_lang::{Pipeline, RVar};
-use halide_schedule::{FuncSchedule, LoopLevel};
+use halide_schedule::{FuncSchedule, LoopLevel, StageSchedule};
 
 use crate::bounds::{count_calls, region_required};
 use crate::error::{LowerError, Result};
@@ -68,6 +68,8 @@ pub struct UpdateDefSnapshot {
     pub value: Expr,
     /// Reduction domain, if the update iterates over one.
     pub rdom: Option<RDomSnapshot>,
+    /// The update stage's domain order.
+    pub schedule: StageSchedule,
 }
 
 /// A plain, immutable snapshot of a `halide_lang::Func`, decoupled from the
@@ -111,6 +113,7 @@ pub fn snapshot_pipeline(pipeline: &Pipeline) -> BTreeMap<String, FuncDef> {
                     rdom: u.rdom.as_ref().map(|r| RDomSnapshot {
                         dims: r.dims().iter().map(snapshot_rvar).collect(),
                     }),
+                    schedule: u.schedule.clone(),
                 })
                 .collect();
             (

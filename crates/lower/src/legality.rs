@@ -6,7 +6,7 @@
 //! schedule that lowers.
 
 mod tests {
-    use halide_ir::{Expr, Type};
+    use halide_ir::{BinOp, Expr, Type};
     use halide_lang::{Func, ImageParam, Pipeline, RDom, Var};
     use halide_schedule::{Dim, ForKind, LoopLevel, TailStrategy};
 
@@ -369,6 +369,174 @@ mod tests {
         s.store_level = LoopLevel::at(p.name(), "x");
         p.set_schedule(s);
         rejects(&out, "does not exist in the current loop nest");
+    }
+
+    /// `out(x, y) = 0; out(x, y) += in(x + r.x, y + r.y)` over a 3x2 window
+    /// (the fuzzer's reduce), with element type `ty`.
+    fn window_sum(prefix: &str, ty: Type) -> Func {
+        let input = ImageParam::new(format!("{prefix}_in"), ty, 2);
+        let [x, y] = xy();
+        let out = Func::new(format!("{prefix}_out"));
+        out.define(&[x.clone(), y.clone()], Expr::zero(ty));
+        let r = RDom::new(
+            format!("{prefix}_r"),
+            vec![(Expr::int(0), Expr::int(3)), (Expr::int(0), Expr::int(2))],
+        );
+        out.update(
+            vec![x.expr(), y.expr()],
+            out.at(vec![x.expr(), y.expr()])
+                + input.at_clamped(vec![x.expr() + r.x().expr(), y.expr() + r.y().expr()]),
+            Some(r),
+        );
+        out
+    }
+
+    /// `out(x, y) = in(x, y); out(x, y) += out(max(x - 1, 0), y)`: a scan
+    /// along `x`, whose self-reference shifts `x` but not `y`.
+    fn scan_x(prefix: &str) -> Func {
+        let input = ImageParam::new(format!("{prefix}_in"), Type::f32(), 2);
+        let [x, y] = xy();
+        let out = Func::new(format!("{prefix}_out"));
+        out.define(
+            &[x.clone(), y.clone()],
+            input.at_clamped(vec![x.expr(), y.expr()]),
+        );
+        out.update(
+            vec![x.expr(), y.expr()],
+            out.at(vec![x.expr(), y.expr()])
+                + out.at(vec![Expr::max(x.expr() - 1, Expr::int(0)), y.expr()]),
+            None,
+        );
+        out
+    }
+
+    #[test]
+    fn update_pure_var_must_be_independent_to_vectorize_or_parallelize() {
+        // Rule (a): the scan's points along x depend on each other.
+        let out = scan_x("leg_upd_scan_vec");
+        out.update_stage(0)
+            .split_dim("x", "xo", "xi", 4)
+            .vectorize_dim("xi");
+        let err = rejects(&out, "not independent");
+        assert_eq!(err.func(), Some(out.name().as_str()));
+        assert_eq!(err.dim(), Some("xi"));
+        let out = scan_x("leg_upd_scan_par");
+        out.update_stage(0).parallelize("x");
+        rejects(&out, "not independent");
+        // Along y they are independent: the nearest legal schedule.
+        let out = scan_x("leg_upd_scan_y");
+        out.update_stage(0)
+            .parallelize("y")
+            .split_dim("x", "xo", "xi", 4)
+            .unroll_dim("xi");
+        lowers(&out);
+        let out = scan_x("leg_upd_scan_y_vec");
+        out.update_stage(0)
+            .split_dim_tail("y", "yo", "yi", 4, TailStrategy::Predicate)
+            .vectorize_dim("yi");
+        lowers(&out);
+        let out = window_sum("leg_upd_window_par", Type::f32());
+        out.update_stage(0)
+            .parallelize("y")
+            .split_dim("x", "xo", "xi", 8)
+            .vectorize_dim("xi");
+        lowers(&out);
+    }
+
+    #[test]
+    fn update_splits_must_guard_their_tail() {
+        // Rule (b): shifting the last tile inwards would add some window
+        // sums twice; rounding up writes past the output.
+        for tail in [TailStrategy::ShiftInwards, TailStrategy::RoundUp] {
+            let out = window_sum(&format!("leg_upd_tail_{tail}"), Type::f32());
+            out.update_stage(0).split_dim_tail("x", "xo", "xi", 4, tail);
+            let err = rejects(&out, &format!("tail strategy {tail}"));
+            assert_eq!(err.dim(), Some("x"));
+        }
+        for tail in [TailStrategy::GuardWithIf, TailStrategy::Predicate] {
+            let out = window_sum(&format!("leg_upd_tail_ok_{tail}"), Type::f32());
+            out.update_stage(0)
+                .split_dim_tail("x", "xo", "xi", 4, tail)
+                .vectorize_dim("xi");
+            lowers(&out);
+        }
+    }
+
+    #[test]
+    fn reduction_variables_keep_their_order_and_stay_serial() {
+        // Rule (c): reordering two RVars changes the reduction's order.
+        let out = window_sum("leg_upd_rv_reorder", Type::f32());
+        let r = format!("{}_r", out.name().trim_end_matches("_out"));
+        let (rx, ry) = (format!("{r}.x"), format!("{r}.y"));
+        out.update_stage(0).reorder_dims(&[&rx, &ry]);
+        let err = rejects(&out, "reorders");
+        assert_eq!(err.dim(), Some(rx.as_str()));
+        // Vectorizing or parallelizing one runs it out of order.
+        let out = window_sum("leg_upd_rv_vec", Type::f32());
+        let r = format!("{}_r", out.name().trim_end_matches("_out"));
+        out.update_stage(0)
+            .split_dim(&format!("{r}.x"), "rxo", "rxi", 2)
+            .vectorize_dim("rxi");
+        let err = rejects(&out, "reduction variable");
+        assert_eq!(err.dim(), Some("rxi"));
+        let out = window_sum("leg_upd_rv_par", Type::f32());
+        let r = format!("{}_r", out.name().trim_end_matches("_out"));
+        out.update_stage(0).parallelize(&format!("{r}.y"));
+        rejects(&out, "reduction variable");
+        // Splitting (its tail guarded) and unrolling keep the order, and an
+        // independent pure loop may move inside the reduction loops.
+        let out = window_sum("leg_upd_rv_ok", Type::f32());
+        let r = format!("{}_r", out.name().trim_end_matches("_out"));
+        let (rx, ry) = (format!("{r}.x"), format!("{r}.y"));
+        out.update_stage(0)
+            .split_dim(&rx, "rxo", "rxi", 2)
+            .unroll_dim("rxi")
+            .reorder_dims(&[&ry, "rxo", "rxi", "x"]);
+        let text = lowers(&out).pretty();
+        assert!(text.contains("rxo*2) + 1)"), "{text}");
+    }
+
+    /// `out(x) = 0; out(x) = out(x) op e(r.x)` over a 10-point domain.
+    fn reduce_1d(prefix: &str, ty: Type, update: impl Fn(Expr, Expr) -> Expr) -> Func {
+        let input = ImageParam::new(format!("{prefix}_in"), ty, 1);
+        let x = Var::new("x");
+        let out = Func::new(format!("{prefix}_out"));
+        out.define(&[x.clone()], Expr::zero(ty));
+        let r = RDom::over(format!("{prefix}_r"), 0, 10);
+        let e = input.at_clamped(vec![x.expr() + r.x().expr()]);
+        out.update(vec![x.expr()], update(out.at(vec![x.expr()]), e), Some(r));
+        out
+    }
+
+    #[test]
+    fn rfactor_reassociates_only_integer_sums_mins_and_maxes() {
+        // Rule (d): a float sum changes bits when regrouped.
+        let out = reduce_1d("leg_rf_float", Type::f32(), |f, e| f + e);
+        let rx = format!("{}_r.x", out.name().trim_end_matches("_out"));
+        out.update_stage(0).rfactor(&rx, "u");
+        let err = rejects(&out, "float");
+        assert_eq!(err.func(), Some(out.name().as_str()));
+        assert_eq!(err.dim(), Some(rx.as_str()));
+        // `f(x) = f(x) * 2 + e` is not `f(x) op e`.
+        let out = reduce_1d("leg_rf_affine", Type::i32(), |f, e| f * 2 + e);
+        let rx = format!("{}_r.x", out.name().trim_end_matches("_out"));
+        out.update_stage(0).rfactor(&rx, "u");
+        rejects(&out, "only an update f(a) = f(a) op e");
+        // The integer sum, min and max factor, split or not.
+        for (i, op) in [BinOp::Add, BinOp::Min, BinOp::Max].into_iter().enumerate() {
+            let out = reduce_1d(&format!("leg_rf_int{i}"), Type::i32(), |f, e| match op {
+                BinOp::Add => f + e,
+                BinOp::Min => Expr::min(f, e),
+                _ => Expr::max(f, e),
+            });
+            let rx = format!("{}_r.x", out.name().trim_end_matches("_out"));
+            let stage = out.update_stage(0);
+            stage.split_dim(&rx, "rxo", "rxi", 4);
+            let intm = stage.rfactor("rxi", "u");
+            intm.compute_root().update_stage(0).vectorize_dim("u");
+            let text = lowers(&out).pretty();
+            assert!(text.contains(&format!("produce {}", intm.name())), "{text}");
+        }
     }
 
     #[test]

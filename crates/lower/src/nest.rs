@@ -8,14 +8,24 @@
 //! concrete values are bound by `LetStmt`s at the realization level. Checks
 //! that need the concrete region (e.g. [`validate_splits`]) are therefore
 //! separate entry points taking the inferred region directly.
+//!
+//! The pure definition and every update stage go through one builder: each
+//! is a domain order (splits, loop order, loop kinds) over its own
+//! dimensions. An update's dimensions are the pure variables its
+//! coordinates use, looping over the required region, and the variables of
+//! its reduction domain, looping over the domain. A split reduction
+//! variable's tail is always written the way a predicate tail is — whole
+//! tiles, then one guarded tile `let r.x = …; if (r.x < r.x.min +
+//! r.x.extent)` — so that after an `rfactor` its inner half can be a
+//! vectorized pure loop whose last tile is masked.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use halide_ir::{Expr, ForKind, Range, Stmt};
-use halide_schedule::TailStrategy;
+use halide_ir::{BinOp, CallType, Expr, ExprNode, ForKind, IrMutator, IrVisitor, Range, Stmt};
+use halide_schedule::{Dim, Split, StageSchedule, TailStrategy};
 
 use crate::error::{LowerError, Result};
-use crate::inject::FuncDef;
+use crate::inject::{FuncDef, UpdateDefSnapshot};
 
 /// The loop-variable name used in lowered code for dimension `dim` of
 /// function `func`'s pure definition.
@@ -29,20 +39,21 @@ pub fn update_loop_var(func: &str, stage: usize, dim: &str) -> String {
 }
 
 /// Builds the statement that computes `func` over `region` (one `Range` per
-/// pure argument, in argument order), honouring the schedule's splits, loop
-/// order, and loop kinds. Update definitions are appended after the pure
-/// initialization, looping over their reduction domains in lexicographic
-/// order (first dimension innermost).
+/// pure argument, in argument order): the pure initialization, then each
+/// update definition in order, every stage honouring its own schedule's
+/// splits, loop order, and loop kinds. An update's default order loops its
+/// reduction domain lexicographically (first dimension innermost) inside
+/// the pure variables its coordinates use.
 ///
-/// Split dimensions use the shift-inwards tail strategy: the last iteration
-/// of the outer loop is shifted back so the traversed region never exceeds
-/// the required region (at the cost of recomputing a few values), which keeps
-/// stores inside the allocated/required box without per-point guards.
+/// Pure-definition splits follow their tail strategy (see
+/// [`TailStrategy`]); an update stage may only use `guard_with_if` or
+/// `predicate`, which visit every point exactly once.
 ///
 /// # Errors
 ///
-/// Fails if the schedule references dimensions that do not exist or if the
-/// region does not cover every pure argument.
+/// Fails if the schedule references dimensions that do not exist, if the
+/// region does not cover every pure argument, or if an update stage's
+/// schedule would change the update's result (see [`validate_splits`]).
 pub fn build_produce_nest(func: &FuncDef, region: &[Range]) -> Result<Stmt> {
     if region.len() != func.args.len() {
         return Err(LowerError::new(format!(
@@ -75,17 +86,36 @@ fn region_map(func: &FuncDef, region: &[Range]) -> HashMap<String, (Expr, Expr)>
         .collect()
 }
 
-/// Checks every split of `func`'s schedule against the *concrete* inferred
-/// region: a split whose factor exceeds a known-constant extent would make
-/// the shift-inwards tail strategy traverse more than the required region,
+/// The pure arguments update `update` of `func` loops over.
+fn looped_args(func: &FuncDef, update: &UpdateDefSnapshot) -> Vec<String> {
+    halide_lang::func::looped_args(&func.args, &update.args)
+}
+
+/// The names of update `update`'s reduction variables, in domain order.
+fn rvar_names(update: &UpdateDefSnapshot) -> Vec<String> {
+    update
+        .rdom
+        .iter()
+        .flat_map(|r| r.dims.iter().map(|d| d.name.clone()))
+        .collect()
+}
+
+/// Checks every stage's splits against the *concrete* inferred region: a
+/// split whose factor exceeds a known-constant extent would make the
+/// shift-inwards tail strategy traverse more than the required region,
 /// so it is rejected here (with the offending function and dimension named)
-/// rather than silently over-computing.
+/// rather than silently over-computing. Update stages are also checked for
+/// the transformations that would change their result: vectorizing or
+/// parallelizing a pure variable whose points depend on each other, a
+/// split that is not `guard_with_if`/`predicate`, a reordered, vectorized
+/// or parallel reduction loop, and an `rfactor` of anything but an
+/// integer `+`, `min` or `max`.
 ///
 /// The loop nest itself is built over symbolic bounds names, so this check
 /// must run where the concrete region is still at hand — injection calls it
 /// right after bounds inference.
 ///
-/// It also rejects a nest with more than one vectorized loop: each turns
+/// It also rejects a stage with more than one vectorized loop: each turns
 /// the index into a ramp of its own width, and the engines would broadcast
 /// the narrower ramp against the wider one rather than fail, storing wrong
 /// pixels.
@@ -93,51 +123,92 @@ fn region_map(func: &FuncDef, region: &[Range]) -> HashMap<String, (Expr, Expr)>
 /// # Errors
 ///
 /// Fails if a split factor exceeds the constant extent of the dimension it
-/// splits, if a split references a dimension the function does not have, or
-/// if two of the function's loops are vectorized.
+/// splits, if a split references a dimension the stage does not have, if
+/// two of a stage's loops are vectorized, or if an update stage's schedule
+/// is illegal.
 pub fn validate_splits(func: &FuncDef, region: &[Range]) -> Result<()> {
-    let mut vectorized = func
-        .schedule
-        .dims
-        .iter()
-        .filter(|d| d.kind == ForKind::Vectorized);
-    if let (Some(a), Some(b)) = (vectorized.next(), vectorized.next()) {
-        return Err(LowerError::new(format!(
-            "{} vectorizes both {:?} and {:?}; a loop nest may vectorize one loop",
-            func.name, a.name, b.name
-        ))
-        .in_func(&func.name)
-        .in_dim(&b.name));
-    }
-    // Tracks the (constant, when known) extent of every dimension as splits
-    // rewrite them, mirroring the bookkeeping in `build_pure_nest`.
-    let mut extents: HashMap<String, Option<i64>> = func
+    let regions: HashMap<String, Option<i64>> = func
         .args
         .iter()
         .cloned()
         .zip(region.iter().map(|r| r.extent.as_const_int()))
         .collect();
+    validate_domain(
+        &func.name,
+        &func.schedule.splits,
+        &func.schedule.dims,
+        regions.clone(),
+        &|_| false,
+    )?;
+    for (i, update) in func.updates.iter().enumerate() {
+        let pure = looped_args(func, update);
+        let extents = pure
+            .iter()
+            .map(|a| (a.clone(), regions[a]))
+            .chain(update.rdom.iter().flat_map(|r| {
+                r.dims
+                    .iter()
+                    .map(|d| (d.name.clone(), d.extent.as_const_int()))
+            }))
+            .collect();
+        let s = &update.schedule;
+        let rvars = rvar_names(update);
+        let origins = dim_origins(&s.splits, &pure);
+        let over_rvar = |d: &str| {
+            rvars
+                .iter()
+                .any(|r| r == origins.get(d).map_or(d, String::as_str))
+        };
+        validate_domain(&func.name, &s.splits, &s.dims, extents, &over_rvar)?;
+        check_update(func, i)?;
+    }
+    Ok(())
+}
+
+/// The checks of [`validate_splits`] for one stage whose dimensions start
+/// out with the (constant, when known) `extents`. `guarded(d)` is true for
+/// the dimensions over reduction variables: their tails are predicated
+/// whatever the strategy, and since the tail recombines `old` from the
+/// inner half's own variable, that half (an `rfactor` intermediate's pure
+/// dimension) may loop outside the outer half.
+fn validate_domain(
+    func: &str,
+    splits: &[Split],
+    dims: &[Dim],
+    mut extents: HashMap<String, Option<i64>>,
+    guarded: &dyn Fn(&str) -> bool,
+) -> Result<()> {
+    let mut vectorized = dims.iter().filter(|d| d.kind == ForKind::Vectorized);
+    if let (Some(a), Some(b)) = (vectorized.next(), vectorized.next()) {
+        return Err(LowerError::new(format!(
+            "{func} vectorizes both {:?} and {:?}; a loop nest may vectorize one loop",
+            a.name, b.name
+        ))
+        .in_func(func)
+        .in_dim(&b.name));
+    }
+    let dim_index = |name: &str| dims.iter().position(|d| d.name == name);
     // Dimensions produced by a tail-partitioned split: the loop pair is
     // duplicated into a main and a tail copy, so re-splitting either half
     // has no single loop to act on.
     let mut partitioned: Vec<String> = Vec::new();
-    for split in &func.schedule.splits {
+    for split in splits {
         if partitioned.contains(&split.old) {
             return Err(LowerError::new(format!(
-                "cannot split {:?} in {}: it comes from a guard_with_if/predicate \
+                "cannot split {:?} in {func}: it comes from a guard_with_if/predicate \
                  split, whose loops are partitioned into a main and a tail copy; \
                  apply the tail strategy to the last split of a dimension instead",
-                split.old, func.name
+                split.old
             ))
-            .in_func(&func.name)
+            .in_func(func)
             .in_dim(&split.old));
         }
         let old = extents.remove(&split.old).ok_or_else(|| {
             LowerError::new(format!(
-                "split of unknown dimension {:?} in {}",
-                split.old, func.name
+                "split of unknown dimension {:?} in {func}",
+                split.old
             ))
-            .in_func(&func.name)
+            .in_func(func)
             .in_dim(&split.old)
         })?;
         // Only shift-inwards requires the extent to cover one whole factor;
@@ -147,12 +218,12 @@ pub fn validate_splits(func: &FuncDef, region: &[Range]) -> Result<()> {
             if let Some(e) = old {
                 if e < split.factor {
                     return Err(LowerError::new(format!(
-                        "split of {:?} in {} by {} exceeds its constant extent {e}; \
+                        "split of {:?} in {func} by {} exceeds its constant extent {e}; \
                          the traversed region would overrun the required region \
                          (use a tail strategy: guard_with_if, predicate, or round_up)",
-                        split.old, func.name, split.factor
+                        split.old, split.factor
                     ))
-                    .in_func(&func.name)
+                    .in_func(func)
                     .in_dim(&split.old));
                 }
             }
@@ -167,24 +238,224 @@ pub fn validate_splits(func: &FuncDef, region: &[Range]) -> Result<()> {
             // loop's extent (guard_with_if) or guarding on the recombined
             // variable (predicate); both assume the inner loop is nested
             // inside the partitioned outer loop.
-            let (o, i) = (
-                func.schedule.dim_index(&split.outer),
-                func.schedule.dim_index(&split.inner),
-            );
-            if !matches!((o, i), (Some(o), Some(i)) if o < i) {
+            let (o, i) = (dim_index(&split.outer), dim_index(&split.inner));
+            if !guarded(&split.old) && !matches!((o, i), (Some(o), Some(i)) if o < i) {
                 return Err(LowerError::new(format!(
-                    "{} split of {:?} in {}: the inner loop {:?} must stay nested \
+                    "{} split of {:?} in {func}: the inner loop {:?} must stay nested \
                      inside the outer loop {:?}; reordering it outside breaks the \
                      main/tail partition",
-                    split.tail, split.old, func.name, split.inner, split.outer
+                    split.tail, split.old, split.inner, split.outer
                 ))
-                .in_func(&func.name)
+                .in_func(func)
                 .in_dim(&split.old));
             }
         }
         let outer = old.map(|e| (e + split.factor - 1) / split.factor);
         extents.insert(split.outer.clone(), outer);
         extents.insert(split.inner.clone(), Some(split.factor));
+    }
+    Ok(())
+}
+
+/// The original dimension (a pure argument or a reduction variable) each
+/// loop dimension of a stage derives from through its splits. The inner
+/// half of a split may itself be a pure argument (an `rfactor`
+/// intermediate's `u`), which is then its own origin.
+fn dim_origins(splits: &[Split], pure: &[String]) -> HashMap<String, String> {
+    let mut origin: HashMap<String, String> = HashMap::new();
+    for s in splits {
+        let root = origin.get(&s.old).cloned().unwrap_or_else(|| s.old.clone());
+        origin.insert(s.outer.clone(), root.clone());
+        if !pure.contains(&s.inner) {
+            origin.insert(s.inner.clone(), root);
+        }
+    }
+    origin
+}
+
+/// True if the points of update `update` of `func` along pure argument
+/// `arg` (at position `pos`) are independent: the coordinate written there
+/// is `arg` itself, and every self-reference reads `arg` at that position.
+/// Only then may its loop run in any order, in parallel or as a vector.
+fn independent_along(func: &FuncDef, update: &UpdateDefSnapshot, pos: usize, arg: &str) -> bool {
+    struct SelfRefs<'a> {
+        func: &'a str,
+        pos: usize,
+        arg: &'a str,
+        ok: bool,
+    }
+    impl IrVisitor for SelfRefs<'_> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let ExprNode::Call {
+                name,
+                call_type: CallType::Halide,
+                args,
+                ..
+            } = e.node()
+            {
+                if name == self.func && args[self.pos].as_var() != Some(self.arg) {
+                    self.ok = false;
+                }
+            }
+            halide_ir::visit_expr_children(self, e);
+        }
+    }
+    if update.args[pos].as_var() != Some(arg) {
+        return false;
+    }
+    let mut refs = SelfRefs {
+        func: &func.name,
+        pos,
+        arg,
+        ok: true,
+    };
+    refs.visit_expr(&update.value);
+    update.args.iter().for_each(|a| refs.visit_expr(a));
+    refs.ok
+}
+
+/// The schedule rules of an update stage — the transformations that keep
+/// an update's result:
+///
+/// * (a) a pure variable may be vectorized, parallelized or moved among the
+///   reduction loops only if the update's points along it are independent
+///   (see [`independent_along`]);
+/// * (b) a split must be `guard_with_if` or `predicate`: `shift_inwards`
+///   would apply the update twice to the points the last tile overlaps, and
+///   `round_up` writes outside the region;
+/// * (c) a reduction variable may be split and unrolled, but its loops keep
+///   the definition's order, each split's inner loop directly inside its
+///   outer one, and are never vectorized or parallelized (the way to do
+///   that is `rfactor`);
+/// * (d) an `rfactor` merge must be `f(a) = f(a) op intm(…)` with `op`
+///   integer `+`, `min` or `max`: integer stores wrap, so reassociating the
+///   reduction is exact, while a float sum changes bits and a float `min`
+///   of ±0.0 depends on the order.
+fn check_update(func: &FuncDef, index: usize) -> Result<()> {
+    let update = &func.updates[index];
+    let schedule = &update.schedule;
+    let stage = format!("update {index} of {}", func.name);
+    let err = |msg: String, dim: &str| {
+        Err(LowerError::new(format!("{stage} {msg}"))
+            .in_func(&func.name)
+            .in_dim(dim))
+    };
+    if let Some(rf) = &schedule.rfactor {
+        let factorable = match update.value.node() {
+            ExprNode::Bin { op, a, b } => {
+                let calls = |e: &Expr, f: &str| matches!(e.node(), ExprNode::Call { name, .. } if name == f);
+                matches!(op, BinOp::Add | BinOp::Min | BinOp::Max)
+                    && ((calls(a, &func.name) && calls(b, &rf.intm))
+                        || (calls(b, &func.name) && calls(a, &rf.intm)))
+            }
+            _ => false,
+        };
+        if !factorable {
+            return err(
+                format!(
+                    "cannot rfactor {:?}: only an update f(a) = f(a) op e, with op +, min \
+                     or max and e not reading f, can be factored",
+                    rf.rvar
+                ),
+                &rf.rvar,
+            );
+        }
+        if func.ty.is_float() {
+            return err(
+                format!(
+                    "cannot rfactor {:?}: {} reductions are not reassociated; a float sum \
+                     changes bits, and a float min or max of ±0.0 depends on the order \
+                     (only integer +, min and max are factored)",
+                    rf.rvar, func.ty
+                ),
+                &rf.rvar,
+            );
+        }
+    }
+    for s in &schedule.splits {
+        if !matches!(s.tail, TailStrategy::GuardWithIf | TailStrategy::Predicate) {
+            return err(
+                format!(
+                    "splits {:?} with tail strategy {}; an update may only be split with \
+                     guard_with_if or predicate: shift_inwards would apply the update twice \
+                     to the points its last tile overlaps, and round_up writes outside the \
+                     region",
+                    s.old, s.tail
+                ),
+                &s.old,
+            );
+        }
+    }
+    let pure = looped_args(func, update);
+    let independent: HashSet<&str> = func
+        .args
+        .iter()
+        .enumerate()
+        .filter(|(pos, a)| pure.contains(a) && independent_along(func, update, *pos, a))
+        .map(|(_, a)| a.as_str())
+        .collect();
+    let origins = dim_origins(&schedule.splits, &pure);
+    let origin = |d: &str| origins.get(d).map_or(d, String::as_str).to_string();
+    let rvars = rvar_names(update);
+    for d in &schedule.dims {
+        let verb = match d.kind {
+            ForKind::Vectorized => "vectorizes",
+            ForKind::Parallel => "parallelizes",
+            _ => continue,
+        };
+        let o = origin(&d.name);
+        if rvars.contains(&o) {
+            return err(
+                format!(
+                    "{verb} {:?}, a loop over the reduction variable {o:?}; a reduction \
+                     runs in order (rfactor it into a pure dimension first)",
+                    d.name
+                ),
+                &d.name,
+            );
+        }
+        if !independent.contains(o.as_str()) {
+            return err(
+                format!(
+                    "{verb} {:?}, but its points along {o:?} are not independent: the \
+                     coordinate written there is not {o:?} itself, or a self-reference \
+                     reads another point",
+                    d.name
+                ),
+                &d.name,
+            );
+        }
+    }
+    // The loops that carry the reduction's order (those over reduction
+    // variables and over dependent pure variables) must appear in the
+    // definition's order, with splits expanded in place.
+    let carried = |name: &str| !independent.contains(origin(name).as_str());
+    let mut expected: Vec<String> = StageSchedule::default_for(&pure, &rvars)
+        .dims
+        .into_iter()
+        .map(|d| d.name)
+        .collect();
+    for s in &schedule.splits {
+        if let Some(at) = expected.iter().position(|n| *n == s.old) {
+            expected.splice(at..=at, [s.outer.clone(), s.inner.clone()]);
+        }
+    }
+    expected.retain(|n| carried(n));
+    let actual: Vec<&String> = schedule
+        .dims
+        .iter()
+        .filter(|d| carried(&d.name))
+        .map(|d| &d.name)
+        .collect();
+    if let Some((want, got)) = expected.iter().zip(&actual).find(|(w, g)| w != *g) {
+        return err(
+            format!(
+                "reorders {got:?} where {want:?} belongs: loops over reduction variables \
+                 (and over pure variables a self-reference shifts) keep the definition's \
+                 order, each split's inner loop directly inside its outer loop"
+            ),
+            got,
+        );
     }
     Ok(())
 }
@@ -225,9 +496,242 @@ struct BranchCtx {
     overrides: HashMap<String, (Expr, ForKind)>,
 }
 
-fn build_pure_nest(func: &FuncDef, region: &[Range]) -> Result<Stmt> {
-    let schedule = &func.schedule;
+/// One definition — the pure definition or an update stage — as the loop
+/// builder sees it: its domain order, the bounds of its dimensions before
+/// splitting, and how its loop variables are named.
+struct StageNest<'a> {
+    func: &'a str,
+    /// 1-based update stage number; `None` for the pure definition.
+    stage: Option<usize>,
+    splits: &'a [Split],
+    dims: &'a [Dim],
+    /// `(min, extent)` of each unsplit dimension.
+    bounds: HashMap<String, (Expr, Expr)>,
+    /// The reduction variables; split loops derived from them are guarded
+    /// in place rather than partitioned.
+    rvars: Vec<String>,
+    /// The pure arguments the stage loops over.
+    pure: Vec<String>,
+}
 
+/// The loops, split definitions and tail handling of one stage, ready to
+/// wrap a provide.
+struct Loops {
+    /// `dim -> (loop min, loop extent)`.
+    bounds: HashMap<String, (Expr, Expr)>,
+    /// Definitions of split-away variables, tagged with application order.
+    split_defs: Vec<(usize, String, Expr)>,
+    /// Tail-partitioned splits, keyed by their outer dimension (where the
+    /// main/tail loop pair is emitted).
+    partitions: HashMap<String, Partition>,
+}
+
+impl StageNest<'_> {
+    fn loop_var(&self, dim: &str) -> String {
+        match self.stage {
+            None => loop_var(self.func, dim),
+            Some(s) => update_loop_var(self.func, s, dim),
+        }
+    }
+
+    /// Builds the stage's loop nest around `provide`.
+    fn build(&self, provide: &Stmt) -> Result<Stmt> {
+        let loops = self.apply_splits()?;
+        self.wrap_dims(0, &loops, provide, BranchCtx::default())
+    }
+
+    fn apply_splits(&self) -> Result<Loops> {
+        let mut loops = Loops {
+            bounds: self.bounds.clone(),
+            split_defs: Vec::new(),
+            partitions: HashMap::new(),
+        };
+        let origins = dim_origins(self.splits, &self.pure);
+        for (split_idx, split) in self.splits.iter().enumerate() {
+            // Split existence, constant-extent legality and re-splits of
+            // partitioned dimensions were already checked by
+            // `validate_splits`; this lookup cannot fail after it passes.
+            let (old_min, old_extent) = loops.bounds.remove(&split.old).ok_or_else(|| {
+                LowerError::new(format!(
+                    "split of unknown dimension {:?} in {}",
+                    split.old, self.func
+                ))
+                .in_func(self.func)
+                .in_dim(&split.old)
+            })?;
+            let factor = Expr::int(split.factor as i32);
+            let outer_extent = halide_ir::simplify(
+                &((old_extent.clone() + (factor.clone() - 1)) / factor.clone()),
+            );
+            loops
+                .bounds
+                .insert(split.outer.clone(), (Expr::int(0), outer_extent));
+            loops
+                .bounds
+                .insert(split.inner.clone(), (Expr::int(0), factor.clone()));
+            let outer_var = Expr::var_i32(self.loop_var(&split.outer));
+            let inner_var = Expr::var_i32(self.loop_var(&split.inner));
+            let old_var = self.loop_var(&split.old);
+            // A reduction variable's tail is always predicated: its loop
+            // pair keeps the domain's order, and the tile's inner half may
+            // be an `rfactor` intermediate's vectorized pure dimension,
+            // which a scalar epilogue could not follow.
+            let origin = origins.get(&split.old).unwrap_or(&split.old);
+            let tail = if self.rvars.contains(origin) {
+                TailStrategy::Predicate
+            } else {
+                split.tail
+            };
+            match tail {
+                TailStrategy::ShiftInwards => {
+                    // old = old_min + min(outer*factor, max(extent-factor, 0)) + inner
+                    let base = Expr::min(
+                        outer_var * factor.clone(),
+                        Expr::max(old_extent.clone() - factor, Expr::int(0)),
+                    );
+                    loops
+                        .split_defs
+                        .push((split_idx, old_var, old_min + base + inner_var));
+                }
+                TailStrategy::RoundUp => {
+                    // old = old_min + outer*factor + inner; the last tile runs
+                    // past the required region, into the allocation padding.
+                    loops.split_defs.push((
+                        split_idx,
+                        old_var,
+                        old_min + outer_var * factor + inner_var,
+                    ));
+                }
+                TailStrategy::GuardWithIf | TailStrategy::Predicate => {
+                    loops.partitions.insert(
+                        split.outer.clone(),
+                        Partition {
+                            inner_dim: split.inner.clone(),
+                            old_loop_var: old_var,
+                            old_min,
+                            old_extent,
+                            factor: split.factor,
+                            strategy: tail,
+                            split_idx,
+                        },
+                    );
+                }
+            }
+        }
+        Ok(loops)
+    }
+
+    /// Wraps `provide` in the loops of `self.dims[idx..]`, innermost copies
+    /// built first via recursion. A dimension that is the outer half of a
+    /// tail-partitioned split is emitted as a main loop over the full tiles
+    /// plus a tail copy of everything inside it:
+    ///
+    /// * `guard_with_if` — a copy with the split's inner loop replaced by a
+    ///   *serial* loop over the remainder (the scalar epilogue),
+    /// * `predicate` — one more full-width iteration, entered only when the
+    ///   extent does not divide, with the provide guarded by
+    ///   `old < old_min + old_extent` (which vectorization lowers to
+    ///   store/load masks).
+    fn wrap_dims(&self, idx: usize, loops: &Loops, provide: &Stmt, ctx: BranchCtx) -> Result<Stmt> {
+        if idx == self.dims.len() {
+            let mut body = provide.clone();
+            if let Some(guard) = ctx.guards.iter().cloned().reduce(Expr::and) {
+                body = Stmt::if_then_else(guard, body, None);
+            }
+            // All `old`-variable definitions — shared and branch-local alike
+            // — in application order, earliest innermost: an earlier split's
+            // definition may reference a variable a *later* split defines
+            // (splitting `x`, then re-splitting `x_i`), so the later
+            // definition must be the outer let.
+            let mut defs: Vec<&(usize, String, Expr)> =
+                ctx.defs.iter().chain(loops.split_defs.iter()).collect();
+            defs.sort_by_key(|(idx, _, _)| *idx);
+            for (_, name, def) in defs {
+                body = Stmt::let_stmt(name.clone(), def.clone(), body);
+            }
+            return Ok(body);
+        }
+        let dim = &self.dims[idx];
+        if let Some(p) = loops.partitions.get(&dim.name) {
+            let outer_var = Expr::var_i32(self.loop_var(&dim.name));
+            let inner_var = Expr::var_i32(self.loop_var(&p.inner_dim));
+            let factor = Expr::int(p.factor as i32);
+            let full_tiles = halide_ir::simplify(&(p.old_extent.clone() / factor.clone()));
+            let covered = halide_ir::simplify(&(full_tiles.clone() * factor.clone()));
+
+            // Main copy: full tiles only, exact coordinates, no guard.
+            let mut main_ctx = ctx.clone();
+            main_ctx.defs.push((
+                p.split_idx,
+                p.old_loop_var.clone(),
+                p.old_min.clone() + outer_var * factor + inner_var.clone(),
+            ));
+            let main_body = self.wrap_dims(idx + 1, loops, provide, main_ctx)?;
+            let main = Stmt::for_loop(
+                self.loop_var(&dim.name),
+                Expr::int(0),
+                full_tiles,
+                dim.kind,
+                main_body,
+            );
+
+            let tail_base = p.old_min.clone() + covered.clone();
+            let tail = match p.strategy {
+                TailStrategy::GuardWithIf => {
+                    // Scalar epilogue: the inner loop runs serially over the
+                    // remainder (extent zero when the factor divides).
+                    let mut t = ctx.clone();
+                    t.defs
+                        .push((p.split_idx, p.old_loop_var.clone(), tail_base + inner_var));
+                    let remainder = halide_ir::simplify(&(p.old_extent.clone() - covered.clone()));
+                    t.overrides
+                        .insert(p.inner_dim.clone(), (remainder, ForKind::Serial));
+                    self.wrap_dims(idx + 1, loops, provide, t)?
+                }
+                TailStrategy::Predicate => {
+                    // One more full-width iteration, with the provide guarded
+                    // so out-of-range lanes are masked off; entered only when
+                    // the factor does not divide the extent.
+                    let mut t = ctx.clone();
+                    t.defs
+                        .push((p.split_idx, p.old_loop_var.clone(), tail_base + inner_var));
+                    t.guards.push(Expr::lt(
+                        Expr::var_i32(p.old_loop_var.clone()),
+                        p.old_min.clone() + p.old_extent.clone(),
+                    ));
+                    let tail_body = self.wrap_dims(idx + 1, loops, provide, t)?;
+                    Stmt::if_then_else(Expr::lt(covered, p.old_extent.clone()), tail_body, None)
+                }
+                _ => unreachable!("only guard_with_if/predicate splits are partitioned"),
+            };
+            return Ok(Stmt::block(main, tail));
+        }
+
+        let (min, mut extent) = loops.bounds.get(&dim.name).cloned().ok_or_else(|| {
+            LowerError::new(format!(
+                "schedule of {} has dimension {:?} with no bounds (was it split away?)",
+                self.func, dim.name
+            ))
+            .in_func(self.func)
+            .in_dim(&dim.name)
+        })?;
+        let mut kind = dim.kind;
+        if let Some((ext, k)) = ctx.overrides.get(&dim.name) {
+            extent = ext.clone();
+            kind = *k;
+        }
+        let body = self.wrap_dims(idx + 1, loops, provide, ctx)?;
+        Ok(Stmt::for_loop(
+            self.loop_var(&dim.name),
+            min,
+            extent,
+            kind,
+            body,
+        ))
+    }
+}
+
+fn build_pure_nest(func: &FuncDef, region: &[Range]) -> Result<Stmt> {
     // Substitute bare argument names with prefixed loop variables in the
     // value and the provide coordinates.
     let mut subst: HashMap<String, Expr> = HashMap::new();
@@ -241,221 +745,22 @@ fn build_pure_nest(func: &FuncDef, region: &[Range]) -> Result<Stmt> {
         .map(|a| Expr::var_i32(loop_var(&func.name, a)))
         .collect();
     let provide = Stmt::provide(func.name.clone(), value, coords);
-
-    // Compute loop bounds for every dimension, applying splits.
-    // `bounds` maps dimension name -> (loop min, loop extent).
-    let mut bounds: HashMap<String, (Expr, Expr)> = region_map(func, region);
-    // Definitions of split-away variables, tagged with application order.
-    let mut split_defs: Vec<(usize, String, Expr)> = Vec::new();
-    // Tail-partitioned splits, keyed by their outer dimension (where the
-    // main/tail loop pair is emitted).
-    let mut partitions: HashMap<String, Partition> = HashMap::new();
-
-    for (split_idx, split) in schedule.splits.iter().enumerate() {
-        // Split existence, constant-extent legality and re-splits of
-        // partitioned dimensions were already checked by `validate_splits`;
-        // this lookup cannot fail after it passes.
-        let (old_min, old_extent) = bounds.remove(&split.old).ok_or_else(|| {
-            LowerError::new(format!(
-                "split of unknown dimension {:?} in {}",
-                split.old, func.name
-            ))
-            .in_func(&func.name)
-            .in_dim(&split.old)
-        })?;
-        let factor = Expr::int(split.factor as i32);
-        let outer_extent =
-            halide_ir::simplify(&((old_extent.clone() + (factor.clone() - 1)) / factor.clone()));
-        bounds.insert(split.outer.clone(), (Expr::int(0), outer_extent));
-        bounds.insert(split.inner.clone(), (Expr::int(0), factor.clone()));
-        let outer_var = Expr::var_i32(loop_var(&func.name, &split.outer));
-        let inner_var = Expr::var_i32(loop_var(&func.name, &split.inner));
-        match split.tail {
-            TailStrategy::ShiftInwards => {
-                // old = old_min + min(outer*factor, max(extent-factor, 0)) + inner
-                let base = Expr::min(
-                    outer_var * factor.clone(),
-                    Expr::max(old_extent.clone() - factor, Expr::int(0)),
-                );
-                split_defs.push((
-                    split_idx,
-                    loop_var(&func.name, &split.old),
-                    old_min + base + inner_var,
-                ));
-            }
-            TailStrategy::RoundUp => {
-                // old = old_min + outer*factor + inner; the last tile runs
-                // past the required region, into the allocation padding.
-                split_defs.push((
-                    split_idx,
-                    loop_var(&func.name, &split.old),
-                    old_min + outer_var * factor + inner_var,
-                ));
-            }
-            TailStrategy::GuardWithIf | TailStrategy::Predicate => {
-                partitions.insert(
-                    split.outer.clone(),
-                    Partition {
-                        inner_dim: split.inner.clone(),
-                        old_loop_var: loop_var(&func.name, &split.old),
-                        old_min,
-                        old_extent,
-                        factor: split.factor,
-                        strategy: split.tail,
-                        split_idx,
-                    },
-                );
-            }
-        }
+    StageNest {
+        func: &func.name,
+        stage: None,
+        splits: &func.schedule.splits,
+        dims: &func.schedule.dims,
+        bounds: region_map(func, region),
+        rvars: Vec::new(),
+        pure: func.args.clone(),
     }
-
-    wrap_dims(
-        func,
-        0,
-        &bounds,
-        &partitions,
-        &split_defs,
-        &provide,
-        BranchCtx::default(),
-    )
-}
-
-/// Wraps `provide` in the loops of `func.schedule.dims[idx..]`, innermost
-/// copies built first via recursion. A dimension that is the outer half of a
-/// tail-partitioned split is emitted as a main loop over the full tiles plus
-/// a tail copy of everything inside it:
-///
-/// * `guard_with_if` — a copy with the split's inner loop replaced by a
-///   *serial* loop over the remainder (the scalar epilogue),
-/// * `predicate` — one more full-width iteration, entered only when the
-///   extent does not divide, with the provide guarded by
-///   `old < old_min + old_extent` (which vectorization lowers to store/load
-///   masks).
-fn wrap_dims(
-    func: &FuncDef,
-    idx: usize,
-    bounds: &HashMap<String, (Expr, Expr)>,
-    partitions: &HashMap<String, Partition>,
-    split_defs: &[(usize, String, Expr)],
-    provide: &Stmt,
-    ctx: BranchCtx,
-) -> Result<Stmt> {
-    let dims = &func.schedule.dims;
-    if idx == dims.len() {
-        let mut body = provide.clone();
-        if let Some(guard) = ctx
-            .guards
-            .iter()
-            .cloned()
-            .reduce(|a, b| halide_ir::Expr::and(a, b))
-        {
-            body = Stmt::if_then_else(guard, body, None);
-        }
-        // All `old`-variable definitions — shared and branch-local alike —
-        // in application order, earliest innermost: an earlier split's
-        // definition may reference a variable a *later* split defines
-        // (splitting `x`, then re-splitting `x_i`), so the later definition
-        // must be the outer let.
-        let mut defs: Vec<&(usize, String, Expr)> =
-            ctx.defs.iter().chain(split_defs.iter()).collect();
-        defs.sort_by_key(|(idx, _, _)| *idx);
-        for (_, name, def) in defs {
-            body = Stmt::let_stmt(name.clone(), def.clone(), body);
-        }
-        return Ok(body);
-    }
-    let dim = &dims[idx];
-    if let Some(p) = partitions.get(&dim.name) {
-        let outer_var = Expr::var_i32(loop_var(&func.name, &dim.name));
-        let inner_var = Expr::var_i32(loop_var(&func.name, &p.inner_dim));
-        let factor = Expr::int(p.factor as i32);
-        let full_tiles = halide_ir::simplify(&(p.old_extent.clone() / factor.clone()));
-        let covered = halide_ir::simplify(&(full_tiles.clone() * factor.clone()));
-
-        // Main copy: full tiles only, exact coordinates, no guard.
-        let mut main_ctx = ctx.clone();
-        main_ctx.defs.push((
-            p.split_idx,
-            p.old_loop_var.clone(),
-            p.old_min.clone() + outer_var * factor + inner_var.clone(),
-        ));
-        let main_body = wrap_dims(
-            func,
-            idx + 1,
-            bounds,
-            partitions,
-            split_defs,
-            provide,
-            main_ctx,
-        )?;
-        let main = Stmt::for_loop(
-            loop_var(&func.name, &dim.name),
-            Expr::int(0),
-            full_tiles,
-            dim.kind,
-            main_body,
-        );
-
-        let tail_base = p.old_min.clone() + covered.clone();
-        let tail = match p.strategy {
-            TailStrategy::GuardWithIf => {
-                // Scalar epilogue: the inner loop runs serially over the
-                // remainder (extent zero when the factor divides).
-                let mut t = ctx.clone();
-                t.defs
-                    .push((p.split_idx, p.old_loop_var.clone(), tail_base + inner_var));
-                let remainder = halide_ir::simplify(&(p.old_extent.clone() - covered.clone()));
-                t.overrides
-                    .insert(p.inner_dim.clone(), (remainder, ForKind::Serial));
-                wrap_dims(func, idx + 1, bounds, partitions, split_defs, provide, t)?
-            }
-            TailStrategy::Predicate => {
-                // One more full-width iteration, with the provide guarded so
-                // out-of-range lanes are masked off; entered only when the
-                // factor does not divide the extent.
-                let mut t = ctx.clone();
-                t.defs
-                    .push((p.split_idx, p.old_loop_var.clone(), tail_base + inner_var));
-                t.guards.push(Expr::lt(
-                    Expr::var_i32(p.old_loop_var.clone()),
-                    p.old_min.clone() + p.old_extent.clone(),
-                ));
-                let tail_body =
-                    wrap_dims(func, idx + 1, bounds, partitions, split_defs, provide, t)?;
-                Stmt::if_then_else(Expr::lt(covered, p.old_extent.clone()), tail_body, None)
-            }
-            _ => unreachable!("only guard_with_if/predicate splits are partitioned"),
-        };
-        return Ok(Stmt::block(main, tail));
-    }
-
-    let (min, mut extent) = bounds.get(&dim.name).cloned().ok_or_else(|| {
-        LowerError::new(format!(
-            "schedule of {} has dimension {:?} with no bounds (was it split away?)",
-            func.name, dim.name
-        ))
-        .in_func(&func.name)
-        .in_dim(&dim.name)
-    })?;
-    let mut kind = dim.kind;
-    if let Some((ext, k)) = ctx.overrides.get(&dim.name) {
-        extent = ext.clone();
-        kind = *k;
-    }
-    let body = wrap_dims(func, idx + 1, bounds, partitions, split_defs, provide, ctx)?;
-    Ok(Stmt::for_loop(
-        loop_var(&func.name, &dim.name),
-        min,
-        extent,
-        kind,
-        body,
-    ))
+    .build(&provide)
 }
 
 fn build_update_nest(
     func: &FuncDef,
     stage: usize,
-    update: &crate::inject::UpdateDefSnapshot,
+    update: &UpdateDefSnapshot,
     region: &[Range],
 ) -> Result<Stmt> {
     let stage_index = stage + 1;
@@ -469,56 +774,135 @@ fn build_update_nest(
             Expr::var_i32(update_loop_var(&func.name, stage_index, a)),
         );
     }
-    if let Some(rdom) = &update.rdom {
-        for rv in &rdom.dims {
-            subst.insert(
-                rv.name.clone(),
-                Expr::var_i32(update_loop_var(&func.name, stage_index, &rv.name)),
-            );
-        }
+    let rvars = rvar_names(update);
+    for rv in &rvars {
+        subst.insert(
+            rv.clone(),
+            Expr::var_i32(update_loop_var(&func.name, stage_index, rv)),
+        );
     }
 
-    let value = halide_ir::substitute_map(&update.value, &subst);
-    let coords: Vec<Expr> = update
+    let mut value = halide_ir::substitute_map(&update.value, &subst);
+    let mut coords: Vec<Expr> = update
         .args
         .iter()
         .map(|a| halide_ir::substitute_map(a, &subst))
         .collect();
-    let mut body = Stmt::provide(func.name.clone(), value, coords);
-
-    // Reduction loops, first dimension innermost (lexicographic order).
-    if let Some(rdom) = &update.rdom {
-        for rv in &rdom.dims {
-            body = Stmt::for_loop(
-                update_loop_var(&func.name, stage_index, &rv.name),
-                rv.min.clone(),
-                rv.extent.clone(),
-                ForKind::Serial,
-                body,
-            );
-        }
+    let vectorized = update
+        .schedule
+        .dims
+        .iter()
+        .any(|d| d.kind == ForKind::Vectorized);
+    let shared = if vectorized {
+        share_self_coordinates(func, stage_index, &mut coords, &mut value)
+    } else {
+        Vec::new()
+    };
+    let mut provide = Stmt::provide(func.name.clone(), value, coords);
+    for (name, coord) in shared.into_iter().rev() {
+        provide = Stmt::let_stmt(name, coord, provide);
     }
 
-    // Pure variables that actually appear in the update's coordinates also
-    // loop (over the full required region); ones that don't appear are not
-    // looped (the update touches a lower-dimensional slice).
+    // Pure loops span the required region; reduction loops their domain.
     let regions = region_map(func, region);
-    for (a, coord) in func.args.iter().zip(update.args.iter()) {
-        let uses_pure_var =
-            halide_ir::expr_uses_var(coord, a) || coord.as_var().map(|v| v == a).unwrap_or(false);
-        if uses_pure_var {
-            let (min, extent) = regions[a].clone();
-            body = Stmt::for_loop(
-                update_loop_var(&func.name, stage_index, a),
-                min,
-                extent,
-                ForKind::Serial,
-                body,
-            );
+    let pure = looped_args(func, update);
+    let mut bounds: HashMap<String, (Expr, Expr)> = pure
+        .iter()
+        .map(|a| (a.clone(), regions[a].clone()))
+        .collect();
+    for rv in update.rdom.iter().flat_map(|r| &r.dims) {
+        bounds.insert(rv.name.clone(), (rv.min.clone(), rv.extent.clone()));
+    }
+    StageNest {
+        func: &func.name,
+        stage: Some(stage_index),
+        splits: &update.schedule.splits,
+        dims: &update.schedule.dims,
+        bounds,
+        rvars,
+        pure,
+    }
+    .build(&provide)
+}
+
+/// True if `value` calls `func` with `coord` at position `pos`.
+fn reads_self_at(value: &Expr, func: &str, pos: usize, coord: &Expr) -> bool {
+    struct Reads<'a> {
+        func: &'a str,
+        pos: usize,
+        coord: &'a Expr,
+        found: bool,
+    }
+    impl IrVisitor for Reads<'_> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let ExprNode::Call {
+                name,
+                call_type: CallType::Halide,
+                args,
+                ..
+            } = e.node()
+            {
+                self.found |= name == self.func && args[self.pos] == *self.coord;
+            }
+            halide_ir::visit_expr_children(self, e);
         }
     }
+    let mut r = Reads {
+        func,
+        pos,
+        coord,
+        found: false,
+    };
+    r.visit_expr(value);
+    r.found
+}
 
-    Ok(body)
+/// Let-binds each non-trivial coordinate of an update that a self-reference
+/// reads again — histogram's `h(bucket(in(r.x, r.y))) = h(bucket(…)) + 1` —
+/// so the nest computes it once. Called for vectorized stages, where the
+/// coordinate is a vector gather and arithmetic that nothing downstream
+/// deduplicates (the engines' common-subexpression pass neither keys loads
+/// nor touches vectors); a scalar stage keeps the definition's form.
+/// Returns the bindings, outermost first; `coords` and `value` refer to
+/// them afterwards.
+fn share_self_coordinates(
+    func: &FuncDef,
+    stage: usize,
+    coords: &mut [Expr],
+    value: &mut Expr,
+) -> Vec<(String, Expr)> {
+    struct Replace<'a> {
+        from: &'a Expr,
+        to: &'a Expr,
+    }
+    impl IrMutator for Replace<'_> {
+        fn mutate_expr(&mut self, e: &Expr) -> Expr {
+            if e == self.from {
+                return self.to.clone();
+            }
+            halide_ir::mutate_expr_children(self, e)
+        }
+    }
+    let mut shared = Vec::new();
+    for (pos, arg) in func.args.iter().enumerate() {
+        let coord = coords[pos].clone();
+        if coord.as_var().is_some()
+            || coord.as_const_int().is_some()
+            || !reads_self_at(value, &func.name, pos, &coord)
+        {
+            continue;
+        }
+        let name = update_loop_var(&func.name, stage, &format!("{arg}.coord"));
+        let var = Expr::var(name.clone(), coord.ty());
+        *value = Replace {
+            from: &coord,
+            to: &var,
+        }
+        .mutate_expr(value);
+        coords[pos] = var;
+        shared.push((name, coord));
+    }
+    shared
 }
 
 #[cfg(test)]

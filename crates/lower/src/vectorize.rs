@@ -262,9 +262,90 @@ impl IrMutator for PredicateIfs {
     }
 }
 
+/// Binds the index of a vector read-modify-write through a gathered index
+/// — a vectorized update's `f[i] = f[i] + 1`, where `i` is data-dependent
+/// — to a `let`, so the store and the load share one computation of it:
+/// the engines' common-subexpression pass does not touch vectors. A dense
+/// (`ramp`) index is left in place, where the engines see it is dense.
+struct ShareScatterIndex {
+    /// Enclosing statement-level lets and whether each binds a vector.
+    lets: Vec<(String, bool)>,
+}
+
+impl IrMutator for ShareScatterIndex {
+    fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
+        let (name, value, index, predicate) = match s.node() {
+            StmtNode::LetStmt { name, value, body } => {
+                let is_vec = contains_vector(value, &self.lets);
+                self.lets.push((name.clone(), is_vec));
+                let nb = self.mutate_stmt(body);
+                self.lets.pop();
+                return Stmt::let_stmt(name.clone(), value.clone(), nb);
+            }
+            StmtNode::Store {
+                name,
+                value,
+                index,
+                predicate,
+            } => (name, value, index, predicate),
+            _ => return mutate_stmt_children(self, s),
+        };
+        if !contains_vector(index, &self.lets)
+            || matches!(index.node(), ExprNode::Ramp { .. } | ExprNode::Var { .. })
+        {
+            return s.clone();
+        }
+        struct Share<'a> {
+            name: &'a str,
+            index: &'a Expr,
+            var: Expr,
+            shared: bool,
+        }
+        impl IrMutator for Share<'_> {
+            fn mutate_expr(&mut self, e: &Expr) -> Expr {
+                let e = mutate_expr_children(self, e);
+                match e.node() {
+                    ExprNode::Load {
+                        ty,
+                        name,
+                        index,
+                        predicate,
+                    } if name == self.name && index == self.index => {
+                        self.shared = true;
+                        let var = self.var.clone();
+                        match predicate {
+                            Some(p) => Expr::load_predicated(*ty, name.clone(), var, p.clone()),
+                            None => Expr::load(*ty, name.clone(), var),
+                        }
+                    }
+                    _ => e,
+                }
+            }
+        }
+        let var_name = format!("{name}.rmw.index");
+        let mut share = Share {
+            name,
+            index,
+            var: Expr::var(var_name.clone(), index.ty()),
+            shared: false,
+        };
+        let value = share.mutate_expr(value);
+        if !share.shared {
+            return s.clone();
+        }
+        let store = match predicate {
+            Some(p) => Stmt::store_predicated(name.clone(), value, share.var, p.clone()),
+            None => Stmt::store(name.clone(), value, share.var),
+        };
+        Stmt::let_stmt(var_name, index.clone(), store)
+    }
+}
+
 /// Replaces vectorized and unrolled loops with vector expressions and
 /// replicated bodies respectively, then lowers `if`s whose condition became
-/// a vector (predicate-tail guards) into predicated loads and stores.
+/// a vector (predicate-tail guards) into predicated loads and stores, and
+/// binds the index of a gathered read-modify-write (`f[i] = f[i] + 1`
+/// with a data-dependent vector `i`) to one `let`.
 ///
 /// # Errors
 ///
@@ -288,7 +369,7 @@ pub fn vectorize_and_unroll(stmt: &Stmt) -> Result<Stmt> {
     let out = pred.mutate_stmt(&out);
     match pred.error {
         Some(e) => Err(e),
-        None => Ok(out),
+        None => Ok(ShareScatterIndex { lets: Vec::new() }.mutate_stmt(&out)),
     }
 }
 

@@ -82,17 +82,31 @@ impl HistogramApp {
         Pipeline::new(&self.out)
     }
 
-    /// Applies a sensible parallel schedule: the histogram and CDF are small
-    /// and computed at root; the output stage is parallelized over rows and
-    /// vectorized across x. The remap `cdf(bucket(input(x, y)))` then runs as
-    /// one dense vector load of the input row, a vector bucket computation,
-    /// and one bulk clamped **gather** through the 256-entry CDF per 64
-    /// pixels, instead of 64 scalar loads and table lookups (the reductions
-    /// themselves are serial by data dependence and stay scalar). The last,
-    /// partial vector of a row is masked, so any width works, including
-    /// images narrower than one vector.
+    /// Applies a sensible parallel schedule. The histogram and CDF are
+    /// small and computed at root; the output stage is parallelized over
+    /// rows and vectorized across x, so the remap `cdf(bucket(input(x, y)))`
+    /// runs as one dense vector load of the input row, a vector bucket
+    /// computation, and one bulk clamped **gather** through the 256-entry CDF
+    /// per 64 pixels. The last, partial vector of a row is masked, so any
+    /// width works, including images narrower than one vector.
+    ///
+    /// The histogram's scatter is factored 64 ways (`rfactor`): `r.x` is
+    /// split by 64 and its inner half becomes the pure dimension `u` of an
+    /// intermediate `intm(i, u)` — 64 private histograms, one per lane —
+    /// whose update is vectorized over `u`. Lanes never collide (each writes
+    /// its own histogram), so each step is one masked dense load of 64
+    /// input pixels, one gather and one scatter. The merge
+    /// `hist(i) += intm(i, rxi)` and `intm`'s initialization run as vectors
+    /// over all 256 bins. Integer sums wrap, so the regrouped sum is
+    /// bit-identical to the serial one.
     pub fn schedule_good(&self) {
         self.histogram.compute_root();
+        let merge = self.histogram.update_stage(0);
+        merge.split_dim("r.x", "rxo", "rxi", 64);
+        let intm = merge.rfactor("rxi", "u");
+        merge.vectorize_dim("i");
+        intm.compute_root().vectorize_dim("i");
+        intm.update_stage(0).vectorize_dim("u");
         self.cdf.compute_root();
         self.out
             .parallelize("y")
@@ -165,12 +179,27 @@ mod tests {
     }
 
     /// The tuned schedule must keep serving images narrower than one
-    /// vector (1, 3, 4 and 7 wide: the masked tail covers the whole row) and
-    /// rows that end in a partial vector (67 and 129 wide).
+    /// vector (1, 3, 4 and 7 wide: the masked tail covers the whole row),
+    /// rows that end in a partial vector (63, 65, 67 and 129 wide) or in a
+    /// whole one (96 is one and a half), and single-row images. Both the
+    /// output's predicated tail and the factored histogram's guarded `r.x`
+    /// tail are live at these widths.
     #[test]
     fn tuned_schedule_handles_tiny_widths() {
-        for (w, h) in [(4, 4), (1, 1), (3, 9), (7, 5), (67, 49), (129, 31)] {
+        for (w, h) in [
+            (4, 4),
+            (1, 1),
+            (3, 9),
+            (7, 5),
+            (63, 1),
+            (65, 33),
+            (67, 49),
+            (96, 64),
+            (129, 31),
+        ] {
             let input = make_input(w, h);
+            let naive = HistogramApp::new(w as i32, h as i32);
+            let naive = crate::realize(&naive.pipeline(), &naive.input, &input, &[w, h], 1);
             let app = HistogramApp::new(w as i32, h as i32);
             app.schedule_good();
             let result = crate::realize(&app.pipeline(), &app.input, &input, &[w, h], 2);
@@ -179,7 +208,36 @@ mod tests {
                 0.0,
                 "{w}x{h}"
             );
+            assert_eq!(result.output.max_abs_diff(&naive.output), 0.0, "{w}x{h}");
         }
+    }
+
+    /// The tuned schedule factors the scatter into 64 private histograms:
+    /// one vectorized update over `u`, whose last `r.x` tile is masked and
+    /// whose bucket is computed once per step, then a vectorized merge.
+    #[test]
+    fn tuned_histogram_is_a_vectorized_factored_reduction() {
+        let app = HistogramApp::new(67, 49);
+        app.schedule_good();
+        let text = halide_lower::lower(&app.pipeline())
+            .expect("schedule lowers")
+            .pretty();
+        let intm = format!("{}_intm", app.histogram.name());
+        let has = |needle: &str| assert!(text.contains(needle), "{needle:?} in\n{text}");
+        has(&format!("allocate {intm}[int32 * 16384]"));
+        has(&format!(
+            "let {intm}.s1.r.x = (({intm}.s1.rxo*64) + ramp(0, 1, 64))"
+        ));
+        has(&format!("if ({intm}.s1.r.x < 67)"));
+        has(&format!("let {intm}.s1.i.coord = "));
+        // One input load per copy of the update (main and tail) and of the
+        // output (main and tail): the bucket is not recomputed.
+        assert_eq!(text.matches("histeq_input[").count(), 4, "{text}");
+        assert!(!text.contains(&format!("for {intm}.s1.u")), "{text}");
+        assert!(
+            !text.contains(&format!("for {}.s1.i ", app.histogram.name())),
+            "{text}"
+        );
     }
 
     #[test]

@@ -217,13 +217,11 @@ impl FuncSchedule {
         self.dim_index(name).is_some()
     }
 
-    fn require_dim(&self, name: &str) -> Result<usize> {
-        self.dim_index(name).ok_or_else(|| {
-            ScheduleError::new(format!(
-                "dimension {name:?} not found; current dims are {:?}",
-                self.dims.iter().map(|d| &d.name).collect::<Vec<_>>()
-            ))
-        })
+    fn domain(&mut self) -> Domain<'_> {
+        Domain {
+            splits: &mut self.splits,
+            dims: &mut self.dims,
+        }
     }
 
     /// Splits dimension `old` into `outer` and `inner` with the given factor.
@@ -260,48 +258,8 @@ impl FuncSchedule {
         factor: i64,
         tail: TailStrategy,
     ) -> Result<()> {
-        let outer = outer.into();
-        let inner = inner.into();
-        if factor < 1 {
-            return Err(ScheduleError::new(format!(
-                "split factor must be >= 1, got {factor}"
-            )));
-        }
-        let idx = self.require_dim(old)?;
-        for n in [&outer, &inner] {
-            if self.has_dim(n) && n != old {
-                return Err(ScheduleError::new(format!(
-                    "split name {n:?} collides with an existing dimension"
-                )));
-            }
-        }
-        if outer == inner {
-            return Err(ScheduleError::new(
-                "outer and inner split names must differ".to_string(),
-            ));
-        }
-        let kind = self.dims[idx].kind;
-        // The old dimension is replaced in place: outer takes its slot, inner
-        // goes immediately inside (to its right in outermost-first order).
-        self.dims[idx] = Dim {
-            name: outer.clone(),
-            kind,
-        };
-        self.dims.insert(
-            idx + 1,
-            Dim {
-                name: inner.clone(),
-                kind: ForKind::Serial,
-            },
-        );
-        self.splits.push(Split {
-            old: old.to_string(),
-            outer,
-            inner,
-            factor,
-            tail,
-        });
-        Ok(())
+        self.domain()
+            .split(old, outer.into(), inner.into(), factor, tail)
     }
 
     /// Reorders the listed dimensions. `order` is given **outermost first**
@@ -313,37 +271,11 @@ impl FuncSchedule {
     ///
     /// Fails if any name is unknown or appears twice.
     pub fn reorder(&mut self, order: &[&str]) -> Result<()> {
-        let mut seen = HashSet::new();
-        for name in order {
-            self.require_dim(name)?;
-            if !seen.insert(*name) {
-                return Err(ScheduleError::new(format!(
-                    "dimension {name:?} listed twice in reorder"
-                )));
-            }
-        }
-        let positions: Vec<usize> = self
-            .dims
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| order.contains(&d.name.as_str()))
-            .map(|(i, _)| i)
-            .collect();
-        let mut ordered: Vec<Dim> = Vec::with_capacity(order.len());
-        for name in order {
-            let idx = self.dim_index(name).expect("checked above");
-            ordered.push(self.dims[idx].clone());
-        }
-        for (slot, dim) in positions.into_iter().zip(ordered) {
-            self.dims[slot] = dim;
-        }
-        Ok(())
+        self.domain().reorder(order)
     }
 
     fn set_kind(&mut self, name: &str, kind: ForKind) -> Result<()> {
-        let idx = self.require_dim(name)?;
-        self.dims[idx].kind = kind;
-        Ok(())
+        self.domain().set_kind(name, kind)
     }
 
     /// Marks a dimension parallel.
@@ -496,6 +428,241 @@ impl Default for FuncSchedule {
     }
 }
 
+/// The domain order of one definition — a function's pure definition or
+/// one of its update stages: the splits applied to it and the resulting
+/// loop dimensions. Both [`FuncSchedule`] and [`StageSchedule`] edit theirs
+/// through this view, so the two kinds of stage accept the same verbs with
+/// the same errors.
+struct Domain<'a> {
+    splits: &'a mut Vec<Split>,
+    dims: &'a mut Vec<Dim>,
+}
+
+impl Domain<'_> {
+    fn require_dim(&self, name: &str) -> Result<usize> {
+        self.dims
+            .iter()
+            .position(|d| d.name == name)
+            .ok_or_else(|| {
+                ScheduleError::new(format!(
+                    "dimension {name:?} not found; current dims are {:?}",
+                    self.dims.iter().map(|d| &d.name).collect::<Vec<_>>()
+                ))
+            })
+    }
+
+    fn split(
+        &mut self,
+        old: &str,
+        outer: String,
+        inner: String,
+        factor: i64,
+        tail: TailStrategy,
+    ) -> Result<()> {
+        if factor < 1 {
+            return Err(ScheduleError::new(format!(
+                "split factor must be >= 1, got {factor}"
+            )));
+        }
+        let idx = self.require_dim(old)?;
+        for n in [&outer, &inner] {
+            if n != old && self.dims.iter().any(|d| &d.name == n) {
+                return Err(ScheduleError::new(format!(
+                    "split name {n:?} collides with an existing dimension"
+                )));
+            }
+        }
+        if outer == inner {
+            return Err(ScheduleError::new(
+                "outer and inner split names must differ".to_string(),
+            ));
+        }
+        let kind = self.dims[idx].kind;
+        // The old dimension is replaced in place: outer takes its slot, inner
+        // goes immediately inside (to its right in outermost-first order).
+        self.dims[idx] = Dim {
+            name: outer.clone(),
+            kind,
+        };
+        self.dims.insert(
+            idx + 1,
+            Dim {
+                name: inner.clone(),
+                kind: ForKind::Serial,
+            },
+        );
+        self.splits.push(Split {
+            old: old.to_string(),
+            outer,
+            inner,
+            factor,
+            tail,
+        });
+        Ok(())
+    }
+
+    fn reorder(&mut self, order: &[&str]) -> Result<()> {
+        let mut seen = HashSet::new();
+        for name in order {
+            self.require_dim(name)?;
+            if !seen.insert(*name) {
+                return Err(ScheduleError::new(format!(
+                    "dimension {name:?} listed twice in reorder"
+                )));
+            }
+        }
+        let positions: Vec<usize> = self
+            .dims
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| order.contains(&d.name.as_str()))
+            .map(|(i, _)| i)
+            .collect();
+        let mut ordered: Vec<Dim> = Vec::with_capacity(order.len());
+        for name in order {
+            let idx = self.require_dim(name).expect("checked above");
+            ordered.push(self.dims[idx].clone());
+        }
+        for (slot, dim) in positions.into_iter().zip(ordered) {
+            self.dims[slot] = dim;
+        }
+        Ok(())
+    }
+
+    fn set_kind(&mut self, name: &str, kind: ForKind) -> Result<()> {
+        let idx = self.require_dim(name)?;
+        self.dims[idx].kind = kind;
+        Ok(())
+    }
+}
+
+/// A record that an update stage is the merge step of an `rfactor`: the
+/// reduction variable `rvar` was lifted into the pure dimension `pure_var`
+/// of the intermediate function `intm`. Lowering checks that the merge is
+/// one it can reassociate exactly (integer `+`, `min` or `max`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RFactor {
+    /// The factored reduction variable (an RVar, or the inner half of a
+    /// split of one).
+    pub rvar: String,
+    /// The intermediate's new pure dimension.
+    pub pure_var: String,
+    /// The intermediate function's name.
+    pub intm: String,
+}
+
+/// The domain order of one update stage: its splits and loop dimensions,
+/// over the stage's pure variables and its reduction variables (`r.x`).
+///
+/// The default order loops the pure variables the update's coordinates use
+/// outside its reduction variables, each group row-major (the last pure
+/// argument and the last reduction dimension outermost), which is the
+/// definition's lexicographic order. Which transformations keep the
+/// update's result is decided by lowering, not here: a split, reorder or
+/// loop kind is only recorded.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StageSchedule {
+    /// Applied splits, in application order.
+    pub splits: Vec<Split>,
+    /// Loop dimensions, ordered from outermost to innermost.
+    pub dims: Vec<Dim>,
+    /// Set when this stage is the merge step of an `rfactor`.
+    pub rfactor: Option<RFactor>,
+}
+
+impl StageSchedule {
+    /// The default schedule of an update that loops over the pure variables
+    /// `pure` and the reduction variables `rvars` (both given innermost
+    /// first, in argument and domain order): every loop serial, pure loops
+    /// outside reduction loops.
+    pub fn default_for(pure: &[String], rvars: &[String]) -> Self {
+        let dims = pure
+            .iter()
+            .rev()
+            .chain(rvars.iter().rev())
+            .map(|name| Dim {
+                name: name.clone(),
+                kind: ForKind::Serial,
+            })
+            .collect();
+        StageSchedule {
+            splits: Vec::new(),
+            dims,
+            rfactor: None,
+        }
+    }
+
+    fn domain(&mut self) -> Domain<'_> {
+        Domain {
+            splits: &mut self.splits,
+            dims: &mut self.dims,
+        }
+    }
+
+    /// Position of a dimension in the loop order.
+    pub fn dim_index(&self, name: &str) -> Option<usize> {
+        self.dims.iter().position(|d| d.name == name)
+    }
+
+    /// Splits dimension `old` into `outer` and `inner` with the given tail
+    /// strategy. Lowering accepts only `GuardWithIf` and `Predicate` on an
+    /// update stage: the other two would apply the update twice to some
+    /// points or write outside the function's region.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `old` is not a current dimension, the factor is < 1, or the
+    /// new names collide with existing dimensions.
+    pub fn split_with_tail(
+        &mut self,
+        old: &str,
+        outer: impl Into<String>,
+        inner: impl Into<String>,
+        factor: i64,
+        tail: TailStrategy,
+    ) -> Result<()> {
+        self.domain()
+            .split(old, outer.into(), inner.into(), factor, tail)
+    }
+
+    /// Reorders the listed dimensions, outermost first (see
+    /// [`FuncSchedule::reorder`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails if any name is unknown or appears twice.
+    pub fn reorder(&mut self, order: &[&str]) -> Result<()> {
+        self.domain().reorder(order)
+    }
+
+    /// Sets the loop kind of a dimension.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the dimension does not exist.
+    pub fn set_kind(&mut self, name: &str, kind: ForKind) -> Result<()> {
+        self.domain().set_kind(name, kind)
+    }
+
+    /// Validates internal consistency: dimension names are unique.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a dimension name repeats.
+    pub fn validate(&self) -> Result<()> {
+        let mut seen = HashSet::new();
+        for d in &self.dims {
+            if !seen.insert(d.name.as_str()) {
+                return Err(ScheduleError::new(format!(
+                    "duplicate dimension name {:?}",
+                    d.name
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,6 +773,25 @@ mod tests {
         let d = s.describe();
         assert!(d.contains("tail(x:guard_with_if)"), "{d}");
         assert!(!d.contains("y:"), "{d}");
+    }
+
+    #[test]
+    fn stage_default_loops_pure_vars_outside_rvars() {
+        let s = StageSchedule::default_for(
+            &["x".to_string(), "y".to_string()],
+            &["r.x".to_string(), "r.y".to_string()],
+        );
+        let names: Vec<&str> = s.dims.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, vec!["y", "x", "r.y", "r.x"]);
+        let mut s = s;
+        s.split_with_tail("r.x", "rxo", "rxi", 8, TailStrategy::GuardWithIf)
+            .unwrap();
+        s.set_kind("x", ForKind::Parallel).unwrap();
+        assert_eq!(s.dim_index("rxi"), Some(4));
+        assert!(s
+            .split_with_tail("q", "a", "b", 2, TailStrategy::Predicate)
+            .is_err());
+        assert!(s.validate().is_ok());
     }
 
     #[test]

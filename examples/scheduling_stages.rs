@@ -1,6 +1,7 @@
 //! Regenerates the IR excerpts in `docs/scheduling.md`: the camera pipe
 //! walked from its naive schedule to the tuned one, one scheduling
-//! directive at a time.
+//! directive at a time, the pyramid tail strategies, and histogram
+//! equalization's factored reduction.
 //!
 //! ```sh
 //! cargo run --release --example scheduling_stages                            # print to stdout
@@ -18,6 +19,7 @@ use std::fmt::Write as _;
 
 use halide::ir::{Expr, ExprNode, Stmt, StmtNode};
 use halide::pipelines::camera_pipe::CameraPipeApp;
+use halide::pipelines::histogram::HistogramApp;
 use halide::pipelines::interpolate::InterpolateApp;
 use halide::TailStrategy;
 
@@ -82,6 +84,34 @@ fn stages() -> Vec<(&'static str, String)> {
     ));
 
     out.extend(pyramid_stages());
+    out.extend(histogram_stages());
+    out
+}
+
+/// The "Scheduling a reduction" chapter's excerpts: histogram
+/// equalization's scatter under the naive schedule, then factored by
+/// `rfactor` into 64 private histograms and merged, at a width (67) that
+/// leaves a partial last tile of `r.x`.
+fn histogram_stages() -> Vec<(&'static str, String)> {
+    let (w, h) = (67, 49);
+    let app = HistogramApp::new(w, h);
+    let module = halide::lower(&app.pipeline()).expect("naive histogram lowers");
+    let mut out = vec![(
+        "histogram-naive",
+        find_produce(&module.stmt, "histeq_hist").expect("histeq_hist has a produce nest"),
+    )];
+    let app = HistogramApp::new(w, h);
+    app.schedule_good();
+    let module = halide::lower(&app.pipeline()).expect("tuned histogram lowers");
+    out.push((
+        "histogram-factored",
+        find_produce(&module.stmt, "histeq_hist_intm")
+            .expect("histeq_hist_intm has a produce nest"),
+    ));
+    out.push((
+        "histogram-merge",
+        find_produce(&module.stmt, "histeq_hist").expect("histeq_hist has a produce nest"),
+    ));
     out
 }
 
@@ -379,6 +409,22 @@ fn find_predicated_store(s: &Stmt, buf: &str) -> Option<String> {
                 .as_ref()
                 .and_then(|e| find_predicated_store(e, buf))
         }),
+        _ => None,
+    }
+}
+
+/// The full text of the `produce` nest for `func` (wrapped for
+/// readability), wherever it sits.
+fn find_produce(s: &Stmt, func: &str) -> Option<String> {
+    match s.node() {
+        StmtNode::Producer {
+            name, is_produce, ..
+        } if *is_produce && scrub(name) == func => Some(scrub(&wrap(&s.to_string(), 76))),
+        StmtNode::For { body, .. }
+        | StmtNode::Producer { body, .. }
+        | StmtNode::Allocate { body, .. }
+        | StmtNode::LetStmt { body, .. } => find_produce(body, func),
+        StmtNode::Block { stmts } => stmts.iter().find_map(|s| find_produce(s, func)),
         _ => None,
     }
 }

@@ -81,8 +81,8 @@ pub use halide_trace as trace;
 pub use halide_autotune::{Autotuner, TuneOptions};
 pub use halide_exec::{Realization, Realizer};
 pub use halide_ir::Expr;
-pub use halide_lang::{Func, ImageParam, Param, Pipeline, RDom, Var};
+pub use halide_lang::{Func, ImageParam, Param, Pipeline, RDom, Stage, Var};
 pub use halide_lower::{lower, lower_with_options, LowerOptions, Module};
 pub use halide_runtime::{Buffer, BufferPool, CounterSnapshot};
-pub use halide_schedule::{FuncSchedule, LoopLevel, TailStrategy};
+pub use halide_schedule::{FuncSchedule, LoopLevel, StageSchedule, TailStrategy};
 pub use halide_serve::{PipelineServer, ServeConfig};

@@ -237,12 +237,29 @@ fn every_app_agrees_across_backends_and_opt_levels() {
 /// uncomputed pixels. Both engines run the same lowered program, so the
 /// interpreter also realizes the naive schedule as the oracle for the
 /// lowering itself. Tuned blur needs at least 32 rows (its strip split
-/// shifts inwards), so it skips 129x31.
+/// shifts inwards), so it skips 129x31. Tuned histogram also runs
+/// sub-vector, single-row and whole-vector shapes, where its factored
+/// reduction's guarded `r.x` tail is partial or empty.
 #[test]
 fn wide_vector_schedules_agree_across_backends_at_tail_shapes() {
     use halide::pipelines::{apps::ScheduleChoice, AppKind};
     for app in [AppKind::Blur, AppKind::CameraPipe, AppKind::Histogram] {
-        for (w, h) in [(67, 49), (65, 33), (129, 31)] {
+        // Histogram's factored reduction also guards a 64-wide split of
+        // `r.x`, so it runs the sub-vector and single-row shapes too.
+        let shapes: &[(i64, i64)] = match app {
+            AppKind::Histogram => &[
+                (1, 1),
+                (3, 9),
+                (7, 5),
+                (63, 1),
+                (65, 33),
+                (67, 49),
+                (96, 64),
+                (129, 31),
+            ],
+            _ => &[(67, 49), (65, 33), (129, 31)],
+        };
+        for &(w, h) in shapes {
             if app == AppKind::Blur && h < 32 {
                 continue;
             }
@@ -268,6 +285,14 @@ fn wide_vector_schedules_agree_across_backends_at_tail_shapes() {
                 0.0,
                 "{what}: differs from the naive schedule"
             );
+            if app == AppKind::Histogram {
+                let expected = halide::pipelines::histogram::reference(&input);
+                assert_eq!(
+                    tuned.max_abs_diff(&expected),
+                    0.0,
+                    "{what}: differs from the reference"
+                );
+            }
             assert_backends_identical(&built.module, &built.input_name, &input, &extents, 2, &what);
         }
     }

@@ -34,8 +34,9 @@
 //! beats the scalar naive one by at least 2x.
 //!
 //! The **observability tier** always runs last: the tuned camera pipe is
-//! timed with the per-Func profiler + trace sink off and then on
-//! (best-of-reps both ways), gating the enabled overhead below 10% — and
+//! timed with the per-Func profiler + trace sink off and on, in
+//! alternating reps (best-of-reps both ways), gating the enabled overhead
+//! below 10% — and
 //! the profiled pass must attribute at least 95% of its samples to named
 //! Funcs. `--trace out.json` additionally records compile telemetry and
 //! the profiled phase into the global sink and writes a
@@ -384,27 +385,31 @@ fn observability_tier(cfg: &HarnessConfig, trace_out: Option<&str>) {
     let extents = AppKind::CameraPipe.output_extents(cfg.width, cfg.height);
     halide_trace::set_enabled(false);
 
-    // Overhead gate: best-of-reps with the whole layer off, then on
+    // Overhead gate: best-of-reps with the whole layer off and on
     // (sampling profiler *and* trace sink). Sampling profilers are only
     // usable if turning them on is nearly free; this pins "nearly" at 10%.
-    let best_with = |profile: bool| -> (Duration, Option<halide_trace::ProfileReport>) {
-        let realizer = Realizer::new(&built.module)
+    // The off and on reps alternate, so load that drifts during the tier
+    // lands on both sides rather than on whichever ran second.
+    let realizer = |profile: bool| {
+        Realizer::new(&built.module)
             .input_shared(built.input_name.clone(), Arc::clone(&input))
             .threads(cfg.threads)
             .backend(Backend::Compiled)
-            .profile(profile);
-        let mut best = Duration::MAX;
-        for _ in 0..5 {
-            let r = realizer.realize(&extents).expect("tuned camera pipe runs");
-            best = best.min(r.wall_time);
-        }
-        (best, realizer.profile_report())
+            .profile(profile)
     };
-    let (off, _) = best_with(false);
-    halide_trace::set_enabled(true);
-    let (on, report) = best_with(true);
-    halide_trace::set_enabled(false);
-    let report = report.expect("profiled realizer yields a report");
+    let (plain, profiled) = (realizer(false), realizer(true));
+    let (mut off, mut on) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        let r = plain.realize(&extents).expect("tuned camera pipe runs");
+        off = off.min(r.wall_time);
+        halide_trace::set_enabled(true);
+        let r = profiled.realize(&extents).expect("tuned camera pipe runs");
+        halide_trace::set_enabled(false);
+        on = on.min(r.wall_time);
+    }
+    let report = profiled
+        .profile_report()
+        .expect("profiled realizer yields a report");
     // Attribution gate first (its report is also the diagnostic to read
     // when the overhead gate below trips).
     print!("{report}");

@@ -178,7 +178,7 @@ impl Simplifier {
     /// bindings exposes a constant difference that the purely structural
     /// [`const_diff`] could not see.
     fn let_resolved_const_diff(&self, a: &Expr, b: &Expr) -> Option<i64> {
-        if self.lets.is_empty() {
+        if self.lets.is_empty() || self.lets.cannot_share_base(a, b) {
             return None;
         }
         let ra = self.lets.resolve(a);
@@ -440,11 +440,13 @@ impl Simplifier {
                     }
                 }
                 // min(c1, max(x, c2)) -> c1 when c1 <= c2 (max(x, c2) >= c2),
-                // and dually max(c1, min(x, c2)) -> c1 when c1 >= c2. This is
-                // what collapses the `min(0, max(extent - factor, 0))` guards
-                // produced by the shift-inwards split strategy; without it,
-                // bounds expressions grow multiplicatively through chains of
-                // split stages (e.g. tiled pyramids).
+                // and dually max(c1, min(x, c2)) -> c1 when c1 >= c2. This
+                // collapses the `min(0, max(extent - factor, 0))` lower bound
+                // of a shift-inwards split whose extent may be below the
+                // factor (a re-split outer half); without it, bounds
+                // expressions grow multiplicatively through chains of such
+                // stages. A region dimension's split needs no clamp and
+                // bounds inference gives it a closed form instead.
                 if !ty.is_float() {
                     let dual = if op == BinOp::Min {
                         BinOp::Max
@@ -861,9 +863,9 @@ mod tests {
 
     #[test]
     fn min_of_const_and_dominating_max_folds() {
-        // Regression: `min(0, max(e - f, 0))` is the guard the shift-inwards
-        // split strategy emits; it must fold to 0 or bounds expressions grow
-        // multiplicatively through chains of split stages.
+        // Regression: `min(0, max(e - f, 0))` is the guard a shift-inwards
+        // split of a re-split outer half emits; it must fold to 0 or bounds
+        // expressions grow multiplicatively through chains of split stages.
         let e = Expr::var_i32("e");
         let guard = Expr::min(Expr::int(0), Expr::max(e.clone() - 16, Expr::int(0)));
         assert_eq!(simplify(&guard).as_const_int(), Some(0));

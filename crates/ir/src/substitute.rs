@@ -11,7 +11,9 @@ use std::collections::HashMap;
 
 use crate::expr::{Expr, ExprNode};
 use crate::stmt::{Stmt, StmtNode};
-use crate::visit::{mutate_expr_children, mutate_stmt_children, IrMutator};
+use crate::visit::{
+    mutate_expr_children, mutate_stmt_children, visit_expr_children, IrMutator, IrVisitor,
+};
 
 struct Substituter<'a> {
     map: &'a HashMap<String, Expr>,
@@ -164,13 +166,18 @@ impl LetResolver {
     }
 
     /// Resolves every tracked let-bound variable in `e` to its value and
-    /// simplifies the result. Opaque (masked or never-entered) names stay
-    /// symbolic — they are still in scope at every use, so the result is
-    /// always a valid expression. Inputs larger than the budget are
-    /// returned unchanged.
+    /// simplifies the result; a bare tracked name is returned as its value
+    /// was tracked, without simplifying it again. Opaque (masked or
+    /// never-entered) names stay symbolic — they are still in scope at every
+    /// use, so the result is always a valid expression. Inputs larger than
+    /// the budget are returned unchanged.
     pub fn resolve(&self, e: &Expr) -> Expr {
         if self.map.is_empty() || crate::visit::expr_node_count(e) > self.budget {
             return e.clone();
+        }
+        // A tracked name is its tracked value, which was resolved on entry.
+        if let Some(value) = e.as_var().and_then(|name| self.map.get(name)) {
+            return value.clone();
         }
         let r = substitute_map(e, &self.map);
         if r == *e {
@@ -178,6 +185,99 @@ impl LetResolver {
         } else {
             crate::simplify::simplify(&r)
         }
+    }
+
+    /// True if `a` and `b` cannot resolve to constant offsets of one base
+    /// expression, decided without resolving either: one side mentions no
+    /// tracked name (so it resolves to itself) and has a variable the other
+    /// side can reach neither directly nor through a tracked let — the loop
+    /// variable of `min(outer*f, e - f)`, say. A tracked let may resolve to
+    /// that variable, so the other side's lets count. Like
+    /// [`resolve`](LetResolver::resolve), it gives up (`false`) on operands
+    /// over the node budget.
+    pub fn cannot_share_base(&self, a: &Expr, b: &Expr) -> bool {
+        self.escapes(a, b) || self.escapes(b, a)
+    }
+
+    /// True if `a` resolves to itself (it mentions no tracked name and
+    /// binds none) and mentions a variable `b` cannot reach.
+    fn escapes(&self, a: &Expr, b: &Expr) -> bool {
+        /// Walks `a` until it is `undecided` (a tracked name, a binding or
+        /// more nodes than the budget show up) or `escaped` (a variable `b`
+        /// cannot reach does).
+        struct Walk<'a> {
+            resolver: &'a LetResolver,
+            b: &'a Expr,
+            nodes: usize,
+            undecided: bool,
+            escaped: bool,
+        }
+        impl IrVisitor for Walk<'_> {
+            fn visit_expr(&mut self, e: &Expr) {
+                if self.undecided || self.escaped {
+                    return;
+                }
+                self.nodes += 1;
+                match e.node() {
+                    _ if self.nodes > self.resolver.budget => self.undecided = true,
+                    ExprNode::Var { name, .. } if self.resolver.map.contains_key(name) => {
+                        self.undecided = true;
+                    }
+                    ExprNode::Var { name, .. } => {
+                        self.escaped = !self.resolver.reaches(self.b, name);
+                    }
+                    ExprNode::Let { .. } => self.undecided = true,
+                    _ => visit_expr_children(self, e),
+                }
+            }
+        }
+        let mut w = Walk {
+            resolver: self,
+            b,
+            nodes: 0,
+            undecided: false,
+            escaped: false,
+        };
+        w.visit_expr(a);
+        !w.undecided && w.escaped
+    }
+
+    /// True if `e` mentions `var`, directly or through a tracked let's
+    /// resolved value — or is over the node budget.
+    fn reaches(&self, e: &Expr, var: &str) -> bool {
+        struct Reach<'a> {
+            resolver: &'a LetResolver,
+            var: &'a str,
+            nodes: usize,
+            found: bool,
+        }
+        impl IrVisitor for Reach<'_> {
+            fn visit_expr(&mut self, e: &Expr) {
+                if self.found {
+                    return;
+                }
+                self.nodes += 1;
+                match e.node() {
+                    _ if self.nodes > self.resolver.budget => self.found = true,
+                    ExprNode::Var { name, .. } => {
+                        self.found =
+                            name == self.var
+                                || self.resolver.map.get(name).is_some_and(|value| {
+                                    crate::visit::expr_uses_var(value, self.var)
+                                });
+                    }
+                    _ => visit_expr_children(self, e),
+                }
+            }
+        }
+        let mut r = Reach {
+            resolver: self,
+            var,
+            nodes: 0,
+            found: false,
+        };
+        r.visit_expr(e);
+        r.found
     }
 
     /// Enters the binding `name = value`, tracking its resolved form when

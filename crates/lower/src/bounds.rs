@@ -24,6 +24,7 @@ use halide_ir::interval::{bounds_of_expr_in_scope, loop_interval, Interval};
 use halide_ir::{simplify, CallType, CmpOp, Expr, ExprNode, Range, Scope, Stmt, StmtNode};
 
 use crate::error::{LowerError, Result};
+use crate::nest::ShiftInwards;
 
 /// The inferred bounds of one producer: one interval per pure dimension.
 #[derive(Debug, Clone)]
@@ -211,11 +212,42 @@ impl RegionWalker<'_> {
         }
     }
 
+    /// The closed-form interval of a shift-inwards split's recombined
+    /// variable (see [`ShiftInwards`]): with `outer >= 0` and
+    /// `extent >= f` the shift spans exactly `[0, extent - f]`, so `old`
+    /// spans `old_min + [0, extent - f] + inner` — `[old_min, old_min +
+    /// extent - 1]` for an unsplit inner loop. Interval analysis of the
+    /// `min` alone cannot use `extent >= f` and leaves
+    /// `min(((extent + f - 1)/f - 1)*f, extent - f)` in every consumer's
+    /// region.
+    fn shift_inwards_interval(&self, value: &Expr) -> Option<Interval> {
+        let split = ShiftInwards::parse(value)?;
+        let bounds = |e: &Expr| bounds_of_expr_in_scope(e, &self.scope);
+        if !bounds(split.outer)
+            .min
+            .and_then(|m| m.as_const_int())
+            .is_some_and(|m| m >= 0)
+        {
+            return None;
+        }
+        let (base, lanes) = (bounds(split.old_min), bounds(split.inner));
+        let min = base.min.zip(lanes.min).map(|(b, i)| simplify(&(b + i)));
+        let max = match (base.max, bounds(split.extent).max, lanes.max) {
+            (Some(b), Some(e), Some(i)) => {
+                Some(simplify(&((b + e) + (i - Expr::int(split.factor as i32)))))
+            }
+            _ => None,
+        };
+        Some(Interval { min, max })
+    }
+
     fn visit_stmt(&mut self, s: &Stmt) {
         match s.node() {
             StmtNode::LetStmt { name, value, body } => {
                 self.visit_expr(value);
-                let b = bounds_of_expr_in_scope(value, &self.scope);
+                let b = self
+                    .shift_inwards_interval(value)
+                    .unwrap_or_else(|| bounds_of_expr_in_scope(value, &self.scope));
                 self.scope.push(name.clone(), b);
                 self.visit_stmt(body);
                 self.scope.pop(name);

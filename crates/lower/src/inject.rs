@@ -417,15 +417,41 @@ fn split_padding(func: &FuncDef) -> Vec<i64> {
         .collect()
 }
 
+/// `region` (one range per pure argument of `func`) with every dimension
+/// whose first split shifts inwards grown to at least one split factor:
+/// Halide's `ShiftInwards` semantics for a function the pipeline realizes
+/// itself. The grown region is what the nest computes — the last vector
+/// starts at `extent - factor`, never before the region's min — and what its
+/// producers are asked for, so a narrow pyramid level costs one vector
+/// instead of padding every level below it. The output is not grown: its
+/// buffer is the caller's, so lowering asserts `extent >= factor` instead.
+fn grow_to_split_factors(func: &FuncDef, region: &[Range]) -> Vec<Range> {
+    func.args
+        .iter()
+        .zip(region)
+        .map(
+            |(arg, r)| match func.schedule.splits.iter().find(|s| s.old == *arg) {
+                Some(s) if s.tail == halide_schedule::TailStrategy::ShiftInwards => Range::new(
+                    r.min.clone(),
+                    Expr::max(r.extent.clone(), Expr::int(s.factor as i32)),
+                ),
+                _ => r.clone(),
+            },
+        )
+        .collect()
+}
+
 /// The extent `func`'s loop nest traverses along dimension `dim` when the
 /// region it computes there is `extent` wide, counting only the splits from
 /// position `from` on (a split's inner half may reuse its old name).
 ///
 /// This is exact where [`split_padding`] is a constant bound: a shift-inwards
 /// split traverses `max(extent, factor)` (plus its inner half's overrun), a
-/// round_up split whole tiles, and a partitioned split exactly `extent`. It
-/// holds only for the region the nest is built over, so it sizes an
-/// allocation only when the function is stored where it is computed.
+/// round_up split whole tiles, and a partitioned split exactly `extent`. At
+/// `from == 0` the extent is the region as bound, already grown to one factor
+/// by [`grow_to_split_factors`], so a shift-inwards split there traverses
+/// exactly it. It holds only for the region the nest is built over, so it
+/// sizes an allocation only when the function is stored where it is computed.
 fn traversed_extent(func: &FuncDef, dim: &str, from: usize, extent: Expr) -> Expr {
     use halide_schedule::TailStrategy;
     let splits = &func.schedule.splits;
@@ -440,6 +466,8 @@ fn traversed_extent(func: &FuncDef, dim: &str, from: usize, extent: Expr) -> Exp
     let factor = Expr::int(s.factor as i32);
     let inner = traversed_extent(func, &s.inner, i + 1, factor.clone());
     match s.tail {
+        // old = min(outer*f, e-f) + inner over a region grown to e >= f.
+        TailStrategy::ShiftInwards if from == 0 => extent - factor + inner,
         // old = min(outer*f, max(e-f, 0)) + inner.
         TailStrategy::ShiftInwards => Expr::max(extent, factor.clone()) - factor + inner,
         // old = outer*f + inner over whole tiles of the outer half.
@@ -563,8 +591,9 @@ pub fn build_pipeline_stmt(
             ))
             .in_func(&def.name));
         }
-        let compute_region = region_required(&compute_body, &def.name, def.args.len())
+        let required = region_required(&compute_body, &def.name, def.args.len())
             .to_ranges(&def.name, &def.args)?;
+        let compute_region = grow_to_split_factors(def, &required);
         validate_splits(def, &compute_region)?;
 
         // Region required at the (equal or coarser) storage level. When the
@@ -832,43 +861,51 @@ mod tests {
         assert_eq!(def.ty, Type::i32());
     }
 
-    /// `blurx`'s traversed x extent over a region `extent` wide, once from
-    /// [`traversed_extent`] and once from the Realize that lowering emits
-    /// for it (computed and stored at root), with `split` applied to it.
+    /// `blurx`'s traversed x extent over a required region `extent` wide,
+    /// once from [`traversed_extent`] over the region injection binds and
+    /// once from the Realize that lowering emits for it (computed and stored
+    /// at root), with `split` applied to it.
     fn traversed_and_realized(prefix: &str, split: impl Fn(&Func), extent: i64) -> (i64, i64) {
         let (p, blurx, out) = blur_pipeline(prefix);
         let f = p.func(&blurx).unwrap();
         f.compute_root();
         split(f);
         let env = snapshot_pipeline(&p);
+        let required = vec![Range::new(Expr::int(0), Expr::int(extent as i32)); 2];
+        let bound = grow_to_split_factors(&env[&blurx], &required);
         let traversed = simplify(&traversed_extent(
             &env[&blurx],
             "x",
             0,
-            Expr::int(extent as i32),
+            bound[0].extent.clone(),
         ));
         let stmt = build_pipeline_stmt(&env, &p.realization_order(), &out).unwrap();
-        struct FindRealize<'a>(&'a str, Option<Expr>);
+        // The Realize's x extent, and the lets in scope there.
+        struct FindRealize<'a>(&'a str, Option<Expr>, HashMap<String, Expr>);
         impl IrVisitor for FindRealize<'_> {
             fn visit_stmt(&mut self, s: &Stmt) {
-                if let StmtNode::Realize { name, bounds, .. } = s.node() {
-                    if name == self.0 {
+                match s.node() {
+                    StmtNode::Realize { name, bounds, .. } if name == self.0 => {
                         self.1 = Some(bounds[0].extent.clone());
                     }
+                    StmtNode::LetStmt { name, value, .. } if self.1.is_none() => {
+                        self.2.insert(name.clone(), value.clone());
+                    }
+                    _ => {}
                 }
                 halide_ir::visit_stmt_children(self, s);
             }
         }
-        let mut find = FindRealize(&blurx, None);
+        let mut find = FindRealize(&blurx, None, HashMap::new());
         find.visit_stmt(&stmt);
         // blurx's x region is the output's, which lowering may name instead.
-        let region: HashMap<String, Expr> = [&blurx, &out]
-            .map(|f| (bound_extent_var(f, "x"), Expr::int(extent as i32)))
-            .into();
-        let realized = simplify(&halide_ir::substitute_map(
-            &find.1.expect("blurx is realized"),
-            &region,
-        ));
+        let mut lets = find.2;
+        lets.insert(bound_extent_var(&out, "x"), Expr::int(extent as i32));
+        let mut realized = find.1.expect("blurx is realized");
+        for _ in 0..lets.len() {
+            realized = halide_ir::substitute_map(&realized, &lets);
+        }
+        let realized = simplify(&realized);
         (
             traversed.as_const_int().expect("constant traversal"),
             realized.as_const_int().expect("constant realize extent"),
@@ -906,5 +943,53 @@ mod tests {
             traversed_and_realized("inject_tr_pred", predicate, 5),
             (5, 5)
         );
+    }
+
+    #[test]
+    fn shift_inwards_producer_grows_to_one_factor() {
+        // Computed at root, blurx is required exactly the output's columns;
+        // its region grows to one factor where that is narrower, so its last
+        // vector shifts inwards with no clamp at the region's min, and it is
+        // allocated exactly what it computes.
+        let (p, blurx, out) = blur_pipeline("inject_grow");
+        p.func(&blurx)
+            .unwrap()
+            .compute_root()
+            .split_dim("x", "xo", "xi", 8);
+        let text = crate::lower(&p).unwrap().pretty();
+        assert!(
+            text.contains(&format!("let {blurx}.x.extent = max({out}.x.extent, 8)")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!(
+                "let {blurx}.x = (({out}.x.min + min(({blurx}.xo*8), ({blurx}.x.extent - 8))) + {blurx}.xi)"
+            )),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("allocate {blurx}[float32 * ({blurx}.x.extent*")),
+            "{text}"
+        );
+        assert!(!text.contains(", 0))"), "{text}");
+    }
+
+    #[test]
+    fn shift_inwards_consumer_hands_its_producer_a_closed_form_region() {
+        // The output's last tile shifts inwards over its own columns (it
+        // asserts it is one factor wide), so blurx is required exactly those
+        // columns — not `min(((e + 7)/8 - 1)*8, e - 8) + 8` of them.
+        let (p, blurx, out) = blur_pipeline("inject_closed");
+        p.func(&out).unwrap().split_dim("x", "xo", "xi", 8);
+        p.func(&blurx).unwrap().compute_root();
+        let text = crate::lower(&p).unwrap().pretty();
+        assert!(
+            text.contains(&format!(
+                "for {blurx}.x in [{out}.x.min, {out}.x.min + {out}.x.extent)"
+            )),
+            "{text}"
+        );
+        assert!(!text.contains("+ 7)/8) - 1)*8)"), "{text}");
+        assert!(!text.contains(", 0))"), "{text}");
     }
 }

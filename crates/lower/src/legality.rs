@@ -95,13 +95,24 @@ mod tests {
 
     #[test]
     fn split_beyond_known_extent_is_illegal() {
-        // Computed per output pixel, `p`'s region is one constant column: a
-        // shift-inwards split wider than that would overrun it.
+        // A split's inner half is one factor wide: shifting a wider split of
+        // it inwards would overrun the tile.
         let (p, out) = two_stage("leg_split_known");
-        p.split_dim("x", "xo", "xi", 8).compute_at(&out, "x");
-        let err = rejects(&out, "exceeds its constant extent 1");
+        p.split_dim("x", "xo", "xi", 8)
+            .split_dim("xi", "xio", "xii", 16)
+            .compute_root();
+        let err = rejects(&out, "exceeds its constant extent 8");
         assert_eq!(err.func(), Some(p.name().as_str()));
-        assert_eq!(err.dim(), Some("x"));
+        assert_eq!(err.dim(), Some("xi"));
+        // A producer's own region grows to one factor instead: computed per
+        // output pixel, `p` is required one column wide and computes eight.
+        let (p, out) = two_stage("leg_split_grown");
+        p.split_dim("x", "xo", "xi", 8).compute_at(&out, "x");
+        let text = lowers(&out).pretty();
+        assert!(
+            text.contains(&format!("allocate {}[float32 * 8]", p.name())),
+            "{text}"
+        );
         // The output's extent is known only when it is realized, so there
         // lowering emits a run-time check instead.
         let (_, out) = two_stage("leg_split_out");

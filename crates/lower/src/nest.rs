@@ -104,12 +104,15 @@ fn rvar_names(update: &UpdateDefSnapshot) -> Vec<String> {
 /// split whose factor exceeds a known-constant extent would make the
 /// shift-inwards tail strategy traverse more than the required region,
 /// so it is rejected here (with the offending function and dimension named)
-/// rather than silently over-computing. Update stages are also checked for
-/// the transformations that would change their result: vectorizing or
-/// parallelizing a pure variable whose points depend on each other, a
-/// split that is not `guard_with_if`/`predicate`, a reordered, vectorized
-/// or parallel reduction loop, and an `rfactor` of anything but an
-/// integer `+`, `min` or `max`.
+/// rather than silently over-computing. Injection passes a producer's
+/// region already grown to one factor along each shift-inwards region
+/// dimension, so what this rejects is a wider shift-inwards split of a
+/// split's half (a tile re-split by more than its width). Update stages
+/// are also checked for the transformations that would change their
+/// result: vectorizing or parallelizing a pure variable whose points
+/// depend on each other, a split that is not `guard_with_if`/`predicate`,
+/// a reordered, vectorized or parallel reduction loop, and an `rfactor` of
+/// anything but an integer `+`, `min` or `max`.
 ///
 /// The loop nest itself is built over symbolic bounds names, so this check
 /// must run where the concrete region is still at hand — injection calls it
@@ -460,6 +463,76 @@ fn check_update(func: &FuncDef, index: usize) -> Result<()> {
     Ok(())
 }
 
+/// The recombined variable of a shift-inwards split over an extent of at
+/// least one factor, `old = old_min + min(outer*factor, extent - factor) +
+/// inner`: the form the loop builder emits and bounds inference reads back
+/// as a closed-form interval.
+pub(crate) struct ShiftInwards<'a> {
+    pub old_min: &'a Expr,
+    pub outer: &'a Expr,
+    pub factor: i64,
+    pub extent: &'a Expr,
+    pub inner: &'a Expr,
+}
+
+impl<'a> ShiftInwards<'a> {
+    fn build(&self) -> Expr {
+        let factor = Expr::int(self.factor as i32);
+        let shift = Expr::min(
+            self.outer.clone() * factor.clone(),
+            self.extent.clone() - factor,
+        );
+        self.old_min.clone() + shift + self.inner.clone()
+    }
+
+    /// The parts of `value` if it has the form [`build`](Self::build) emits.
+    pub fn parse(value: &'a Expr) -> Option<Self> {
+        let add = |e: &'a Expr| match e.node() {
+            ExprNode::Bin {
+                op: BinOp::Add,
+                a,
+                b,
+            } => Some((a, b)),
+            _ => None,
+        };
+        let (head, inner) = add(value)?;
+        let (old_min, shift) = add(head)?;
+        let ExprNode::Bin {
+            op: BinOp::Min,
+            a: tile,
+            b: last,
+        } = shift.node()
+        else {
+            return None;
+        };
+        let (
+            ExprNode::Bin {
+                op: BinOp::Mul,
+                a: outer,
+                b: f1,
+            },
+            ExprNode::Bin {
+                op: BinOp::Sub,
+                a: extent,
+                b: f2,
+            },
+        ) = (tile.node(), last.node())
+        else {
+            return None;
+        };
+        let factor = f1
+            .as_const_int()
+            .filter(|f| Some(*f) == f2.as_const_int())?;
+        Some(ShiftInwards {
+            old_min,
+            outer,
+            factor,
+            extent,
+            inner,
+        })
+    }
+}
+
 /// A guard_with_if or predicate split: the loop over `outer_dim` is emitted
 /// twice — a main copy over the full tiles and a tail copy over the
 /// remainder — instead of shifting the last tile inwards.
@@ -584,14 +657,36 @@ impl StageNest<'_> {
             };
             match tail {
                 TailStrategy::ShiftInwards => {
-                    // old = old_min + min(outer*factor, max(extent-factor, 0)) + inner
-                    let base = Expr::min(
-                        outer_var * factor.clone(),
-                        Expr::max(old_extent.clone() - factor, Expr::int(0)),
-                    );
-                    loops
-                        .split_defs
-                        .push((split_idx, old_var, old_min + base + inner_var));
+                    // old = old_min + min(outer*factor, extent-factor) + inner
+                    // where the extent is at least one factor: a region
+                    // dimension of the pure definition (injection grows a
+                    // producer's to one factor, the output asserts it) or a
+                    // constant `validate_splits` checked. Anywhere else the
+                    // shift is clamped at the region's min.
+                    let covers = match old_extent.as_const_int() {
+                        Some(e) => e >= split.factor,
+                        None => {
+                            self.stage.is_none()
+                                && self
+                                    .bounds
+                                    .get(&split.old)
+                                    .is_some_and(|(m, e)| *m == old_min && *e == old_extent)
+                        }
+                    };
+                    let def = if covers {
+                        ShiftInwards {
+                            old_min: &old_min,
+                            outer: &outer_var,
+                            factor: split.factor,
+                            extent: &old_extent,
+                            inner: &inner_var,
+                        }
+                        .build()
+                    } else {
+                        let last = Expr::max(old_extent.clone() - factor.clone(), Expr::int(0));
+                        old_min.clone() + Expr::min(outer_var * factor, last) + inner_var
+                    };
+                    loops.split_defs.push((split_idx, old_var, def));
                 }
                 TailStrategy::RoundUp => {
                     // old = old_min + outer*factor + inner; the last tile runs

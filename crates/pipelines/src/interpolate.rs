@@ -10,7 +10,7 @@ use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, TailStrategy, Var};
 use halide_runtime::Buffer;
 
-use crate::pyramid::{downsample, upsample};
+use crate::pyramid::{downsample, level_lanes, upsample};
 
 /// The interpolation pipeline's frontend objects.
 pub struct InterpolateApp {
@@ -23,6 +23,9 @@ pub struct InterpolateApp {
     pub interpolated: Vec<Func>,
     /// The normalized output.
     pub out: Func,
+    /// Every stage but the output, by the pyramid level its x loop runs at
+    /// (finest first) — the downsample and upsample helpers included.
+    pub level_stages: Vec<Vec<Func>>,
     /// Number of pyramid levels.
     pub levels: usize,
 }
@@ -52,13 +55,16 @@ impl InterpolateApp {
             ),
         );
 
+        let mut level_stages = vec![Vec::new(); levels];
+        level_stages[0].push(base.clone());
         let mut downsampled = vec![base.clone()];
         for l in 1..levels {
-            let d = downsample(
+            let (d, dx) = downsample(
                 &format!("interp_down_{l}"),
                 &downsampled[l - 1],
                 &[c.clone()],
             );
+            level_stages[l].extend([dx, d.clone()]);
             downsampled.push(d);
         }
 
@@ -67,7 +73,7 @@ impl InterpolateApp {
         let mut interpolated: Vec<Option<Func>> = vec![None; levels];
         interpolated[levels - 1] = Some(downsampled[levels - 1].clone());
         for l in (0..levels - 1).rev() {
-            let up = upsample(
+            let (up, upx) = upsample(
                 &format!("interp_up_{l}"),
                 interpolated[l + 1]
                     .as_ref()
@@ -82,6 +88,7 @@ impl InterpolateApp {
                 d.at(vec![x.expr(), y.expr(), c.expr()])
                     + (Expr::f32(1.0) - d_alpha) * up.at(vec![x.expr(), y.expr(), c.expr()]),
             );
+            level_stages[l].extend([upx, up, f.clone()]);
             interpolated[l] = Some(f);
         }
         let interpolated: Vec<Func> = interpolated
@@ -102,6 +109,7 @@ impl InterpolateApp {
             downsampled,
             interpolated,
             out,
+            level_stages,
             levels,
         }
     }
@@ -114,21 +122,19 @@ impl InterpolateApp {
     /// A good CPU schedule: every stage of every pyramid level — including
     /// the `*_downx`/`*_upx` resampling helpers `downsample`/`upsample`
     /// create — computed at root, parallelized over rows, and vectorized
-    /// across columns. The level extents are symbolic (they halve per level
-    /// and rarely divide the vector width), so the interior stages round
-    /// their x loop up to full vectors — the allocations are padded by
-    /// lowering, no tail is needed — while the caller-allocated output takes
-    /// a scalar epilogue via `guard_with_if`.
+    /// across columns [`level_lanes`] wide. The level extents are symbolic
+    /// (they halve per level and rarely divide the vector width), so each
+    /// interior stage shifts its last vector inwards — lowering grows a
+    /// region narrower than one vector to one vector — while the
+    /// caller-allocated output takes a scalar epilogue via `guard_with_if`.
     pub fn schedule_good(&self) {
-        let pipeline = self.pipeline();
-        for f in pipeline.funcs() {
-            if f.name() == self.out.name() {
-                continue;
+        for (level, stages) in self.level_stages.iter().enumerate() {
+            for f in stages {
+                f.compute_root()
+                    .parallelize("y")
+                    .split_dim("x", "xo", "xi", level_lanes(level))
+                    .vectorize_dim("xi");
             }
-            f.compute_root()
-                .parallelize("y")
-                .split_dim_tail("x", "xo", "xi", 16, TailStrategy::RoundUp)
-                .vectorize_dim("xi");
         }
         self.out
             .split_dim("y", "yo", "yi", 8)

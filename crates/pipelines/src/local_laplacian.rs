@@ -11,7 +11,7 @@ use halide_ir::{Expr, ScalarType, Type};
 use halide_lang::{Func, ImageParam, Pipeline, TailStrategy, Var};
 use halide_runtime::Buffer;
 
-use crate::pyramid::{downsample, upsample};
+use crate::pyramid::{downsample, level_lanes, upsample};
 
 /// The local Laplacian pipeline's frontend objects.
 pub struct LocalLaplacianApp {
@@ -29,6 +29,9 @@ pub struct LocalLaplacianApp {
     pub out_g_pyramid: Vec<Func>,
     /// The output stage.
     pub out: Func,
+    /// Every stage but the output, by the pyramid level its x loop runs at
+    /// (finest first) — the downsample and upsample helpers included.
+    pub level_stages: Vec<Vec<Func>>,
     /// Pyramid depth.
     pub levels: usize,
     /// Number of discrete intensity levels.
@@ -71,20 +74,22 @@ impl LocalLaplacianApp {
             );
         }
 
+        let mut level_stages = vec![Vec::new(); levels];
+        level_stages[0] = vec![gray.clone(), remapped.clone()];
+
         // Gaussian pyramid of the remapped family (3-D: x, y, k).
         let mut g_pyramid = vec![remapped.clone()];
         for j in 1..levels {
-            g_pyramid.push(downsample(
-                &format!("llf_gpyr_{j}"),
-                &g_pyramid[j - 1],
-                &[kv.clone()],
-            ));
+            let (down, downx) =
+                downsample(&format!("llf_gpyr_{j}"), &g_pyramid[j - 1], &[kv.clone()]);
+            level_stages[j].extend([downx, down.clone()]);
+            g_pyramid.push(down);
         }
         // Laplacian pyramid: difference between a level and the upsampled
         // next-coarser level; the coarsest level is the Gaussian level itself.
         let mut l_pyramid = Vec::with_capacity(levels);
         for j in 0..levels - 1 {
-            let up = upsample(
+            let (up, upx) = upsample(
                 &format!("llf_lpyr_up_{j}"),
                 &g_pyramid[j + 1],
                 &[kv.clone()],
@@ -95,6 +100,7 @@ impl LocalLaplacianApp {
                 g_pyramid[j].at(vec![x.expr(), y.expr(), kv.expr()])
                     - up.at(vec![x.expr(), y.expr(), kv.expr()]),
             );
+            level_stages[j].extend([upx, up, l.clone()]);
             l_pyramid.push(l);
         }
         l_pyramid.push(g_pyramid[levels - 1].clone());
@@ -102,11 +108,9 @@ impl LocalLaplacianApp {
         // Gaussian pyramid of the input itself.
         let mut in_g_pyramid = vec![gray.clone()];
         for j in 1..levels {
-            in_g_pyramid.push(downsample(
-                &format!("llf_inpyr_{j}"),
-                &in_g_pyramid[j - 1],
-                &[],
-            ));
+            let (down, downx) = downsample(&format!("llf_inpyr_{j}"), &in_g_pyramid[j - 1], &[]);
+            level_stages[j].extend([downx, down.clone()]);
+            in_g_pyramid.push(down);
         }
 
         // Output Laplacian pyramid: at each level and pixel, blend the two
@@ -130,6 +134,7 @@ impl LocalLaplacianApp {
                     * (Expr::f32(1.0) - lf.clone())
                     + l_pyramid[j].at(vec![x.expr(), y.expr(), li + 1]) * lf,
             );
+            level_stages[j].push(f.clone());
             out_l_pyramid.push(f);
         }
 
@@ -137,7 +142,7 @@ impl LocalLaplacianApp {
         let mut out_g_pyramid: Vec<Option<Func>> = vec![None; levels];
         out_g_pyramid[levels - 1] = Some(out_l_pyramid[levels - 1].clone());
         for j in (0..levels - 1).rev() {
-            let up = upsample(
+            let (up, upx) = upsample(
                 &format!("llf_collapse_up_{j}"),
                 out_g_pyramid[j + 1]
                     .as_ref()
@@ -149,6 +154,7 @@ impl LocalLaplacianApp {
                 &[x.clone(), y.clone()],
                 up.at(vec![x.expr(), y.expr()]) + out_l_pyramid[j].at(vec![x.expr(), y.expr()]),
             );
+            level_stages[j].extend([upx, up, f.clone()]);
             out_g_pyramid[j] = Some(f);
         }
         let out_g_pyramid: Vec<Func> = out_g_pyramid
@@ -172,6 +178,7 @@ impl LocalLaplacianApp {
             out_l_pyramid,
             out_g_pyramid,
             out,
+            level_stages,
             levels,
             k,
         }
@@ -191,20 +198,19 @@ impl LocalLaplacianApp {
     /// A good CPU schedule: every stage of every pyramid level — including
     /// the `*_downx`/`*_upx` resampling helpers `downsample`/`upsample`
     /// create — computed at root, parallelized over rows, and vectorized
-    /// across columns. The level extents are symbolic and rarely divide the
-    /// vector width, so interior stages round their x loop up to full
-    /// vectors (lowering pads the allocations); the caller-allocated output
-    /// takes a scalar epilogue via `guard_with_if`.
+    /// across columns [`level_lanes`] wide. The level extents are symbolic
+    /// and rarely divide the vector width, so each interior stage shifts its
+    /// last vector inwards, and lowering grows a region narrower than one
+    /// vector to one vector; the caller-allocated output takes a scalar
+    /// epilogue via `guard_with_if`.
     pub fn schedule_good(&self) {
-        let pipeline = self.pipeline();
-        for f in pipeline.funcs() {
-            if f.name() == self.out.name() {
-                continue;
+        for (level, stages) in self.level_stages.iter().enumerate() {
+            for f in stages {
+                f.compute_root()
+                    .parallelize("y")
+                    .split_dim("x", "xo", "xi", level_lanes(level))
+                    .vectorize_dim("xi");
             }
-            f.compute_root()
-                .parallelize("y")
-                .split_dim_tail("x", "xo", "xi", 16, TailStrategy::RoundUp)
-                .vectorize_dim("xi");
         }
         self.out
             .split_dim("y", "yo", "yi", 8)
@@ -269,6 +275,78 @@ mod tests {
             acc / n
         };
         assert!(contrast(&boost_out.output) > contrast(&id_out.output) * 1.1);
+    }
+
+    /// The constant value of `e` in the lowered `stmt` realized at
+    /// `width`×`height`: every let binding in the statement resolved in.
+    fn evaluate(stmt: &halide_ir::Stmt, out: &str, e: &Expr, width: i32, height: i32) -> i64 {
+        use halide_ir::{IrVisitor, StmtNode};
+        use std::collections::HashMap;
+        struct Lets(HashMap<String, Expr>);
+        impl IrVisitor for Lets {
+            fn visit_stmt(&mut self, s: &halide_ir::Stmt) {
+                if let StmtNode::LetStmt { name, value, .. } = s.node() {
+                    self.0.insert(name.clone(), value.clone());
+                }
+                halide_ir::visit_stmt_children(self, s);
+            }
+        }
+        let mut lets = Lets(HashMap::new());
+        lets.visit_stmt(stmt);
+        let mut lets = lets.0;
+        for (dim, extent) in [("x", width), ("y", height)] {
+            lets.insert(format!("{out}.{dim}.min"), Expr::int(0));
+            lets.insert(format!("{out}.{dim}.extent"), Expr::int(extent));
+        }
+        let mut e = e.clone();
+        while let Some(next) = Some(halide_ir::substitute_map(&e, &lets)).filter(|n| *n != e) {
+            e = next;
+        }
+        halide_ir::simplify(&e)
+            .as_const_int()
+            .unwrap_or_else(|| panic!("{e} is not constant"))
+    }
+
+    /// The columns of `llf_remapped` (the full-resolution level of the
+    /// remapped family) the lowered pipeline allocates at 256×192, and the
+    /// columns its consumers require.
+    fn remapped_columns(tuned: bool) -> i64 {
+        let app = LocalLaplacianApp::new(4, 8, 1.0, 0.7);
+        if tuned {
+            app.schedule_good();
+        }
+        let module = halide_lower::lower(&app.pipeline()).unwrap();
+        let (remapped, out) = (app.g_pyramid[0].name(), app.out.name());
+        struct Size<'a>(&'a str, Option<Expr>);
+        impl halide_ir::IrVisitor for Size<'_> {
+            fn visit_stmt(&mut self, s: &halide_ir::Stmt) {
+                if let halide_ir::StmtNode::Allocate { name, size, .. } = s.node() {
+                    if name == self.0 {
+                        self.1 = Some(size.clone());
+                    }
+                }
+                halide_ir::visit_stmt_children(self, s);
+            }
+        }
+        let mut size = Size(&remapped, None);
+        halide_ir::IrVisitor::visit_stmt(&mut size, &module.stmt);
+        let size = size.1.expect("the remapped family is allocated");
+        let rows = Expr::var_i32(format!("{remapped}.y.extent"));
+        let at = |e: &Expr| evaluate(&module.stmt, &out, e, 256, 192);
+        at(&size) / at(&rows) / 8
+    }
+
+    #[test]
+    fn tuned_full_resolution_level_is_at_most_one_vector_wider_than_required() {
+        // Rounding every level up to whole vectors padded each level and
+        // doubled the padding on the way down the pyramid: 496 columns of
+        // `llf_remapped` for the ~300 the naive (exact) schedule computes.
+        let required = remapped_columns(false);
+        let tuned = remapped_columns(true);
+        assert!(
+            tuned <= required + crate::pyramid::level_lanes(0),
+            "tuned allocates {tuned} columns where {required} are required"
+        );
     }
 
     #[test]

@@ -4,11 +4,23 @@
 use halide_ir::Expr;
 use halide_lang::{Func, Var};
 
+/// The vector width of a tuned pyramid stage whose x loop runs at `level`
+/// (0 = full resolution): 128 lanes at full resolution, halving with the
+/// level's width down to 16. A stage shifts its last vector inwards, so a
+/// level narrower than its width computes one vector — never more than the
+/// width per row, whatever the image size.
+pub fn level_lanes(level: usize) -> i64 {
+    128 >> level.min(3)
+}
+
 /// Creates a function computing a 2× downsample of `input` using the
 /// separable `[1 3 3 1]/8` kernel of Fig. 1. Extra dimensions (e.g. the
 /// intensity-level dimension `k` of the local Laplacian pyramids) are passed
 /// through untouched.
-pub fn downsample(name: &str, input: &Func, extra_dims: &[Var]) -> Func {
+///
+/// Returns the downsampled function and its horizontal pass
+/// (`<name>_downx`), whose x loop also runs at the coarser resolution.
+pub fn downsample(name: &str, input: &Func, extra_dims: &[Var]) -> (Func, Func) {
     let (x, y) = (Var::new("x"), Var::new("y"));
     let extra_exprs: Vec<Expr> = extra_dims.iter().map(|v| v.expr()).collect();
     let call = |xx: Expr, yy: Expr| {
@@ -49,12 +61,15 @@ pub fn downsample(name: &str, input: &Func, extra_dims: &[Var]) -> Func {
                 / 8.0f32,
         );
     }
-    down
+    (down, downx)
 }
 
 /// Creates a function computing a 2× upsample of `input` using bilinear
 /// interpolation (the linear-phase counterpart of `UP` in Fig. 1).
-pub fn upsample(name: &str, input: &Func, extra_dims: &[Var]) -> Func {
+///
+/// Returns the upsampled function and its horizontal pass (`<name>_upx`),
+/// whose x loop also runs at the finer resolution.
+pub fn upsample(name: &str, input: &Func, extra_dims: &[Var]) -> (Func, Func) {
     let (x, y) = (Var::new("x"), Var::new("y"));
     let extra_exprs: Vec<Expr> = extra_dims.iter().map(|v| v.expr()).collect();
     let call = |xx: Expr, yy: Expr| {
@@ -89,7 +104,7 @@ pub fn upsample(name: &str, input: &Func, extra_dims: &[Var]) -> Func {
                 + callx(x.expr(), y.expr() / 2) * 0.75f32,
         );
     }
-    up
+    (up, upx)
 }
 
 #[cfg(test)]
@@ -110,8 +125,8 @@ mod tests {
             &[x.clone(), y.clone()],
             input.at_clamped(vec![x.expr(), y.expr()]),
         );
-        let down = downsample("pyr_test_down", &clamped, &[]);
-        let up = upsample("pyr_test_up", &down, &[]);
+        let (down, _) = downsample("pyr_test_down", &clamped, &[]);
+        let (up, _) = upsample("pyr_test_up", &down, &[]);
         let module = lower(&Pipeline::new(&up)).unwrap();
         let buf = Buffer::from_fn_2d(ScalarType::Float(32), 32, 32, |_, _| 0.5);
         let result = Realizer::new(&module)
@@ -133,7 +148,7 @@ mod tests {
             &[x.clone(), y.clone()],
             input.at_clamped(vec![x.expr(), y.expr()]),
         );
-        let down = downsample("pyr_test2_down", &clamped, &[]);
+        let (down, _) = downsample("pyr_test2_down", &clamped, &[]);
         let module = lower(&Pipeline::new(&down)).unwrap();
         // a horizontal ramp stays a ramp (with 2x slope) after downsampling
         let buf = Buffer::from_fn_2d(ScalarType::Float(32), 64, 64, |x, _| x as f64);

@@ -116,21 +116,32 @@ fn histogram_stages() -> Vec<(&'static str, String)> {
 }
 
 /// The "Vectorizing pyramids" chapter's excerpts: one interior downsample
-/// level of the interpolate pipeline scalar vs. rounded up to full vectors,
-/// the guarded main/tail partition of the output split, and a predicated
-/// tail store.
+/// level of the interpolate pipeline scalar, rounded up to 16-lane
+/// vectors, and shifted inwards at its tuned width with its region grown
+/// to one vector; the guarded main/tail partition of the output split; and
+/// a predicated tail store.
 fn pyramid_stages() -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
-
-    // Scalar baseline: every stage at root with parallel rows, nothing
-    // vectorized — the schedule the pyramid apps shipped with while
-    // divisibility-only vectorization kept their odd extents scalar.
-    let app = InterpolateApp::new(3);
-    for f in app.pipeline().funcs() {
-        if f.name() != app.out.name() {
+    // Every stage but the output at root with parallel rows, its x loop
+    // split by `lanes` with `tail` (unsplit when `None`).
+    let interior = |app: &InterpolateApp, split: Option<(i64, TailStrategy)>| {
+        for f in app.pipeline().funcs() {
+            if f.name() == app.out.name() {
+                continue;
+            }
             f.compute_root().parallelize("y");
+            if let Some((lanes, tail)) = split {
+                f.split_dim_tail("x", "xo", "xi", lanes, tail)
+                    .vectorize_dim("xi");
+            }
         }
-    }
+    };
+
+    // Scalar baseline: nothing vectorized — the schedule the pyramid apps
+    // shipped with while divisibility-only vectorization kept their odd
+    // extents scalar.
+    let app = InterpolateApp::new(3);
+    interior(&app, None);
     let module = halide::lower(&app.pipeline()).expect("scalar interpolate lowers");
     out.push((
         "pyramid-scalar",
@@ -138,14 +149,27 @@ fn pyramid_stages() -> Vec<(&'static str, String)> {
             .expect("interp_down_1 has a produce nest"),
     ));
 
-    // The tuned schedule: interior levels round up, the output guards.
+    // Every level rounded up to whole 16-lane vectors.
     let app = InterpolateApp::new(3);
-    app.schedule_good();
-    let module = halide::lower(&app.pipeline()).expect("tuned interpolate lowers");
+    interior(&app, Some((16, TailStrategy::RoundUp)));
+    let module = halide::lower(&app.pipeline()).expect("rounded-up interpolate lowers");
     out.push((
         "pyramid-roundup",
         find_produce_skeleton(&module.stmt, "interp_down_1")
             .expect("interp_down_1 has a produce nest"),
+    ));
+
+    // The tuned schedule: interior levels shift inwards at their level's
+    // width, the output guards.
+    let app = InterpolateApp::new(3);
+    app.schedule_good();
+    let module = halide::lower(&app.pipeline()).expect("tuned interpolate lowers");
+    out.push((
+        "pyramid-shift-inwards",
+        ["interp_down_1.x.extent", "interp_down_1.x"]
+            .iter()
+            .map(|name| find_let(&module.stmt, name).expect("interp_down_1 binds it"))
+            .collect(),
     ));
     out.push((
         "pyramid-output-guard",
@@ -155,15 +179,7 @@ fn pyramid_stages() -> Vec<(&'static str, String)> {
     // The predicate variant of the output split: the tail copy stores
     // full-width with a lane mask instead of narrowing the loop.
     let app = InterpolateApp::new(3);
-    for f in app.pipeline().funcs() {
-        if f.name() == app.out.name() {
-            continue;
-        }
-        f.compute_root()
-            .parallelize("y")
-            .split_dim_tail("x", "xo", "xi", 16, TailStrategy::RoundUp)
-            .vectorize_dim("xi");
-    }
+    interior(&app, Some((16, TailStrategy::ShiftInwards)));
     app.out
         .split_dim_tail("x", "xo", "xi", 16, TailStrategy::Predicate)
         .vectorize_dim("xi");
@@ -409,6 +425,29 @@ fn find_predicated_store(s: &Stmt, buf: &str) -> Option<String> {
                 .as_ref()
                 .and_then(|e| find_predicated_store(e, buf))
         }),
+        _ => None,
+    }
+}
+
+/// The first `let name = …` binding in `s` (wrapped for readability),
+/// without its body.
+fn find_let(s: &Stmt, name: &str) -> Option<String> {
+    match s.node() {
+        StmtNode::LetStmt {
+            name: bound, value, ..
+        } if scrub(bound) == name => Some(scrub(&wrap(&format!("let {bound} = {value}"), 76))),
+        StmtNode::For { body, .. }
+        | StmtNode::Producer { body, .. }
+        | StmtNode::Allocate { body, .. }
+        | StmtNode::LetStmt { body, .. } => find_let(body, name),
+        StmtNode::Block { stmts } => stmts.iter().find_map(|s| find_let(s, name)),
+        StmtNode::IfThenElse {
+            then_case,
+            else_case,
+            ..
+        } => {
+            find_let(then_case, name).or_else(|| else_case.as_ref().and_then(|e| find_let(e, name)))
+        }
         _ => None,
     }
 }

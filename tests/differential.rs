@@ -239,14 +239,27 @@ fn every_app_agrees_across_backends_and_opt_levels() {
 /// lowering itself. Tuned blur needs at least 32 rows (its strip split
 /// shifts inwards), so it skips 129x31. Tuned histogram also runs
 /// sub-vector, single-row and whole-vector shapes, where its factored
-/// reduction's guarded `r.x` tail is partial or empty.
+/// reduction's guarded `r.x` tail is partial or empty. The pyramid apps
+/// run 128/64/32/16 lanes by level, and at these shapes every coarse
+/// level is narrower than its vector, so its region grows to one vector
+/// and the levels below it are asked for the grown region; their float
+/// sums may round differently from the naive schedule's, within the
+/// benchmark oracle's tolerance.
 #[test]
 fn wide_vector_schedules_agree_across_backends_at_tail_shapes() {
     use halide::pipelines::{apps::ScheduleChoice, AppKind};
-    for app in [AppKind::Blur, AppKind::CameraPipe, AppKind::Histogram] {
+    for app in [
+        AppKind::Blur,
+        AppKind::CameraPipe,
+        AppKind::Histogram,
+        AppKind::Interpolate,
+        AppKind::LocalLaplacian,
+    ] {
         // Histogram's factored reduction also guards a 64-wide split of
-        // `r.x`, so it runs the sub-vector and single-row shapes too.
+        // `r.x`, so it runs the sub-vector and single-row shapes too. Local
+        // Laplacian is the slowest to interpret, so it runs two shapes.
         let shapes: &[(i64, i64)] = match app {
+            AppKind::LocalLaplacian => &[(67, 49), (129, 31)],
             AppKind::Histogram => &[
                 (1, 1),
                 (3, 9),
@@ -263,7 +276,7 @@ fn wide_vector_schedules_agree_across_backends_at_tail_shapes() {
             if app == AppKind::Blur && h < 32 {
                 continue;
             }
-            let what = format!("{} (tuned, 64 lanes) {w}x{h}", app.name());
+            let what = format!("{} (tuned, wide vectors) {w}x{h}", app.name());
             let input = app.make_input(w, h);
             let extents = app.output_extents(w, h);
             let interp = |schedule| {
@@ -280,11 +293,19 @@ fn wide_vector_schedules_agree_across_backends_at_tail_shapes() {
             };
             let (built, tuned) = interp(ScheduleChoice::Tuned);
             let (_, naive) = interp(ScheduleChoice::Naive);
-            assert_eq!(
-                tuned.max_abs_diff(&naive),
-                0.0,
-                "{what}: differs from the naive schedule"
-            );
+            let tolerance = match app {
+                AppKind::Interpolate | AppKind::LocalLaplacian => 1e-4,
+                _ => 0.0,
+            };
+            let (t, n) = (tuned.to_f64_vec(), naive.to_f64_vec());
+            assert_eq!(t.len(), n.len(), "{what}: output sizes differ");
+            for (i, (a, b)) in t.iter().zip(&n).enumerate() {
+                // Not `max_abs_diff`: it drops NaN.
+                assert!(
+                    (a - b).abs() <= tolerance,
+                    "{what}: differs from the naive schedule at flat index {i}: {a} vs {b}"
+                );
+            }
             if app == AppKind::Histogram {
                 let expected = halide::pipelines::histogram::reference(&input);
                 assert_eq!(

@@ -199,7 +199,7 @@ impl AppKind {
             AppKind::Histogram => {
                 let input = histogram::make_input(width, height);
                 let t = std::time::Instant::now();
-                let _ = histogram::reference(&input);
+                let _ = histogram::reference_optimized(&input);
                 return Some(t.elapsed());
             }
             AppKind::BilateralGrid => {

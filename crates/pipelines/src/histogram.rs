@@ -151,6 +151,38 @@ pub fn reference(input: &Buffer) -> Buffer {
     out
 }
 
+/// A hand-optimized implementation: one pass over the input's `&[u8]`
+/// builds the histogram, the CDF becomes a 256-entry remapping table, and
+/// one more pass maps every pixel through it. Bit-identical to
+/// [`reference`] (an 8-bit pixel is its own bucket).
+pub fn reference_optimized(input: &Buffer) -> Buffer {
+    let w = input.dims()[0].extent;
+    let h = input.dims()[1].extent;
+    let src = input.u8_elems().expect("the histogram input stores u8");
+    let mut out = Buffer::with_extents(ScalarType::UInt(8), &[w, h]);
+    let total = w * h;
+    if total == 0 {
+        return out;
+    }
+    let mut hist = [0i64; BINS as usize];
+    for &v in src {
+        hist[v as usize] += 1;
+    }
+    let mut table = [0u8; BINS as usize];
+    let mut cdf = 0i64;
+    for (t, count) in table.iter_mut().zip(hist) {
+        cdf += count;
+        *t = (cdf * (BINS - 1) as i64)
+            .div_euclid(total)
+            .clamp(0, (BINS - 1) as i64) as u8;
+    }
+    let dst = out.u8_elems_mut().expect("the histogram output stores u8");
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = table[v as usize];
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +195,17 @@ mod tests {
         let result = crate::realize(&app.pipeline(), &app.input, &input, &[48, 32], 2);
         let expected = reference(&input);
         assert_eq!(result.output.max_abs_diff(&expected), 0.0);
+    }
+
+    #[test]
+    fn optimized_reference_matches_reference() {
+        for (w, h) in [(48, 32), (1, 1), (67, 49)] {
+            let input = make_input(w, h);
+            assert_eq!(
+                reference_optimized(&input).to_f64_vec(),
+                reference(&input).to_f64_vec()
+            );
+        }
     }
 
     #[test]

@@ -553,30 +553,34 @@ impl Buffer {
     // gather, clamped or masked — is one [`Lanes`] sequence through these
     // two.
 
-    /// Reads one element per lane: lane `k` reads the `k`-th flat index of
-    /// `lanes`, and a masked-off lane reads nothing and yields 0. The result
-    /// has the buffer's kind (integer buffers produce [`Value::Int`]).
+    /// Reads one element per lane into `out`: lane `k` reads the `k`-th flat
+    /// index of `lanes`, and a masked-off lane reads nothing and yields 0.
+    /// `out` takes the buffer's kind (integer buffers produce
+    /// [`Value::Int`]), reusing its storage when it already has that kind,
+    /// so a caller that recycles `out` reads without allocating.
     ///
     /// # Errors
     ///
     /// Returns the index of the first enabled lane, in lane order, outside
-    /// `[0, len)`. Masked-off lanes are never bounds-checked.
+    /// `[0, len)`. Masked-off lanes are never bounds-checked. After an error
+    /// `out` holds the lanes before the bad one.
     pub fn read_lanes<I: Iterator<Item = Option<i64>>>(
         &self,
         lanes: Lanes<I>,
-    ) -> std::result::Result<Value, i64> {
+        out: &mut Value,
+    ) -> std::result::Result<(), i64> {
         // SAFETY: see the module-level concurrency note.
         let storage = unsafe { &*self.data.get() };
         macro_rules! read {
-            ($elem:ty, $wrap:path) => {
+            ($elem:ty, $out:expr) => {{
+                let out: &mut Vec<$elem> = $out;
                 with_storage!(storage, s, {
-                    Ok($wrap(match lanes {
-                        Lanes::Dense { base, lanes } => match dense_run(s.len(), base, lanes) {
-                            Ok(run) => s[run].iter().map(|x| *x as $elem).collect(),
-                            Err(bad) => return Err(bad),
-                        },
+                    match lanes {
+                        Lanes::Dense { base, lanes } => {
+                            let run = dense_run(s.len(), base, lanes)?;
+                            out.extend(s[run].iter().map(|x| *x as $elem));
+                        }
                         Lanes::Each(idx) => {
-                            let mut out: Vec<$elem> = Vec::with_capacity(idx.size_hint().0);
                             for i in idx {
                                 out.push(match i {
                                     None => 0 as $elem,
@@ -587,16 +591,16 @@ impl Buffer {
                                     },
                                 });
                             }
-                            out
                         }
-                    }))
+                    }
+                    Ok(())
                 })
-            };
+            }};
         }
         if self.ty.is_float() {
-            read!(f64, Value::Float)
+            read!(f64, out.floats_mut())
         } else {
-            read!(i64, Value::Int)
+            read!(i64, out.ints_mut())
         }
     }
 
@@ -624,8 +628,14 @@ impl Buffer {
                     match lanes {
                         Lanes::Dense { base, lanes } => {
                             let run = dense_run(s.len(), base, lanes)?;
-                            for (k, d) in s[run].iter_mut().enumerate() {
-                                *d = $vals[k.min(last)] as _;
+                            if $vals.len() >= lanes {
+                                for (d, v) in s[run].iter_mut().zip($vals.iter()) {
+                                    *d = *v as _;
+                                }
+                            } else {
+                                for (k, d) in s[run].iter_mut().enumerate() {
+                                    *d = $vals[k.min(last)] as _;
+                                }
                             }
                         }
                         Lanes::Each(idx) => {
@@ -646,6 +656,44 @@ impl Buffer {
         match v {
             Value::Int(vals) => write!(vals),
             Value::Float(vals) => write!(vals),
+        }
+    }
+
+    /// The elements of a `Float(32)` buffer as one slice in flat
+    /// (scanline) order, or `None` for another element type — the typed
+    /// view hand-written code reads images through.
+    pub fn f32_elems(&self) -> Option<&[f32]> {
+        // SAFETY: see the module-level concurrency note — a reader of an
+        // element runs after the loop that wrote it has been joined.
+        match unsafe { &*self.data.get() } {
+            Storage::F32(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// [`Buffer::f32_elems`] for writing, through exclusive access.
+    pub fn f32_elems_mut(&mut self) -> Option<&mut [f32]> {
+        match self.data.get_mut() {
+            Storage::F32(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The elements of a `UInt(8)` (or `UInt(1)`) buffer as one slice in
+    /// flat order, or `None` for another element type.
+    pub fn u8_elems(&self) -> Option<&[u8]> {
+        // SAFETY: as in `f32_elems`.
+        match unsafe { &*self.data.get() } {
+            Storage::U8(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// [`Buffer::u8_elems`] for writing, through exclusive access.
+    pub fn u8_elems_mut(&mut self) -> Option<&mut [u8]> {
+        match self.data.get_mut() {
+            Storage::U8(v) => Some(v),
+            _ => None,
         }
     }
 
@@ -790,6 +838,12 @@ mod tests {
         Lanes::Each(idx.iter().map(|&i| Some(i)).collect::<Vec<_>>().into_iter())
     }
 
+    /// [`Buffer::read_lanes`] into a fresh value.
+    fn read(b: &Buffer, seq: Seq) -> std::result::Result<Value, i64> {
+        let mut v = Value::Int(Vec::new());
+        b.read_lanes(seq, &mut v).map(|()| v)
+    }
+
     /// The lanes of `ramp(base, stride, lanes)`.
     fn ramp(base: i64, stride: i64, lanes: i64) -> Vec<i64> {
         (0..lanes).map(|k| base + stride * k).collect()
@@ -813,7 +867,7 @@ mod tests {
                 (dense(2, 5), ramp(2, 1, 5)),
                 (all(&[9, 0, 4, 4]), vec![9, 0, 4, 4]),
             ] {
-                let v = b.read_lanes(seq).unwrap();
+                let v = read(&b, seq).unwrap();
                 assert_eq!(v.lanes(), idx.len());
                 assert_eq!(matches!(v, Value::Float(_)), ty.is_float());
                 for (k, &i) in idx.iter().enumerate() {
@@ -823,12 +877,12 @@ mod tests {
             // The first out-of-range lane in lane order is reported, by a
             // dense run exactly as lane by lane.
             for (base, lanes, bad) in [(8, 4, 10), (12, 2, 12), (-2, 3, -2)] {
-                assert_eq!(b.read_lanes(dense(base, lanes)).unwrap_err(), bad);
+                assert_eq!(read(&b, dense(base, lanes)).unwrap_err(), bad);
                 let each = all(&ramp(base, 1, lanes as i64));
-                assert_eq!(b.read_lanes(each).unwrap_err(), bad);
+                assert_eq!(read(&b, each).unwrap_err(), bad);
             }
-            assert_eq!(b.read_lanes(all(&[3, 10, -1])).unwrap_err(), 10);
-            assert_eq!(b.read_lanes(all(&[-1, 10])).unwrap_err(), -1);
+            assert_eq!(read(&b, all(&[3, 10, -1])).unwrap_err(), 10);
+            assert_eq!(read(&b, all(&[-1, 10])).unwrap_err(), -1);
 
             // Float and integer values convert exactly as the single-element
             // stores do, through a dense run and lane by lane; a value
@@ -878,22 +932,19 @@ mod tests {
                 .collect();
             for idx in [ramp(1, 3, 4), ramp(5, 0, 3), ramp(9, -4, 3), clamped] {
                 let lanes: Vec<Option<i64>> = idx.iter().map(|&i| Some(i)).collect();
-                let v = b.read_lanes(each(&lanes)).unwrap();
+                let v = read(&b, each(&lanes)).unwrap();
                 assert_eq!(v.to_f64_lanes(), per_lane(&lanes), "{ty:?} {idx:?}");
             }
-            assert_eq!(b.read_lanes(all(&ramp(9, 4, 2))).unwrap_err(), 13);
-            assert_eq!(b.read_lanes(all(&ramp(2, -3, 2))).unwrap_err(), -1);
+            assert_eq!(read(&b, all(&ramp(9, 4, 2))).unwrap_err(), 13);
+            assert_eq!(read(&b, all(&ramp(2, -3, 2))).unwrap_err(), -1);
 
             // Masks: a masked-off lane reads 0 and is not bounds-checked,
             // even when its index would be out of range; an enabled
             // out-of-range lane after it still fails.
             let masked = [Some(4), None, Some(11), None];
-            let v = b.read_lanes(each(&masked)).unwrap();
+            let v = read(&b, each(&masked)).unwrap();
             assert_eq!(v.to_f64_lanes(), per_lane(&masked), "{ty:?} masked");
-            assert_eq!(
-                b.read_lanes(each(&[None, Some(12), Some(-3)])).unwrap_err(),
-                12
-            );
+            assert_eq!(read(&b, each(&[None, Some(12), Some(-3)])).unwrap_err(), 12);
 
             // Scatters, strided writes and masked writes agree with
             // per-element stores; a masked-off lane writes nothing.

@@ -23,6 +23,8 @@ pub use bufpool::{BufferPool, PoolStats, PooledBuffer};
 pub use counters::{classify_flat_indices, AccessPattern, CounterSnapshot, Counters};
 pub use pool::{num_threads_default, ThreadPool};
 pub use value::{
-    binary_op, binary_op_owned, cast_owned, compare_op, compare_op_owned, not_op_owned,
-    scalar_binary_op, scalar_compare_op, select_op, select_op_owned, Scalar, Value,
+    abs_owned, binary_op, binary_op_owned, boxed, cast_owned, compare_op, compare_op_owned,
+    float_lanes, float_splat, int_lanes, int_splat, map_f64_owned, not_op_owned, recycle,
+    recycle_box, scalar_binary_op, scalar_compare_op, select_op, select_op_owned, zip_f64_owned,
+    Scalar, Value,
 };

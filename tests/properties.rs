@@ -266,7 +266,8 @@ proptest! {
                     Some(i) => Ok(b.get_flat_f64(i as usize)),
                 })
                 .collect();
-            let got = b.read_lanes(lanes_of()).map(|v| v.to_f64_lanes());
+            let mut v = Value::Int(Vec::new());
+            let got = b.read_lanes(lanes_of(), &mut v).map(|()| v.to_f64_lanes());
             prop_assert_eq!(got, expect);
 
             // Write: the same first bad lane, and on success the same lanes

@@ -18,7 +18,7 @@ use halide_schedule::{
 
 use crate::grammar::{CombineOp, Directive, FuzzCase, PointOp, Source, StageOp};
 
-/// The canonical (pre-uniquification) name of stage `i`.
+/// The name of stage `i`'s `Func`.
 pub fn stage_name(i: usize) -> String {
     format!("fz{i}")
 }
@@ -26,19 +26,14 @@ pub fn stage_name(i: usize) -> String {
 /// Name of the input image bound at realization time.
 pub const INPUT_NAME: &str = "fuzz_in";
 
-/// Applies a stage's directive list to a schedule, mapping `ComputeAt`
-/// stage indices to function names via `consumer_name`. The generator's view
-/// of a stage's loops ([`stage_schedules`]) and the built pipeline both
-/// apply directives through this one function.
+/// Applies a stage's directive list to a schedule. The generator's view of
+/// a stage's loops ([`stage_schedules`]) and the built pipeline both apply
+/// directives through this one function.
 ///
 /// # Errors
 ///
 /// Fails if a directive is inapplicable (unknown dim, bad reorder, ...).
-pub fn apply_directives(
-    schedule: &mut FuncSchedule,
-    directives: &[Directive],
-    consumer_name: impl Fn(usize) -> String,
-) -> Result<()> {
+pub fn apply_directives(schedule: &mut FuncSchedule, directives: &[Directive]) -> Result<()> {
     for d in directives {
         match d {
             Directive::Split { dim, factor, tail } => {
@@ -58,7 +53,7 @@ pub fn apply_directives(
             Directive::Vectorize(dim) => schedule.vectorize(dim)?,
             Directive::Unroll(dim) => schedule.unroll(dim)?,
             Directive::ComputeAt { consumer, dim } => {
-                let level = LoopLevel::at(consumer_name(*consumer), dim.clone());
+                let level = LoopLevel::at(stage_name(*consumer), dim.clone());
                 schedule.compute_level = level.clone();
                 // Mirror `Func::compute_at`: storage follows unless a coarser
                 // level was already requested.
@@ -77,8 +72,7 @@ pub fn apply_directives(
     Ok(())
 }
 
-/// The schedule of every stage after applying its directives (canonical
-/// stage names).
+/// The schedule of every stage after applying its directives.
 ///
 /// # Errors
 ///
@@ -89,7 +83,7 @@ pub fn stage_schedules(case: &FuzzCase) -> Result<Vec<FuncSchedule>> {
         .enumerate()
         .map(|(i, stage)| {
             let mut s = FuncSchedule::default_for_args(&["x".to_string(), "y".to_string()]);
-            apply_directives(&mut s, &stage.directives, stage_name)
+            apply_directives(&mut s, &stage.directives)
                 .map_err(|e| ScheduleError::new(format!("stage {i}: {e}")))?;
             Ok(s)
         })
@@ -260,74 +254,17 @@ pub fn check_request(case: &FuzzCase) -> Result<()> {
 }
 
 /// Admits a case: the structural check, [`check_request`], then lowering,
-/// which alone decides whether the schedule is legal. Returns the built case
-/// and its lowered module, so a caller that goes on to run the case lowers
-/// it once and can admit the case's reference schedule through the same
-/// `Func`s.
-///
-/// This builds a new set of `Func`s. A caller that admits many schedules of
-/// the same stages builds once and calls [`BuiltCase::admit`] instead.
+/// which alone decides whether the schedule is legal. Each call builds the
+/// case's `Func`s anew; they are freed with the returned module, so
+/// admitting many schedules does not accumulate memory.
 ///
 /// # Errors
 ///
 /// The first failure, prefixed with the step that rejected the case.
-pub fn admit(case: &FuzzCase) -> std::result::Result<(BuiltCase, Module), String> {
-    let built = build_pipeline(case).map_err(|e| format!("build: {e}"))?;
-    let module = built.admit(case)?;
-    Ok((built, module))
-}
-
-/// A case built into a live pipeline, ready to lower.
-#[derive(Debug)]
-pub struct BuiltCase {
-    /// The pipeline rooted at the case's output stage.
-    pub pipeline: Pipeline,
-    /// Name to bind the input image under.
-    pub input_name: String,
-    /// Output extents (`[width, height]`).
-    pub extents: Vec<i64>,
-    /// One `Func` per stage, in stage order.
-    funcs: Vec<Func>,
-    /// Each stage's schedule before any directive.
-    defaults: Vec<FuncSchedule>,
-}
-
-impl BuiltCase {
-    /// Replaces every stage's schedules (its pure definition's and its
-    /// update's) with their defaults plus `case`'s directives.
-    fn schedule(&self, case: &FuzzCase) -> Result<()> {
-        for (i, stage) in case.stages.iter().enumerate() {
-            let in_stage = |e: ScheduleError| ScheduleError::new(format!("stage {i}: {e}"));
-            let mut s = self.defaults[i].clone();
-            apply_directives(&mut s, &stage.directives, |j| self.funcs[j].name())
-                .map_err(in_stage)?;
-            self.funcs[i].set_schedule(s);
-            let mut update = default_update_schedule(case, i);
-            apply_update_directives(update.as_mut(), &stage.directives).map_err(in_stage)?;
-            if let Some(update) = update {
-                self.funcs[i].update_stage(0).set_schedule(update);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`admit`] through these `Func`s: reschedules them to `case`'s
-    /// directives and lowers. `case` must have the stages and extents this
-    /// was built from; only its directives may differ. Every `Func` is
-    /// registered for the life of the process, so generation, which tries
-    /// many schedules per case, and the invariance check reschedule one
-    /// build rather than building each schedule anew.
-    ///
-    /// # Errors
-    ///
-    /// As [`admit`].
-    pub fn admit(&self, case: &FuzzCase) -> std::result::Result<Module, String> {
-        debug_assert_eq!(self.extents, [case.width, case.height]);
-        debug_assert_eq!(self.funcs.len(), case.stages.len());
-        self.schedule(case).map_err(|e| format!("build: {e}"))?;
-        check_request(case).map_err(|e| format!("request: {e}"))?;
-        halide_lower::lower(&self.pipeline).map_err(|e| format!("lower: {e}"))
-    }
+pub fn admit(case: &FuzzCase) -> std::result::Result<Module, String> {
+    let pipeline = build_pipeline(case).map_err(|e| format!("build: {e}"))?;
+    check_request(case).map_err(|e| format!("request: {e}"))?;
+    halide_lower::lower(&pipeline).map_err(|e| format!("lower: {e}"))
 }
 
 fn point_expr(s: Expr, op: PointOp) -> Expr {
@@ -351,7 +288,7 @@ fn point_expr(s: Expr, op: PointOp) -> Expr {
 /// # Errors
 ///
 /// Fails on a structural problem or an inapplicable directive.
-pub fn build_pipeline(case: &FuzzCase) -> Result<BuiltCase> {
+pub fn build_pipeline(case: &FuzzCase) -> Result<Pipeline> {
     validate_structure(case)?;
     let input = ImageParam::new(INPUT_NAME, Type::f32(), 2);
     let (x, y) = (Var::new("x"), Var::new("y"));
@@ -425,15 +362,18 @@ pub fn build_pipeline(case: &FuzzCase) -> Result<BuiltCase> {
             }
         }
     }
-    let built = BuiltCase {
-        pipeline: Pipeline::new(funcs.last().expect("checked: non-empty")),
-        input_name: INPUT_NAME.to_string(),
-        extents: vec![case.width, case.height],
-        defaults: funcs.iter().map(Func::schedule).collect(),
-        funcs,
-    };
-    built.schedule(case)?;
-    Ok(built)
+    for (i, (f, stage)) in funcs.iter().zip(&case.stages).enumerate() {
+        let in_stage = |e: ScheduleError| ScheduleError::new(format!("stage {i}: {e}"));
+        let mut s = f.schedule();
+        apply_directives(&mut s, &stage.directives).map_err(in_stage)?;
+        f.set_schedule(s);
+        let mut update = stage.op.has_updates().then(|| f.update_stage(0).schedule());
+        apply_update_directives(update.as_mut(), &stage.directives).map_err(in_stage)?;
+        if let Some(update) = update {
+            f.update_stage(0).set_schedule(update);
+        }
+    }
+    Ok(Pipeline::new(funcs.last().expect("checked: non-empty")))
 }
 
 #[cfg(test)]
@@ -473,8 +413,7 @@ mod tests {
     #[test]
     fn valid_case_builds_and_lowers() {
         let case = point_case();
-        let built = build_pipeline(&case).unwrap();
-        assert_eq!(built.pipeline.len(), 2);
+        assert_eq!(build_pipeline(&case).unwrap().len(), 2);
         admit(&case).expect("an admitted case is a lowered case");
     }
 
@@ -558,7 +497,7 @@ mod tests {
     fn built_schedules_match_validated_schedules() {
         let mut case = point_case();
         // The producer is split and computed at a consumer loop, whose
-        // stage index must map to the uniquified Func name.
+        // stage index must map to the consumer's Func name.
         case.stages[0].directives = vec![
             Directive::Split {
                 dim: "x".to_string(),
@@ -580,19 +519,13 @@ mod tests {
         ];
         assert!(admit(&case).is_ok());
         let canonical = stage_schedules(&case).unwrap();
-        let built = build_pipeline(&case).unwrap();
-        let order = built.pipeline.realization_order();
-        // Producer: compute level maps to the uniquified consumer name.
-        let producer = built.pipeline.func(&order[0]).unwrap().schedule();
-        assert_eq!(producer.dims, canonical[0].dims);
-        assert_eq!(producer.splits, canonical[0].splits);
-        match (&producer.compute_level, &canonical[0].compute_level) {
-            (LoopLevel::At { var: a, .. }, LoopLevel::At { var: b, .. }) => assert_eq!(a, b),
-            (a, b) => panic!("compute levels diverge: {a} vs {b}"),
+        let pipeline = build_pipeline(&case).unwrap();
+        for (i, want) in canonical.iter().enumerate() {
+            let got = pipeline.func(&stage_name(i)).unwrap().schedule();
+            assert_eq!(got.dims, want.dims);
+            assert_eq!(got.splits, want.splits);
+            assert_eq!(got.compute_level, want.compute_level);
+            assert_eq!(got.store_level, want.store_level);
         }
-        // Output: identical dims and splits.
-        let output = built.pipeline.func(&order[1]).unwrap().schedule();
-        assert_eq!(output.dims, canonical[1].dims);
-        assert_eq!(output.splits, canonical[1].splits);
     }
 }

@@ -15,7 +15,7 @@ use halide_schedule::TailStrategy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::build::{self, BuiltCase};
+use crate::build;
 
 /// Where a stage reads its data from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,16 +387,10 @@ pub fn prune_unreachable(case: &mut FuzzCase) {
 }
 
 /// Tentatively appends `directive` to stage `stage`, keeping it only if the
-/// whole case is still admitted (it lowers) through `built`, the case's
-/// stages built once. Returns whether it was kept.
-fn try_directive(
-    built: &BuiltCase,
-    case: &mut FuzzCase,
-    stage: usize,
-    directive: Directive,
-) -> bool {
+/// whole case is still admitted (it lowers). Returns whether it was kept.
+fn try_directive(case: &mut FuzzCase, stage: usize, directive: Directive) -> bool {
     case.stages[stage].directives.push(directive);
-    if built.admit(case).is_ok() {
+    if build::admit(case).is_ok() {
         true
     } else {
         case.stages[stage].directives.pop();
@@ -415,7 +409,7 @@ fn current_dims(case: &FuzzCase, stage: usize) -> Vec<String> {
         .unwrap_or_else(|| vec!["y".to_string(), "x".to_string()])
 }
 
-fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stage: usize) {
+fn gen_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
     // Domain-order directives.
     let n_domain = rng.gen_range(0usize..4);
     for _ in 0..n_domain {
@@ -442,13 +436,13 @@ fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stag
                 // Only split-inner dims have lowering-constant extents, so a
                 // fresh split is the one reliable chance to vectorize or
                 // unroll — take it often, while it is the innermost loop.
-                if try_directive(built, case, stage, split) && rng.gen_bool(0.5) {
+                if try_directive(case, stage, split) && rng.gen_bool(0.5) {
                     let d = if rng.gen_bool(0.7) {
                         Directive::Vectorize(inner)
                     } else {
                         Directive::Unroll(inner)
                     };
-                    try_directive(built, case, stage, d);
+                    try_directive(case, stage, d);
                 }
                 continue;
             }
@@ -466,10 +460,10 @@ fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stag
             4 => Directive::Vectorize(dim),
             _ => Directive::Unroll(dim),
         };
-        try_directive(built, case, stage, d);
+        try_directive(case, stage, d);
     }
     if case.stages[stage].op.has_updates() {
-        gen_update_directives(rng, built, case, stage);
+        gen_update_directives(rng, case, stage);
     }
     // Call-schedule directive (non-output stages only; the output must stay
     // at root).
@@ -477,16 +471,16 @@ fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stag
     if !is_output {
         let roll: f64 = rng.gen_range(0.0..1.0);
         if roll < 0.2 {
-            try_directive(built, case, stage, Directive::ComputeInline);
+            try_directive(case, stage, Directive::ComputeInline);
         } else if roll < 0.55 {
             // Pick a random later stage and one of its current dims.
             let consumer = rng.gen_range(stage + 1..case.stages.len());
             let dims = current_dims(case, consumer);
             let dim = dims[rng.gen_range(0..dims.len())].clone();
-            if try_directive(built, case, stage, Directive::ComputeAt { consumer, dim })
+            if try_directive(case, stage, Directive::ComputeAt { consumer, dim })
                 && rng.gen_bool(0.3)
             {
-                try_directive(built, case, stage, Directive::StoreRoot);
+                try_directive(case, stage, Directive::StoreRoot);
             }
         }
     }
@@ -497,7 +491,7 @@ fn gen_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stag
 /// update's points are independent, and a vector only over a constant
 /// extent, so mostly the inner half of a fresh guarded split), or split a
 /// reduction variable, whose tail is then guarded.
-fn gen_update_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCase, stage: usize) {
+fn gen_update_directives(rng: &mut StdRng, case: &mut FuzzCase, stage: usize) {
     for _ in 0..rng.gen_range(0usize..4) {
         let dims = build::update_dims(case, stage);
         let (rvars, pure): (Vec<String>, Vec<String>) =
@@ -517,17 +511,17 @@ fn gen_update_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCas
                     factor: pick(rng, &FACTOR_CHOICES),
                     tail,
                 });
-                if try_directive(built, case, stage, split) && rng.gen_bool(0.7) {
-                    try_directive(built, case, stage, update(Directive::Vectorize(inner)));
+                if try_directive(case, stage, split) && rng.gen_bool(0.7) {
+                    try_directive(case, stage, update(Directive::Vectorize(inner)));
                 }
             }
             1 if !pure.is_empty() => {
                 let dim = pure[rng.gen_range(0..pure.len())].clone();
-                try_directive(built, case, stage, update(Directive::Parallel(dim)));
+                try_directive(case, stage, update(Directive::Parallel(dim)));
             }
             2 if !pure.is_empty() => {
                 let dim = pure[rng.gen_range(0..pure.len())].clone();
-                try_directive(built, case, stage, update(Directive::Vectorize(dim)));
+                try_directive(case, stage, update(Directive::Vectorize(dim)));
             }
             3 if !rvars.is_empty() => {
                 let split = update(Directive::Split {
@@ -535,7 +529,7 @@ fn gen_update_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCas
                     factor: pick(rng, &FACTOR_CHOICES[..4]),
                     tail: TailStrategy::GuardWithIf,
                 });
-                try_directive(built, case, stage, split);
+                try_directive(case, stage, split);
             }
             _ => {}
         }
@@ -547,12 +541,6 @@ fn gen_update_directives(rng: &mut StdRng, built: &BuiltCase, case: &mut FuzzCas
 /// nests) a random legal directive list per stage. The result is always
 /// admitted by [`build::admit`].
 pub fn generate(seed: u64) -> FuzzCase {
-    generate_built(seed).0
-}
-
-/// [`generate`], also returning the `Func`s the case was admitted through,
-/// so a caller that runs the case reschedules them instead of building anew.
-pub fn generate_built(seed: u64) -> (FuzzCase, BuiltCase) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
     let width = pick(&mut rng, &EXTENT_CHOICES);
     let height = pick(&mut rng, &EXTENT_CHOICES);
@@ -570,12 +558,11 @@ pub fn generate_built(seed: u64) -> (FuzzCase, BuiltCase) {
             .collect(),
     };
     prune_unreachable(&mut case);
-    let built = build::build_pipeline(&case).expect("generated stages are well formed");
     for stage in (0..case.stages.len()).rev() {
-        gen_directives(&mut rng, &built, &mut case, stage);
+        gen_directives(&mut rng, &mut case, stage);
     }
-    debug_assert!(built.admit(&case).is_ok());
-    (case, built)
+    debug_assert!(build::admit(&case).is_ok());
+    case
 }
 
 #[cfg(test)]

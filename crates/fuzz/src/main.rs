@@ -102,14 +102,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (built, module) = match halide_fuzz::admit(&case) {
-            Ok(admitted) => admitted,
+        let module = match halide_fuzz::admit(&case) {
+            Ok(module) => module,
             Err(e) => {
                 eprintln!("{}: inadmissible case: {e}", path.display());
                 return ExitCode::FAILURE;
             }
         };
-        return match run::run_case_lowered(&case, &built, &module) {
+        return match run::run_case_lowered(&case, &module) {
             Ok(()) => {
                 println!("{}: PASS", path.display());
                 ExitCode::SUCCESS
@@ -155,7 +155,7 @@ fn main() -> ExitCode {
     for i in 0..args.cases {
         let seed = args.seed + i;
         let t = Instant::now();
-        let (case, built) = grammar::generate_built(seed);
+        let case = grammar::generate(seed);
         gen_time += t.elapsed();
         stage_count += case.stages.len();
         for s in &case.stages {
@@ -165,10 +165,10 @@ fn main() -> ExitCode {
             }
         }
         let t = Instant::now();
-        let lowered = built.admit(&case);
+        let lowered = halide_fuzz::admit(&case);
         lower_time += t.elapsed();
         let t = Instant::now();
-        let outcome = lowered.and_then(|module| run::run_case_lowered(&case, &built, &module));
+        let outcome = lowered.and_then(|module| run::run_case_lowered(&case, &module));
         matrix_time += t.elapsed();
         match outcome {
             Ok(()) => {

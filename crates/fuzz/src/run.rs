@@ -31,7 +31,7 @@ use halide_ir::ScalarType;
 use halide_lower::Module;
 use halide_runtime::{Buffer, BufferPool, CounterSnapshot};
 
-use crate::build::{self, BuiltCase};
+use crate::build;
 use crate::grammar::{Directive, FuzzCase};
 
 /// The deterministic input image for a case: small mixed-sign values,
@@ -95,8 +95,8 @@ fn compare_counters(
 /// error) found. Any `Err` from an admitted case is a bug somewhere in the
 /// stack.
 pub fn run_case(case: &FuzzCase) -> Result<(), String> {
-    let (built, module) = build::admit(case)?;
-    run_case_lowered(case, &built, &module)
+    let module = build::admit(case)?;
+    run_case_lowered(case, &module)
 }
 
 /// `case` without its schedule: every directive except `compute_inline`
@@ -111,14 +111,13 @@ fn unscheduled(case: &FuzzCase) -> FuzzCase {
     reference
 }
 
-/// The realize-and-compare half of [`run_case`], on the module `built`
-/// lowered for `case` ([`BuiltCase::admit`]). The invariance reference is
-/// lowered through `built` too, so this reschedules its `Func`s.
+/// The realize-and-compare half of [`run_case`], on the module
+/// [`build::admit`] lowered for `case`.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_case`].
-pub fn run_case_lowered(case: &FuzzCase, built: &BuiltCase, module: &Module) -> Result<(), String> {
+pub fn run_case_lowered(case: &FuzzCase, module: &Module) -> Result<(), String> {
     let input = make_input(case.width, case.height);
     let extents = [case.width, case.height];
     let run = |backend: Backend, opt: OptLevel| {
@@ -168,9 +167,7 @@ pub fn run_case_lowered(case: &FuzzCase, built: &BuiltCase, module: &Module) -> 
     // The scheduled interpreter output is the side under test: report it as
     // diverging from the unscheduled reference.
     let label = "schedule invariance: scheduled interpreter output";
-    let reference = built
-        .admit(&unscheduled(case))
-        .map_err(|e| format!("{label}: {e}"))?;
+    let reference = build::admit(&unscheduled(case)).map_err(|e| format!("{label}: {e}"))?;
     let reference = Realizer::new(&reference)
         .input(build::INPUT_NAME, input)
         .threads(1)

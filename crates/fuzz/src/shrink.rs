@@ -14,8 +14,7 @@ use crate::run;
 
 /// Does `case` still reproduce *a* failure (and remain admissible)?
 fn still_fails(case: &FuzzCase) -> bool {
-    build::admit(case)
-        .is_ok_and(|(built, module)| run::run_case_lowered(case, &built, &module).is_err())
+    build::admit(case).is_ok_and(|module| run::run_case_lowered(case, &module).is_err())
 }
 
 fn remap_source(s: &mut Source, dropped: usize, replacement: Source) {

@@ -7,6 +7,7 @@
 //! intrinsics, lets, and the `Ramp`/`Broadcast` vector nodes introduced by
 //! vectorization.
 
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -86,6 +87,43 @@ pub enum CallType {
     Extern,
 }
 
+/// An opaque, reference-counted handle on the function a Halide
+/// [`ExprNode::Call`] calls: it keeps the callee alive for as long as the
+/// call does, so a pipeline is exactly the graph reachable from its output
+/// (Halide's `Call::func`). The IR never looks inside; the frontend
+/// [`downcast`](FuncRef::downcast)s it back to its own function type.
+///
+/// A handle takes no part in `Debug` or printing, and any two handles
+/// compare equal: two calls that carry handles are equal when their names,
+/// types and arguments are. A call with a handle still differs from one
+/// without, so a rebuilder that takes a handle off sees a change.
+#[derive(Clone)]
+pub struct FuncRef(Arc<dyn Any + Send + Sync>);
+
+impl FuncRef {
+    /// Wraps a shared function definition.
+    pub fn new<T: Any + Send + Sync>(func: Arc<T>) -> Self {
+        FuncRef(func)
+    }
+
+    /// The function definition, if it has type `T`.
+    pub fn downcast<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        Arc::clone(&self.0).downcast().ok()
+    }
+}
+
+impl PartialEq for FuncRef {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for FuncRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("FuncRef")
+    }
+}
+
 /// One node of an expression tree. Use the constructors on [`Expr`] rather
 /// than building nodes directly; the constructors insert the implicit type
 /// promotions the frontend relies on.
@@ -140,12 +178,14 @@ pub enum ExprNode {
         predicate: Option<Expr>,
     },
     /// A call: to another Halide func (multi-dimensional, pre-flattening), to
-    /// an input image, to an intrinsic, or to an extern function.
+    /// an input image, to an intrinsic, or to an extern function. A call
+    /// the frontend made to a Halide func carries a handle on it in `func`.
     Call {
         ty: Type,
         name: String,
         call_type: CallType,
         args: Vec<Expr>,
+        func: Option<FuncRef>,
     },
 }
 
@@ -443,13 +483,26 @@ impl Expr {
         .into()
     }
 
-    /// A call node. See [`CallType`] for the flavours.
+    /// A call node without a function handle. See [`CallType`] for the
+    /// flavours.
     pub fn call(ty: Type, name: impl Into<String>, call_type: CallType, args: Vec<Expr>) -> Expr {
+        Expr::call_with(ty, name, call_type, args, None)
+    }
+
+    /// A call node carrying `func`, the handle on a called Halide function.
+    pub fn call_with(
+        ty: Type,
+        name: impl Into<String>,
+        call_type: CallType,
+        args: Vec<Expr>,
+        func: Option<FuncRef>,
+    ) -> Expr {
         ExprNode::Call {
             ty,
             name: name.into(),
             call_type,
             args,
+            func,
         }
         .into()
     }

@@ -43,7 +43,7 @@ pub mod substitute;
 pub mod types;
 pub mod visit;
 
-pub use expr::{BinOp, CallType, CmpOp, Expr, ExprNode};
+pub use expr::{BinOp, CallType, CmpOp, Expr, ExprNode, FuncRef};
 pub use interval::Interval;
 pub use scope::Scope;
 pub use simplify::{const_int, simplify, simplify_stmt};

@@ -295,18 +295,13 @@ pub fn mutate_expr_children<M: IrMutator + ?Sized>(m: &mut M, e: &Expr) -> Expr 
             name,
             call_type,
             args,
+            func,
         } => {
             let nargs: Vec<Expr> = args.iter().map(|a| m.mutate_expr(a)).collect();
             if nargs == *args {
                 e.clone()
             } else {
-                ExprNode::Call {
-                    ty: *ty,
-                    name: name.clone(),
-                    call_type: *call_type,
-                    args: nargs,
-                }
-                .into()
+                Expr::call_with(*ty, name.clone(), *call_type, nargs, func.clone())
             }
         }
     }

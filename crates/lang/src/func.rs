@@ -8,11 +8,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use halide_ir::{CallType, Expr, Type};
+use halide_ir::{CallType, Expr, ExprNode, FuncRef, IrMutator, Type};
 use halide_schedule::{FuncSchedule, LoopLevel, StageSchedule};
 
 use crate::rdom::RDom;
-use crate::registry;
 use crate::stage::Stage;
 use crate::var::Var;
 
@@ -96,35 +95,67 @@ impl PartialEq for Func {
 }
 
 impl Func {
-    /// Creates a new, undefined function. If another live function already
-    /// uses `name`, a unique `$n` suffix is appended.
+    /// Creates a new, undefined function named `name`. Names need not be
+    /// unique across a program, only within one [`Pipeline`](crate::Pipeline).
     pub fn new(name: impl Into<String>) -> Self {
-        let requested = name.into();
+        let name = name.into();
         let inner = Arc::new(Mutex::new(FuncInner {
-            name: String::new(),
+            name: name.clone(),
             args: Vec::new(),
             value: None,
             updates: Vec::new(),
             schedule: FuncSchedule::default(),
         }));
-        let unique = registry::register(&requested, Arc::clone(&inner));
-        inner.lock().expect("func lock poisoned").name = unique.clone();
-        Func {
-            name: unique,
-            inner,
-        }
+        Func { name, inner }
     }
 
-    pub(crate) fn from_inner(inner: Arc<Mutex<FuncInner>>) -> Self {
+    /// The function a call's handle refers to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle was not made by [`Func::at`].
+    pub(crate) fn from_handle(handle: &FuncRef) -> Self {
+        let inner = handle
+            .downcast::<Mutex<FuncInner>>()
+            .expect("a Halide call's handle refers to a Func");
         let name = inner.lock().expect("func lock poisoned").name.clone();
         Func { name, inner }
+    }
+
+    /// `e` with the handles taken off its calls to this function. A
+    /// definition that held a handle on its own function would be a
+    /// reference cycle, never freed; a self-call needs none, since
+    /// [`Pipeline::new`](crate::Pipeline::new) does not follow it.
+    pub(crate) fn without_self_handles(&self, e: &Expr) -> Expr {
+        struct Strip<'a>(&'a Arc<Mutex<FuncInner>>);
+        impl IrMutator for Strip<'_> {
+            fn mutate_expr(&mut self, e: &Expr) -> Expr {
+                let e = halide_ir::mutate_expr_children(self, e);
+                match e.node() {
+                    ExprNode::Call {
+                        ty,
+                        name,
+                        call_type,
+                        args,
+                        func: Some(f),
+                    } if f
+                        .downcast::<Mutex<FuncInner>>()
+                        .is_some_and(|f| Arc::ptr_eq(&f, self.0)) =>
+                    {
+                        Expr::call(*ty, name.clone(), *call_type, args.clone())
+                    }
+                    _ => e,
+                }
+            }
+        }
+        Strip(&self.inner).mutate_expr(e)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FuncInner> {
         self.inner.lock().expect("func lock poisoned")
     }
 
-    /// The function's unique name.
+    /// The function's name.
     pub fn name(&self) -> String {
         self.name.clone()
     }
@@ -188,8 +219,8 @@ impl Func {
             inner.args.len()
         );
         let mut update = UpdateDef {
-            args,
-            value,
+            args: args.iter().map(|a| self.without_self_handles(a)).collect(),
+            value: self.without_self_handles(&value),
             rdom,
             schedule: StageSchedule::default(),
         };
@@ -281,7 +312,14 @@ impl Func {
             inner.args.len(),
             coords.len()
         );
-        Expr::call(ty, inner.name.clone(), CallType::Halide, coords)
+        let handle = FuncRef::new(Arc::clone(&self.inner));
+        Expr::call_with(
+            ty,
+            inner.name.clone(),
+            CallType::Halide,
+            coords,
+            Some(handle),
+        )
     }
 
     // ---- schedule ----------------------------------------------------------
@@ -565,6 +603,45 @@ mod tests {
         let f = Func::new("func_test_invalid_split");
         f.define(&[x, y], Expr::f32(0.0));
         f.split_dim("nope", "a", "b", 4);
+    }
+
+    /// Every function of a dropped pipeline is freed, including one whose
+    /// update calls itself and the intermediate `rfactor` makes.
+    #[test]
+    fn dropping_a_pipeline_frees_its_funcs() {
+        let (x, y) = xy();
+        let input = crate::ImageParam::new("func_test_own_in", Type::i32(), 2);
+        let src = Func::new("func_test_own_src");
+        src.define(&[x.clone(), y.clone()], input.at(vec![x.expr(), y.expr()]));
+        let hist = Func::new("func_test_own_hist");
+        hist.define(std::slice::from_ref(&x), Expr::int(0));
+        let r = RDom::new(
+            "r",
+            vec![(Expr::int(0), Expr::int(8)), (Expr::int(0), Expr::int(4))],
+        );
+        let bin = src
+            .at(vec![r.x().expr(), r.y().expr()])
+            .clamp(Expr::int(0), Expr::int(7));
+        hist.update(vec![bin.clone()], hist.at(vec![bin]) + 1, Some(r));
+        let intm = hist.update_stage(0).rfactor("r.y", "u");
+        let out = Func::new("func_test_own_out");
+        out.define(std::slice::from_ref(&x), hist.at(vec![x.expr()]) * 2);
+
+        let p = crate::Pipeline::new(&out);
+        assert_eq!(p.len(), 4);
+        let weak: Vec<_> = [&src, &hist, &intm, &out]
+            .iter()
+            .map(|f| Arc::downgrade(&f.inner))
+            .collect();
+        drop((src, hist, intm, out));
+        assert!(
+            weak.iter().all(|w| w.upgrade().is_some()),
+            "the pipeline holds its funcs"
+        );
+        drop(p);
+        for w in &weak {
+            assert!(w.upgrade().is_none(), "a func outlived its pipeline");
+        }
     }
 
     #[test]

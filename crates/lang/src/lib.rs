@@ -9,6 +9,13 @@
 //! their schedules (from `halide-schedule`), but the algorithm definition is
 //! independent of all scheduling choices.
 //!
+//! A call made with [`Func::at`] holds a reference-counted handle on its
+//! callee, so a [`Pipeline`] is exactly the graph of functions reachable
+//! from its output, and its definitions are freed once no `Func`,
+//! pipeline or lowered program refers to them. A function keeps the name
+//! it is given; two different functions with the same name in one
+//! pipeline make [`Pipeline::new`] panic.
+//!
 //! # Example: the two-stage blur of Sec. 3.1
 //!
 //! ```
@@ -42,7 +49,6 @@ pub mod func;
 pub mod image;
 pub mod pipeline;
 pub mod rdom;
-mod registry;
 pub mod stage;
 pub mod var;
 

@@ -4,36 +4,39 @@
 //! the call graph and a realization order (producers before consumers), and
 //! is the unit handed to the compiler and the autotuner.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use halide_ir::{CallType, Expr, ExprNode, IrVisitor};
+use halide_ir::{CallType, Expr, ExprNode, FuncRef, IrVisitor};
 
 use crate::func::Func;
-use crate::registry;
 
 /// Collects the names of Halide functions called from an expression.
 pub fn called_funcs(e: &Expr) -> BTreeSet<String> {
-    struct Calls {
-        found: BTreeSet<String>,
-    }
-    impl IrVisitor for Calls {
+    let mut calls = Vec::new();
+    called_handles(e, &mut calls);
+    calls.into_iter().map(|(name, _)| name).collect()
+}
+
+/// Collects the Halide function calls in an expression: each callee's name
+/// with the handle its call carries.
+fn called_handles(e: &Expr, found: &mut Vec<(String, Option<FuncRef>)>) {
+    struct Calls<'a>(&'a mut Vec<(String, Option<FuncRef>)>);
+    impl IrVisitor for Calls<'_> {
         fn visit_expr(&mut self, e: &Expr) {
             if let ExprNode::Call {
-                name, call_type, ..
+                name,
+                call_type: CallType::Halide,
+                func,
+                ..
             } = e.node()
             {
-                if *call_type == CallType::Halide {
-                    self.found.insert(name.clone());
-                }
+                self.0.push((name.clone(), func.clone()));
             }
             halide_ir::visit_expr_children(self, e);
         }
     }
-    let mut c = Calls {
-        found: BTreeSet::new(),
-    };
-    c.visit_expr(e);
-    c.found
+    Calls(found).visit_expr(e);
 }
 
 /// Collects the names of input images referenced from an expression.
@@ -82,13 +85,16 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds the pipeline rooted at `output` by walking the call graph.
+    /// Builds the pipeline rooted at `output` by walking the call graph:
+    /// every call made with [`Func::at`] holds its callee, so every
+    /// function reachable from `output` is alive.
     ///
     /// # Panics
     ///
-    /// Panics if a called function has been dropped (no longer reachable
-    /// through any live `Func` handle) or if the definitions form a cycle
-    /// other than a reduction's self-reference.
+    /// Panics if two different functions in the graph have the same name,
+    /// if a call to another function was not made with [`Func::at`] (it
+    /// carries no handle), or if the definitions form a cycle other than a
+    /// reduction's self-reference.
     pub fn new(output: &Func) -> Self {
         let mut env: HashMap<String, Func> = HashMap::new();
         let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -97,24 +103,37 @@ impl Pipeline {
         queue.push_back(output.clone());
 
         while let Some(f) = queue.pop_front() {
-            let mut callees = BTreeSet::new();
+            let mut handles = Vec::new();
             for e in definition_exprs(&f) {
-                callees.extend(called_funcs(&e));
+                called_handles(&e, &mut handles);
             }
-            // Self-references (recursive reductions) are not graph edges.
-            callees.remove(&f.name());
-            for callee in &callees {
-                if !env.contains_key(callee) {
-                    let inner = registry::lookup(callee).unwrap_or_else(|| {
-                        panic!(
-                            "function {callee:?} called from {:?} is no longer alive",
-                            f.name()
-                        )
-                    });
-                    let func = Func::from_inner(inner);
-                    env.insert(callee.clone(), func.clone());
-                    queue.push_back(func);
+            let mut callees = BTreeSet::new();
+            for (callee, handle) in handles {
+                // Self-references (recursive reductions) carry no handle
+                // and are not graph edges.
+                let Some(handle) = handle else {
+                    assert_eq!(
+                        callee,
+                        f.name(),
+                        "the call to {callee:?} from {:?} carries no function handle",
+                        f.name()
+                    );
+                    continue;
+                };
+                let func = Func::from_handle(&handle);
+                match env.entry(callee.clone()) {
+                    Entry::Occupied(known) => assert!(
+                        *known.get() == func,
+                        "two different functions are named {callee:?}: one of them is \
+                         called from {:?}; names must be unique within a pipeline",
+                        f.name()
+                    ),
+                    Entry::Vacant(slot) => {
+                        slot.insert(func.clone());
+                        queue.push_back(func);
+                    }
                 }
+                callees.insert(callee);
             }
             calls.insert(f.name(), callees);
         }
@@ -333,6 +352,39 @@ mod tests {
         assert!(pos(&base.name()) < pos(&right.name()));
         assert!(pos(&left.name()) < pos(&top.name()));
         assert!(pos(&right.name()) < pos(&top.name()));
+    }
+
+    #[test]
+    fn a_helper_stage_lives_as_long_as_its_callers() {
+        let x = Var::new("x");
+        let xs = [x.clone()];
+        let out = {
+            let helper = Func::new("pipe_test_helper");
+            helper.define(&xs, x.expr() * 2);
+            let out = Func::new("pipe_test_helper_out");
+            out.define(&xs, helper.at(vec![x.expr() + 1]));
+            out
+        };
+        let p = Pipeline::new(&out);
+        assert_eq!(
+            p.realization_order(),
+            ["pipe_test_helper", "pipe_test_helper_out"]
+        );
+        assert_eq!(p.func("pipe_test_helper").unwrap().value(), x.expr() * 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "two different functions are named \"pipe_test_dup\"")]
+    fn two_funcs_with_one_name_panic() {
+        let x = Var::new("x");
+        let xs = [x.clone()];
+        let a = Func::new("pipe_test_dup");
+        a.define(&xs, x.expr());
+        let b = Func::new("pipe_test_dup");
+        b.define(&xs, x.expr() + 1);
+        let out = Func::new("pipe_test_dup_out");
+        out.define(&xs, a.at(vec![x.expr()]) + b.at(vec![x.expr()]));
+        let _ = Pipeline::new(&out);
     }
 
     #[test]

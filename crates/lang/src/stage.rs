@@ -40,8 +40,8 @@ impl Stage {
         self.update_def().schedule
     }
 
-    /// Replaces the stage's schedule wholesale (used by the fuzzer to reset
-    /// a stage between candidate schedules). The schedule of an `rfactor`
+    /// Replaces the stage's schedule wholesale (used by the fuzzer to
+    /// apply a case's directives). The schedule of an `rfactor`
     /// intermediate's update carries the split that defines the factored
     /// variable; replacing it drops that definition.
     pub fn set_schedule(&self, schedule: StageSchedule) {
@@ -143,6 +143,10 @@ impl Stage {
     /// `rvar`'s place. `rvar` may be a reduction variable of the domain or
     /// the inner half of a split of one; then `u` is that split's inner
     /// half, and the split (with its guarded tail) defines `r.x` from it.
+    ///
+    /// The intermediate is named `{f}_intm`: a second `rfactor` of the same
+    /// function gives a second function of that name, which
+    /// [`Pipeline::new`](crate::Pipeline::new) rejects.
     ///
     /// Only integer `+`, `min` and `max` are reassociated exactly; lowering
     /// rejects a factored float reduction, and an update of another shape
@@ -260,7 +264,11 @@ impl Stage {
         partial.push(merged.expr());
         let merge = UpdateDef {
             args: pure.clone(),
-            value: combine(op, self.func.at(pure), intm.at(partial)),
+            value: self.func.without_self_handles(&combine(
+                op,
+                self.func.at(pure),
+                intm.at(partial),
+            )),
             rdom: Some(RDom::from_rvars(rvar, vec![merged])),
             schedule: StageSchedule::default_for(&args, &[rvar.to_string()]),
         };

@@ -211,6 +211,7 @@ impl IrMutator for Flatten {
             name,
             call_type,
             args,
+            ..
         } = e.node()
         {
             if matches!(call_type, CallType::Halide | CallType::Image) {

@@ -186,12 +186,13 @@ impl IrMutator for FoldIndexRewriter<'_> {
             name,
             call_type: CallType::Halide,
             args,
+            func,
         } = e.node()
         {
             if name == self.func {
                 let mut args = args.clone();
                 args[self.dim] = args[self.dim].clone() % Expr::int(self.factor as i32);
-                return Expr::call(*ty, name.clone(), CallType::Halide, args);
+                return Expr::call_with(*ty, name.clone(), CallType::Halide, args, func.clone());
             }
         }
         e

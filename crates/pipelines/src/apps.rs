@@ -68,7 +68,7 @@ impl AppKind {
     }
 
     /// A short, stable, URL/key-friendly identifier (`blur`, `camera-pipe`,
-    /// …) — the name the serving registry addresses an app by. Round-trips
+    /// …) — the name reports and benchmark rows key an app by. Round-trips
     /// through [`AppKind::from_slug`].
     pub fn slug(&self) -> &'static str {
         match self {

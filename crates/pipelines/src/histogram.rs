@@ -154,7 +154,7 @@ pub fn reference(input: &Buffer) -> Buffer {
 /// A hand-optimized implementation: one pass over the input's `&[u8]`
 /// builds the histogram, the CDF becomes a 256-entry remapping table, and
 /// one more pass maps every pixel through it. Bit-identical to
-/// [`reference`] (an 8-bit pixel is its own bucket).
+/// [`reference()`] (an 8-bit pixel is its own bucket).
 pub fn reference_optimized(input: &Buffer) -> Buffer {
     let w = input.dims()[0].extent;
     let h = input.dims()[1].extent;

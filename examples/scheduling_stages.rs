@@ -250,31 +250,6 @@ fn time_stages() {
     }
 }
 
-/// Each `CameraPipeApp` the walkthrough builds registers its funcs afresh,
-/// so the registry uniquifies their names (`camera_green$3`). The suffix is
-/// construction-order bookkeeping, not schedule content — strip it from the
-/// excerpts (and ignore it when searching) so the doc shows the real names
-/// and stays stable however many stages run first.
-fn scrub(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '$' && chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-            while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                chars.next();
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// A registered name without its `$n` uniquification suffix.
-fn base_name(name: &str) -> &str {
-    name.split('$').next().unwrap_or(name)
-}
-
 // ---- IR skeletons ---------------------------------------------------------
 
 /// Lowers the app with its current schedule and prints the loop-nest
@@ -283,7 +258,7 @@ fn skeleton_of(app: &CameraPipeApp) -> String {
     let module = halide::lower(&app.pipeline()).expect("camera pipe lowers");
     let mut out = String::new();
     skeleton(&module.stmt, 0, &mut out);
-    scrub(&out)
+    out
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -384,9 +359,7 @@ fn skeleton(s: &Stmt, depth: usize, out: &mut String) {
 /// The full text of the first `Store` into `buf` (wrapped for readability).
 fn find_store(s: &Stmt, buf: &str) -> Option<String> {
     match s.node() {
-        StmtNode::Store { name, .. } if base_name(name) == buf => {
-            Some(scrub(&wrap(&s.to_string(), 76)))
-        }
+        StmtNode::Store { name, .. } if name == buf => Some(wrap(&s.to_string(), 76)),
         StmtNode::For { body, .. }
         | StmtNode::Producer { body, .. }
         | StmtNode::Allocate { body, .. }
@@ -410,7 +383,7 @@ fn find_predicated_store(s: &Stmt, buf: &str) -> Option<String> {
             name,
             predicate: Some(_),
             ..
-        } if base_name(name) == buf => Some(scrub(&wrap(&s.to_string(), 76))),
+        } if name == buf => Some(wrap(&s.to_string(), 76)),
         StmtNode::For { body, .. }
         | StmtNode::Producer { body, .. }
         | StmtNode::Allocate { body, .. }
@@ -435,7 +408,7 @@ fn find_let(s: &Stmt, name: &str) -> Option<String> {
     match s.node() {
         StmtNode::LetStmt {
             name: bound, value, ..
-        } if scrub(bound) == name => Some(scrub(&wrap(&format!("let {bound} = {value}"), 76))),
+        } if bound == name => Some(wrap(&format!("let {bound} = {value}"), 76)),
         StmtNode::For { body, .. }
         | StmtNode::Producer { body, .. }
         | StmtNode::Allocate { body, .. }
@@ -458,7 +431,7 @@ fn find_produce(s: &Stmt, func: &str) -> Option<String> {
     match s.node() {
         StmtNode::Producer {
             name, is_produce, ..
-        } if *is_produce && scrub(name) == func => Some(scrub(&wrap(&s.to_string(), 76))),
+        } if *is_produce && name == func => Some(wrap(&s.to_string(), 76)),
         StmtNode::For { body, .. }
         | StmtNode::Producer { body, .. }
         | StmtNode::Allocate { body, .. }
@@ -473,10 +446,10 @@ fn find_produce_skeleton(s: &Stmt, func: &str) -> Option<String> {
     match s.node() {
         StmtNode::Producer {
             name, is_produce, ..
-        } if *is_produce && base_name(name) == func => {
+        } if *is_produce && name == func => {
             let mut out = String::new();
             skeleton(s, 0, &mut out);
-            Some(scrub(&out))
+            Some(out)
         }
         StmtNode::For { body, .. }
         | StmtNode::Producer { body, .. }

@@ -11,8 +11,8 @@ use halide::pipelines::{AppKind, ScheduleChoice};
 
 /// Realizes `app`'s tuned schedule once with profiling on and returns the
 /// per-Func invocation counts, sorted by name. The module is built once
-/// by the caller and shared across backends: Func names carry a
-/// process-global uniquing suffix, so rebuilding would rename every Func.
+/// by the caller and shared across backends, so both engines run the
+/// same lowered program.
 fn profiled_invocations(
     app: AppKind,
     built: &halide::pipelines::apps::BuiltApp,

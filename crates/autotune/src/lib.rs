@@ -255,7 +255,7 @@ impl Autotuner {
                 }
             }
             // 4.-6. add / remove / replace one domain transformation
-            3 | 4 | 5 => {
+            3..=5 => {
                 if let Some(s) = out.get_mut(&target) {
                     tweak_domain(&args, s, rng);
                 }

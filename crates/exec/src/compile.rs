@@ -14,11 +14,10 @@
 //!    pointer, and flatten the statement into the linear program IR —
 //!    basic blocks over virtual registers, with explicit loop/alloc regions
 //!    and side-effect annotations on buffer operations;
-//! 2. **optimize** ([`crate::opt`]): a fixed-point pass pipeline over PIR —
-//!    constant folding, algebraic simplification, CSE, strength reduction,
-//!    loop-invariant hoisting (which subsumes the old compile-time peeling
-//!    of loop-leading `let`s), copy propagation, and DCE — selected by
-//!    [`OptLevel`];
+//! 2. **optimize** ([`crate::opt`]): one walk over PIR that runs strength
+//!    reduction, loop-invariant hoisting (which subsumes the old
+//!    compile-time peeling of loop-leading `let`s), CSE and DCE once each,
+//!    selected by [`OptLevel`];
 //! 3. **emit** (`emit.rs`): translate the optimized PIR to the
 //!    [`crate::machine`] instruction set: expressions become linearized
 //!    trees of `CExpr` nodes over **unboxed** [`halide_runtime::Scalar`]
@@ -388,8 +387,7 @@ impl Program {
     }
 
     /// What the optimizer did to this program: instruction counts before
-    /// and after, iterations to the fixed point, and per-pass change
-    /// counters.
+    /// and after, and per-pass change counters.
     pub fn opt_report(&self) -> &OptReport {
         &self.opt_report
     }

@@ -166,7 +166,6 @@ impl Emitter<'_> {
         Ok(match &inst.op {
             POp::ConstI(v) => (CExpr::ConstI(*v), false),
             POp::ConstF(v) => (CExpr::ConstF(*v), false),
-            POp::Copy(a) => cx.take(*a),
             POp::Cast { ty, a } => {
                 let (e, l) = cx.take(*a);
                 (

@@ -442,7 +442,7 @@ pub(crate) fn peel_invariant_lets<'a>(
         if name == loop_var || halide_ir::expr_uses_var(value, loop_var) || expr_has_load(value) {
             break;
         }
-        hoisted.push((name.as_str(), &*value));
+        hoisted.push((name.as_str(), value));
         cur = body;
     }
     (hoisted, cur)

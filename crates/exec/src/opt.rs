@@ -1,34 +1,29 @@
-//! The PIR optimizer: a fixed-point pass pipeline between linearization
-//! and emission.
+//! The PIR optimizer: one walk of four passes between linearization and
+//! emission.
 //!
-//! Passes (in pipeline order; see `docs/optimizer.md` for the catalog):
+//! Passes (in walk order; see `docs/optimizer.md` for the catalog):
 //!
-//! * **const-fold** — evaluates operations over constant operands using the
-//!   *same* runtime scalar routines the machine uses (bit-exact by
-//!   construction), takes statically-decided selects/branches, and splices
-//!   their taken arm inline.
-//! * **simplify** — algebraic identities at the register level, integer
-//!   only (float identities are not bit-exact): `x+0`, `x*1`, `x*0`,
-//!   `x-x`, `x/1`, `x%1`, `min(x,x)`, `x==x`, …
 //! * **strength-reduce** — `div`/`mod` by a constant power of two become an
 //!   arithmetic shift / mask (exact under floor division), `mul` by a power
 //!   of two becomes a shift (exact under wrapping arithmetic).
-//! * **cse** — global value numbering over pure, cheap operations, scoped
-//!   by the region tree; address arithmetic and ramp construction are the
-//!   big wins.
 //! * **licm** — hoists loop-invariant cheap registers into the loop header
-//!   region, subsuming (and extending) the old compile-time let-peeling.
-//! * **copy-prop** + **dce** — clean up the aliases and dead code the other
-//!   passes leave behind.
+//!   region, loops innermost first, so an invariant chain reaches the
+//!   outermost legal header in one walk.
+//! * **cse** — global value numbering over pure, cheap operations, scoped
+//!   by the region tree; every operand is rewritten to its value number as
+//!   the walk goes, so one dedupe exposes the next. Address arithmetic and
+//!   ramp construction are the big wins.
+//! * **dce** — one backward walk deletes what the others left unused.
 //!
-//! Every pass preserves the interpreter contract exactly — bit-identical
-//! outputs *and* identical instrumentation counters — via the counter-
-//! compensation scheme described in `pir.rs`.
+//! Each pass runs once: no pass creates work for a pass before it, so the
+//! result is a fixed point of the whole sequence (a second walk changes
+//! nothing). Every pass preserves the interpreter contract exactly —
+//! bit-identical outputs *and* identical instrumentation counters — via the
+//! counter-compensation scheme described in `pir.rs`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use halide_ir::{BinOp, CmpOp, ScalarType};
-use halide_runtime::{scalar_binary_op, scalar_compare_op, Scalar};
 
 use crate::pir::{BlockId, PInst, PKind, POp, PirProgram, Reg};
 
@@ -40,7 +35,7 @@ pub enum OptLevel {
     /// Linearize and emit only — no optimization passes. Observationally
     /// identical to the old single-pass compiler.
     None,
-    /// The full fixed-point pass pipeline.
+    /// One walk of the pass sequence.
     #[default]
     Default,
 }
@@ -55,16 +50,15 @@ impl OptLevel {
     }
 }
 
-/// Change count and wall time for one pass across all fixed-point
-/// iterations.
+/// Change count and wall time for one pass.
 #[derive(Debug, Clone)]
 pub struct PassStat {
     /// Pass name (stable; used in bench JSON).
     pub name: &'static str,
     /// Number of rewrites the pass performed.
     pub changes: u64,
-    /// Wall time spent in the pass, summed over iterations, in
-    /// nanoseconds (the compile-telemetry surface).
+    /// Wall time spent in the pass, in nanoseconds (the compile-telemetry
+    /// surface).
     pub nanos: u64,
 }
 
@@ -79,9 +73,10 @@ pub struct OptReport {
     pub before_insts: usize,
     /// Executable PIR instructions after optimization.
     pub after_insts: usize,
-    /// Fixed-point iterations run (0 at [`OptLevel::None`]).
+    /// Walks of the pass sequence: 1 at [`OptLevel::Default`], 0 at
+    /// [`OptLevel::None`].
     pub iterations: u32,
-    /// Per-pass aggregated change counts, in pipeline order.
+    /// Per-pass change counts, in walk order.
     pub passes: Vec<PassStat>,
 }
 
@@ -89,7 +84,7 @@ pub struct OptReport {
 /// the printed program after a named stage.
 #[derive(Debug, Clone)]
 pub struct PirStage {
-    /// Stage label (`"linearized"`, or `"<pass> (iteration N)"`).
+    /// Stage label (`"linearized"`, or the name of the pass).
     pub name: String,
     /// Rewrites this stage performed (0 for the initial snapshot).
     pub changes: u64,
@@ -97,29 +92,19 @@ pub struct PirStage {
     pub pir: String,
 }
 
-/// The pass pipeline, in order.
-const PASSES: &[(&str, fn(&mut PirProgram) -> u64)] = &[
-    ("const-fold", const_fold),
-    ("simplify", simplify),
+/// A pass: rewrites the program and returns how many rewrites it made.
+type Pass = fn(&mut PirProgram) -> u64;
+
+/// The pass sequence, in walk order.
+const PASSES: &[(&str, Pass)] = &[
     ("strength-reduce", strength_reduce),
-    ("cse", cse),
     ("licm", licm),
-    ("copy-prop", copy_prop),
+    ("cse", cse),
     ("dce", dce),
 ];
 
-/// Cap on fixed-point iterations. It binds: over the benchmark's twelve
-/// programs (six apps, naive and tuned, at 512x384) the pipeline runs 4-10
-/// iterations, 100 in all, and five programs reach the cap (blur, bilateral
-/// grid, camera pipe and local Laplacian tuned; local Laplacian naive).
-/// Tuned bilateral grid, camera pipe and local Laplacian are still
-/// rewriting at iteration 10; local Laplacian makes 3 CSE and 6 copy-prop
-/// rewrites there. Raising the cap changes the emitted programs.
-const MAX_ITERATIONS: u32 = 10;
-
-/// Runs the pass pipeline on `p` to a fixed point. When `trace` is given,
-/// a printed snapshot is pushed after every pass application that changed
-/// the program.
+/// Runs each pass once over `p`, in order. When `trace` is given, a printed
+/// snapshot is pushed after every pass that changed the program.
 pub(crate) fn optimize(
     p: &mut PirProgram,
     level: OptLevel,
@@ -143,340 +128,35 @@ pub(crate) fn optimize(
     if level == OptLevel::None {
         return report;
     }
-    for iter in 1..=MAX_ITERATIONS {
-        let mut total = 0;
-        for (i, (name, pass)) in PASSES.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let changes = pass(p);
-            report.passes[i].nanos += start.elapsed().as_nanos() as u64;
-            report.passes[i].changes += changes;
-            total += changes;
-            if changes > 0 {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(PirStage {
-                        name: format!("{name} (iteration {iter})"),
-                        changes,
-                        pir: p.print(),
-                    });
-                }
+    for ((name, pass), stat) in PASSES.iter().zip(&mut report.passes) {
+        let start = std::time::Instant::now();
+        stat.changes = pass(p);
+        stat.nanos = start.elapsed().as_nanos() as u64;
+        if stat.changes > 0 {
+            if let Some(t) = trace.as_deref_mut() {
+                t.push(PirStage {
+                    name: name.to_string(),
+                    changes: stat.changes,
+                    pir: p.print(),
+                });
             }
         }
-        report.iterations = iter;
-        if total == 0 {
-            break;
-        }
     }
+    report.iterations = 1;
     report.after_insts = p.exec_inst_count();
     report
 }
 
-/// Registers currently holding a known integer constant (defined by a
-/// reachable `const` instruction).
-fn const_int_map(p: &PirProgram) -> Vec<Option<i64>> {
-    let mut m = vec![None; p.n_regs as usize];
-    for b in p.reachable() {
-        for inst in &p.blocks[b as usize] {
-            if let (Some(d), POp::ConstI(v)) = (inst.dst, &inst.op) {
-                m[d as usize] = Some(*v);
-            }
-        }
-    }
-    m
-}
-
-/// Rewrites `inst` into a constant, updating the analysis side tables.
-fn set_const(p: &mut PirProgram, inst: &mut PInst, consts: &mut [Option<Scalar>], s: Scalar) {
-    let dst = inst.dst.expect("const rewrite requires a destination");
-    inst.op = match s {
-        Scalar::Int(v) => POp::ConstI(v),
-        Scalar::Float(v) => POp::ConstF(v),
-    };
-    inst.weight = 1;
-    p.vec[dst as usize] = false;
-    p.kind[dst as usize] = if s.is_float() {
-        PKind::Float
-    } else {
-        PKind::Int
-    };
-    consts[dst as usize] = Some(s);
-}
-
-/// Rewrites `inst` into a copy of `src`, updating the analysis side tables.
-fn set_copy(p: &mut PirProgram, inst: &mut PInst, src: Reg) {
-    let dst = inst.dst.expect("copy rewrite requires a destination");
-    inst.op = POp::Copy(src);
-    inst.weight = 1;
-    p.vec[dst as usize] = p.vec[src as usize];
-    p.kind[dst as usize] = p.kind[src as usize];
-}
-
-fn count_inst(arith: i64) -> PInst {
-    PInst {
+/// The `count` marker a counted instruction leaves behind when it stops
+/// counting at its site (the interpreter still evaluates it there).
+fn compensation(inst: &PInst) -> Option<PInst> {
+    (inst.op.counted() && inst.weight > 0).then_some(PInst {
         dst: None,
-        op: POp::Count { arith },
+        op: POp::Count {
+            arith: inst.weight as i64,
+        },
         weight: 1,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// const-fold
-// ---------------------------------------------------------------------------
-
-fn const_fold(p: &mut PirProgram) -> u64 {
-    let mut consts: Vec<Option<Scalar>> = vec![None; p.n_regs as usize];
-    let mut changes = 0;
-    fold_block(p, 0, &mut consts, &mut changes);
-    changes
-}
-
-fn fold_block(p: &mut PirProgram, b: BlockId, consts: &mut Vec<Option<Scalar>>, changes: &mut u64) {
-    let old = std::mem::take(&mut p.blocks[b as usize]);
-    let mut new: Vec<PInst> = Vec::with_capacity(old.len());
-    for mut inst in old {
-        for sb in inst.op.sub_blocks() {
-            fold_block(p, sb, consts, changes);
-        }
-        // How many arithmetic ops to compensate if this rewrite removes a
-        // counted execution (the interpreter still performs it).
-        let weight = if inst.op.counted() {
-            inst.weight as i64
-        } else {
-            0
-        };
-        let mut comp = 0i64;
-        match &inst.op {
-            POp::ConstI(v) => consts[inst.dst.unwrap() as usize] = Some(Scalar::Int(*v)),
-            POp::ConstF(v) => consts[inst.dst.unwrap() as usize] = Some(Scalar::Float(*v)),
-            POp::Copy(a) => consts[inst.dst.unwrap() as usize] = consts[*a as usize],
-            POp::Cast { ty, a } => {
-                let folded = consts[*a as usize].map(|s| s.cast_to(*ty));
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    *changes += 1;
-                }
-            }
-            POp::Bin { op, a, b } => {
-                let folded = match (consts[*a as usize], consts[*b as usize]) {
-                    (Some(x), Some(y)) => Some(scalar_binary_op(*op, x, y)),
-                    _ => None,
-                };
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    comp = weight;
-                    *changes += 1;
-                }
-            }
-            POp::Cmp { op, a, b } => {
-                let folded = match (consts[*a as usize], consts[*b as usize]) {
-                    (Some(x), Some(y)) => Some(scalar_compare_op(*op, x, y)),
-                    _ => None,
-                };
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    comp = weight;
-                    *changes += 1;
-                }
-            }
-            POp::Not { a } => {
-                // Matches the machine: `Int((s.as_i64() == 0) as i64)`.
-                let folded = consts[*a as usize].map(|s| Scalar::Int((s.as_i64() == 0) as i64));
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    *changes += 1;
-                }
-            }
-            POp::Shl { a, bits } => {
-                let folded = match consts[*a as usize] {
-                    Some(Scalar::Int(x)) => Some(Scalar::Int(x.wrapping_shl(*bits))),
-                    _ => None,
-                };
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    comp = weight;
-                    *changes += 1;
-                }
-            }
-            POp::Shr { a, bits } => {
-                let folded = match consts[*a as usize] {
-                    Some(Scalar::Int(x)) => Some(Scalar::Int(x >> bits)),
-                    _ => None,
-                };
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    comp = weight;
-                    *changes += 1;
-                }
-            }
-            POp::AndMask { a, mask } => {
-                let folded = match consts[*a as usize] {
-                    Some(Scalar::Int(x)) => Some(Scalar::Int(x & mask)),
-                    _ => None,
-                };
-                if let Some(s) = folded {
-                    set_const(p, &mut inst, consts, s);
-                    comp = weight;
-                    *changes += 1;
-                }
-            }
-            POp::Select {
-                cond,
-                t,
-                t_val,
-                f,
-                f_val,
-            } => {
-                // A constant scalar condition decides the select statically:
-                // splice the taken arm inline (its instructions — including
-                // any counter compensation — now execute unconditionally,
-                // exactly as the interpreter evaluates the taken arm) and
-                // drop the untaken arm, which neither engine evaluates.
-                if let Some(Scalar::Int(c)) = consts[*cond as usize] {
-                    let (blk, val) = if c != 0 { (*t, *t_val) } else { (*f, *f_val) };
-                    let arm = std::mem::take(&mut p.blocks[blk as usize]);
-                    new.extend(arm);
-                    consts[inst.dst.unwrap() as usize] = consts[val as usize];
-                    set_copy(p, &mut inst, val);
-                    *changes += 1;
-                }
-            }
-            POp::And { a, rhs, rhs_val } => {
-                if let Some(Scalar::Int(c)) = consts[*a as usize] {
-                    if c == 0 {
-                        set_const(p, &mut inst, consts, Scalar::Int(0));
-                    } else {
-                        // A scalar-true left side: the result is exactly the
-                        // right side, which now evaluates unconditionally.
-                        let (rhs, rhs_val) = (*rhs, *rhs_val);
-                        let arm = std::mem::take(&mut p.blocks[rhs as usize]);
-                        new.extend(arm);
-                        consts[inst.dst.unwrap() as usize] = consts[rhs_val as usize];
-                        set_copy(p, &mut inst, rhs_val);
-                    }
-                    *changes += 1;
-                }
-            }
-            POp::Or { a, rhs, rhs_val } => {
-                if let Some(Scalar::Int(c)) = consts[*a as usize] {
-                    if c != 0 {
-                        set_const(p, &mut inst, consts, Scalar::Int(1));
-                    } else {
-                        let (rhs, rhs_val) = (*rhs, *rhs_val);
-                        let arm = std::mem::take(&mut p.blocks[rhs as usize]);
-                        new.extend(arm);
-                        consts[inst.dst.unwrap() as usize] = consts[rhs_val as usize];
-                        set_copy(p, &mut inst, rhs_val);
-                    }
-                    *changes += 1;
-                }
-            }
-            POp::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                if let Some(Scalar::Int(c)) = consts[*cond as usize] {
-                    *changes += 1;
-                    let taken = if c != 0 { Some(*then_b) } else { *else_b };
-                    if let Some(blk) = taken {
-                        let body = std::mem::take(&mut p.blocks[blk as usize]);
-                        new.extend(body);
-                    }
-                    continue; // the branch itself is decided; drop it
-                }
-            }
-            POp::Assert { cond, .. } => {
-                // A statically-true assertion can never fire; false (or
-                // unknown) conditions must stay for their runtime error.
-                if let Some(Scalar::Int(c)) = consts[*cond as usize] {
-                    if c != 0 {
-                        *changes += 1;
-                        continue;
-                    }
-                }
-            }
-            _ => {}
-        }
-        new.push(inst);
-        if comp > 0 {
-            new.push(count_inst(comp));
-        }
-    }
-    p.blocks[b as usize] = new;
-}
-
-// ---------------------------------------------------------------------------
-// simplify
-// ---------------------------------------------------------------------------
-
-fn simplify(p: &mut PirProgram) -> u64 {
-    enum Rewrite {
-        CopyOf(Reg),
-        IntConst(i64),
-    }
-    let consts = const_int_map(p);
-    let mut changes = 0;
-    for blk in p.reachable() {
-        let old = std::mem::take(&mut p.blocks[blk as usize]);
-        let mut new: Vec<PInst> = Vec::with_capacity(old.len());
-        for mut inst in old {
-            let rewrite = match (&inst.op, inst.dst) {
-                // Integer-only algebra: the result register must be a
-                // proven integer (float identities like `x + 0.0` and
-                // NaN-afflicted comparisons are not bit-exact).
-                (POp::Bin { op, a, b }, Some(dst)) if p.kind[dst as usize] == PKind::Int => {
-                    let (ca, cb) = (consts[*a as usize], consts[*b as usize]);
-                    match op {
-                        BinOp::Add if cb == Some(0) => Some(Rewrite::CopyOf(*a)),
-                        BinOp::Add if ca == Some(0) => Some(Rewrite::CopyOf(*b)),
-                        BinOp::Sub if cb == Some(0) => Some(Rewrite::CopyOf(*a)),
-                        BinOp::Sub if a == b => Some(Rewrite::IntConst(0)),
-                        BinOp::Mul if cb == Some(1) => Some(Rewrite::CopyOf(*a)),
-                        BinOp::Mul if ca == Some(1) => Some(Rewrite::CopyOf(*b)),
-                        BinOp::Mul if cb == Some(0) || ca == Some(0) => Some(Rewrite::IntConst(0)),
-                        BinOp::Div if cb == Some(1) => Some(Rewrite::CopyOf(*a)),
-                        // Halide semantics: x/0 == 0 and x%0 == 0.
-                        BinOp::Div if cb == Some(0) => Some(Rewrite::IntConst(0)),
-                        BinOp::Mod if cb == Some(1) || cb == Some(0) => Some(Rewrite::IntConst(0)),
-                        BinOp::Min | BinOp::Max if a == b => Some(Rewrite::CopyOf(*a)),
-                        _ => None,
-                    }
-                }
-                (POp::Cmp { op, a, b }, Some(_)) if a == b && p.kind[*a as usize] == PKind::Int => {
-                    match op {
-                        CmpOp::Eq | CmpOp::Le | CmpOp::Ge => Some(Rewrite::IntConst(1)),
-                        CmpOp::Ne | CmpOp::Lt | CmpOp::Gt => Some(Rewrite::IntConst(0)),
-                    }
-                }
-                _ => None,
-            };
-            if let Some(rw) = rewrite {
-                changes += 1;
-                let comp = if inst.op.counted() {
-                    inst.weight as i64
-                } else {
-                    0
-                };
-                match rw {
-                    Rewrite::CopyOf(src) => set_copy(p, &mut inst, src),
-                    Rewrite::IntConst(v) => {
-                        let dst = inst.dst.expect("rewritten ops have a destination");
-                        inst.op = POp::ConstI(v);
-                        inst.weight = 1;
-                        p.vec[dst as usize] = false;
-                        p.kind[dst as usize] = PKind::Int;
-                    }
-                }
-                new.push(inst);
-                if comp > 0 {
-                    new.push(count_inst(comp));
-                }
-            } else {
-                new.push(inst);
-            }
-        }
-        p.blocks[blk as usize] = new;
-    }
-    changes
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -493,9 +173,18 @@ fn pow2_exponent(c: i64) -> Option<u32> {
 }
 
 fn strength_reduce(p: &mut PirProgram) -> u64 {
-    let consts = const_int_map(p);
+    // Registers holding a known integer constant.
+    let mut consts = vec![None; p.n_regs as usize];
+    let reachable = p.reachable();
+    for b in &reachable {
+        for inst in &p.blocks[*b as usize] {
+            if let (Some(d), POp::ConstI(v)) = (inst.dst, &inst.op) {
+                consts[d as usize] = Some(*v);
+            }
+        }
+    }
     let mut changes = 0;
-    for blk in p.reachable() {
+    for blk in reachable {
         // Rewrites are in place (no insertions): the shift/mask forms keep
         // the original instruction's weight, so counters are untouched.
         for i in 0..p.blocks[blk as usize].len() {
@@ -546,6 +235,149 @@ fn strength_reduce(p: &mut PirProgram) -> u64 {
         }
     }
     changes
+}
+
+// ---------------------------------------------------------------------------
+// LICM
+// ---------------------------------------------------------------------------
+
+/// Where a register stands while one loop is being hoisted from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// Defined outside the candidate blocks: invariant.
+    Outside,
+    /// Defined by a candidate that stays: changes across iterations.
+    Variant,
+    /// A constant in a candidate block that no hoisted instruction reads.
+    Const,
+    /// Moves to the loop's header.
+    Hoist,
+}
+
+fn licm(p: &mut PirProgram) -> u64 {
+    let mut place = vec![Place::Outside; p.n_regs as usize];
+    let mut changes = 0;
+    licm_block(p, 0, &mut place, &mut changes);
+    changes
+}
+
+/// Hoists out of every loop under block `b`, innermost loops first, so
+/// what an inner loop moves to its header can move on out of the loops
+/// around it.
+fn licm_block(p: &mut PirProgram, b: BlockId, place: &mut [Place], changes: &mut u64) {
+    for idx in 0..p.blocks[b as usize].len() {
+        for sb in p.blocks[b as usize][idx].op.sub_blocks() {
+            licm_block(p, sb, place, changes);
+        }
+        if let POp::For {
+            var, header, body, ..
+        } = p.blocks[b as usize][idx].op
+        {
+            *changes += hoist_loop(p, var, header, body, place);
+        }
+    }
+}
+
+/// Pushes, in program order, the blocks that run exactly once per
+/// iteration of a loop whose body is `b`: `b`, the bodies of allocations
+/// in it, and the headers of the loops directly in any of those.
+fn once_per_iteration(p: &PirProgram, b: BlockId, out: &mut Vec<BlockId>) {
+    out.push(b);
+    for inst in &p.blocks[b as usize] {
+        match inst.op {
+            POp::Alloc { body, .. } => once_per_iteration(p, body, out),
+            POp::For { header, .. } => out.push(header),
+            _ => {}
+        }
+    }
+}
+
+/// Moves every loop-invariant pure, cheap instruction of the blocks that
+/// run once per iteration of the loop to the end of `header`, in order.
+/// Each moved register stops being loop-variant as it moves, so whole
+/// invariant chains move at once. Constants never make their readers
+/// variant: a constant a moved instruction reads moves with it. (Pure
+/// register arithmetic cannot trap — division by zero is total under
+/// Halide semantics — so running it for a zero-iteration loop is harmless.)
+///
+/// A counted instruction leaving a block leaves a count marker behind and
+/// weight 0 on itself: it now executes once per entry of this loop, and
+/// the marker keeps the per-iteration total.
+fn hoist_loop(
+    p: &mut PirProgram,
+    var: Reg,
+    header: BlockId,
+    body: BlockId,
+    place: &mut [Place],
+) -> u64 {
+    let mut sources = Vec::new();
+    once_per_iteration(p, body, &mut sources);
+    place[var as usize] = Place::Variant;
+    for src in &sources {
+        for inst in &p.blocks[*src as usize] {
+            if let Some(d) = inst.dst {
+                place[d as usize] = match inst.op {
+                    POp::ConstI(_) | POp::ConstF(_) => Place::Const,
+                    _ => Place::Variant,
+                };
+            }
+        }
+    }
+    // Decide, in program order, so each hoist frees the instructions that
+    // read it.
+    for src in &sources {
+        for inst in &p.blocks[*src as usize] {
+            let Some(dst) = inst.dst else { continue };
+            if place[dst as usize] != Place::Variant
+                || !inst.op.pure_value()
+                || !p.cheap_reg(dst, &inst.op)
+            {
+                continue;
+            }
+            let mut invariant = true;
+            inst.op
+                .for_each_operand(|r| invariant &= place[r as usize] != Place::Variant);
+            if invariant {
+                place[dst as usize] = Place::Hoist;
+                inst.op.for_each_operand(|r| {
+                    if place[r as usize] == Place::Const {
+                        place[r as usize] = Place::Hoist;
+                    }
+                });
+            }
+        }
+    }
+    // Move: constants precede their readers in program order, and every
+    // source's hoisted operands come from an earlier source or from
+    // earlier in the same one, so appending in order keeps definitions
+    // before uses.
+    let mut moved = Vec::new();
+    for src in &sources {
+        let old = std::mem::take(&mut p.blocks[*src as usize]);
+        let mut kept = Vec::with_capacity(old.len());
+        for mut inst in old {
+            let Some(dst) = inst.dst else {
+                kept.push(inst);
+                continue;
+            };
+            let hoist = place[dst as usize] == Place::Hoist;
+            place[dst as usize] = Place::Outside;
+            if hoist {
+                if let Some(count) = compensation(&inst) {
+                    kept.push(count);
+                    inst.weight = 0;
+                }
+                moved.push(inst);
+            } else {
+                kept.push(inst);
+            }
+        }
+        p.blocks[*src as usize] = kept;
+    }
+    place[var as usize] = Place::Outside;
+    let n = moved.len() as u64;
+    p.blocks[header as usize].extend(moved);
+    n
 }
 
 // ---------------------------------------------------------------------------
@@ -602,73 +434,70 @@ fn key_of(op: &POp) -> Option<Key> {
     })
 }
 
+/// Value-numbering state: the available values, one table per open scope,
+/// and each register's value number (itself, or the earlier register it
+/// duplicates).
+struct Gvn {
+    scopes: Vec<HashMap<Key, Reg>>,
+    number: Vec<Reg>,
+    changes: u64,
+}
+
 fn cse(p: &mut PirProgram) -> u64 {
-    let mut changes = 0;
-    let mut scopes: Vec<HashMap<Key, Reg>> = vec![HashMap::new()];
-    cse_block(p, 0, &mut scopes, &mut changes);
-    changes
+    let mut gvn = Gvn {
+        scopes: vec![HashMap::new()],
+        number: (0..p.n_regs).collect(),
+        changes: 0,
+    };
+    cse_block(p, 0, &mut gvn);
+    gvn.changes
 }
 
-fn lookup(scopes: &[HashMap<Key, Reg>], key: &Key) -> Option<Reg> {
-    scopes.iter().rev().find_map(|s| s.get(key).copied())
-}
-
-fn cse_block(
-    p: &mut PirProgram,
-    b: BlockId,
-    scopes: &mut Vec<HashMap<Key, Reg>>,
-    changes: &mut u64,
-) {
+fn cse_block(p: &mut PirProgram, b: BlockId, gvn: &mut Gvn) {
     let old = std::mem::take(&mut p.blocks[b as usize]);
     let mut new: Vec<PInst> = Vec::with_capacity(old.len());
     for mut inst in old {
-        match &inst.op {
+        match inst.op {
             // A loop header's values are computed before any iteration, so
             // they stay available inside the body; everything defined in
             // either dies with the loop.
             POp::For { header, body, .. } => {
-                let (header, body) = (*header, *body);
-                scopes.push(HashMap::new());
-                cse_block(p, header, scopes, changes);
-                scopes.push(HashMap::new());
-                cse_block(p, body, scopes, changes);
-                scopes.pop();
-                scopes.pop();
+                gvn.scopes.push(HashMap::new());
+                cse_block(p, header, gvn);
+                gvn.scopes.push(HashMap::new());
+                cse_block(p, body, gvn);
+                gvn.scopes.truncate(gvn.scopes.len() - 2);
             }
-            op if !op.sub_blocks().is_empty() => {
-                // Conditional / scoped regions: values computed inside are
-                // not available after the region.
+            // Conditional / scoped regions: values computed inside are not
+            // available after the region.
+            ref op => {
                 for sb in op.sub_blocks() {
-                    scopes.push(HashMap::new());
-                    cse_block(p, sb, scopes, changes);
-                    scopes.pop();
+                    gvn.scopes.push(HashMap::new());
+                    cse_block(p, sb, gvn);
+                    gvn.scopes.pop();
                 }
             }
-            _ => {
-                if let (Some(dst), Some(key)) = (inst.dst, key_of(&inst.op)) {
-                    if p.cheap_reg(dst, &inst.op) {
-                        if let Some(prev) = lookup(scopes, &key) {
-                            *changes += 1;
-                            // The interpreter still evaluates the duplicate
-                            // at this site: compensate its count here.
-                            let comp = if inst.op.counted() && inst.weight > 0 {
-                                inst.weight as i64
-                            } else {
-                                0
-                            };
-                            set_copy(p, &mut inst, prev);
-                            new.push(inst);
-                            if comp > 0 {
-                                new.push(count_inst(comp));
-                            }
-                            continue;
-                        }
-                        scopes
-                            .last_mut()
-                            .expect("cse scope stack is never empty")
-                            .insert(key, dst);
-                    }
+        }
+        // Operands (a region's result registers included, now that its
+        // blocks are numbered) read their value numbers.
+        inst.op
+            .for_each_operand_mut(|r| *r = gvn.number[*r as usize]);
+        if let (Some(dst), Some(key)) = (inst.dst, key_of(&inst.op)) {
+            if p.cheap_reg(dst, &inst.op) {
+                let prev = gvn.scopes.iter().rev().find_map(|s| s.get(&key).copied());
+                if let Some(prev) = prev {
+                    // Every later read of `dst` becomes a read of `prev`, so
+                    // the duplicate goes; the interpreter still evaluates it
+                    // at this site, so its count stays.
+                    gvn.number[dst as usize] = prev;
+                    gvn.changes += 1;
+                    new.extend(compensation(&inst));
+                    continue;
                 }
+                gvn.scopes
+                    .last_mut()
+                    .expect("cse scope stack is never empty")
+                    .insert(key, dst);
             }
         }
         new.push(inst);
@@ -677,210 +506,54 @@ fn cse_block(
 }
 
 // ---------------------------------------------------------------------------
-// LICM
-// ---------------------------------------------------------------------------
-
-fn licm(p: &mut PirProgram) -> u64 {
-    let mut changes = 0;
-    for b in p.reachable() {
-        for idx in 0..p.blocks[b as usize].len() {
-            if let POp::For {
-                var, header, body, ..
-            } = p.blocks[b as usize][idx].op
-            {
-                changes += hoist_loop(p, var, header, body);
-            }
-        }
-    }
-    changes
-}
-
-/// True when `inst` computes a pure, cheap value whose operands are all
-/// defined outside `defined` — safe and profitable to evaluate once per
-/// loop entry instead of once per iteration. (Pure integer/float register
-/// arithmetic cannot trap: division by zero is total under Halide
-/// semantics, so executing it for a zero-iteration loop is harmless.)
-fn hoistable(p: &PirProgram, inst: &PInst, defined: &HashSet<Reg>) -> bool {
-    let Some(dst) = inst.dst else { return false };
-    if !inst.op.pure_value()
-        || matches!(inst.op, POp::Copy(_) | POp::ConstI(_) | POp::ConstF(_))
-        || !p.cheap_reg(dst, &inst.op)
-    {
-        return false;
-    }
-    let mut ok = true;
-    inst.op.for_each_operand(|r| {
-        if defined.contains(&r) {
-            ok = false;
-        }
-    });
-    ok
-}
-
-/// Moves an instruction out of `src` position into `dest_header`, leaving a
-/// counter-compensation marker at the original site when the instruction is
-/// counted (it keeps executing — once per entry instead of per iteration —
-/// but stops counting; emission pairs the weight-0 instruction with a
-/// negative count so the per-entry total is zero).
-fn hoist_insts(
-    p: &mut PirProgram,
-    src: BlockId,
-    dest_header: BlockId,
-    defined: &HashSet<Reg>,
-) -> u64 {
-    let mut moved: Vec<PInst> = Vec::new();
-    let old = std::mem::take(&mut p.blocks[src as usize]);
-    let mut new: Vec<PInst> = Vec::with_capacity(old.len());
-    for mut inst in old {
-        if hoistable(p, &inst, defined) {
-            if inst.op.counted() && inst.weight > 0 {
-                new.push(count_inst(inst.weight as i64));
-                inst.weight = 0;
-            }
-            moved.push(inst);
-        } else {
-            new.push(inst);
-        }
-    }
-    let n = moved.len() as u64;
-    p.blocks[src as usize] = new;
-    p.blocks[dest_header as usize].extend(moved);
-    n
-}
-
-fn hoist_loop(p: &mut PirProgram, var: Reg, header: BlockId, body: BlockId) -> u64 {
-    // Registers whose value changes across iterations: the loop variable
-    // and everything the body computes.
-    let mut defined: HashSet<Reg> = p.blocks[body as usize]
-        .iter()
-        .filter_map(|i| i.dst)
-        .collect();
-    defined.insert(var);
-    let mut changes = hoist_insts(p, body, header, &defined);
-
-    // Inner-loop headers run once per outer iteration; instructions there
-    // that do not depend on this loop either can move one level further out
-    // (multi-level hoisting happens across fixed-point iterations).
-    for idx in 0..p.blocks[body as usize].len() {
-        if let POp::For {
-            header: inner_header,
-            ..
-        } = p.blocks[body as usize][idx].op
-        {
-            let mut forbidden = defined.clone();
-            for i in &p.blocks[inner_header as usize] {
-                if let Some(d) = i.dst {
-                    forbidden.insert(d);
-                }
-            }
-            changes += hoist_insts(p, inner_header, header, &forbidden);
-        }
-    }
-    changes
-}
-
-// ---------------------------------------------------------------------------
-// copy propagation
-// ---------------------------------------------------------------------------
-
-fn copy_prop(p: &mut PirProgram) -> u64 {
-    let reachable = p.reachable();
-    let mut resolve: Vec<Option<Reg>> = vec![None; p.n_regs as usize];
-    let mut any = false;
-    for b in &reachable {
-        for inst in &p.blocks[*b as usize] {
-            if let (Some(dst), POp::Copy(src)) = (inst.dst, &inst.op) {
-                resolve[dst as usize] = Some(*src);
-                any = true;
-            }
-        }
-    }
-    if !any {
-        return 0;
-    }
-    let chase = |mut r: Reg| {
-        // SSA defs are acyclic, so the chain terminates.
-        while let Some(s) = resolve[r as usize] {
-            r = s;
-        }
-        r
-    };
-    let mut changes = 0;
-    for b in &reachable {
-        for inst in &mut p.blocks[*b as usize] {
-            if matches!(inst.op, POp::Copy(_)) {
-                continue; // keep the definition itself; DCE removes it
-            }
-            inst.op.for_each_operand_mut(|r| {
-                let t = chase(*r);
-                if t != *r {
-                    *r = t;
-                    changes += 1;
-                }
-            });
-        }
-    }
-    changes
-}
-
-// ---------------------------------------------------------------------------
 // DCE
 // ---------------------------------------------------------------------------
 
 fn dce(p: &mut PirProgram) -> u64 {
+    let mut uses = p.use_counts();
     let mut changes = 0;
-    loop {
-        let counts = p.use_counts();
-        let mut removed = 0u64;
-        for b in p.reachable() {
-            let old = std::mem::take(&mut p.blocks[b as usize]);
-            let mut new: Vec<PInst> = Vec::with_capacity(old.len());
-            for inst in old {
-                let dead =
-                    inst.op.pure_value() && inst.dst.is_some_and(|d| counts[d as usize] == 0);
-                if dead {
-                    removed += 1;
-                    // The interpreter still evaluates the (textually
-                    // present) dead expression and counts it.
-                    if inst.op.counted() && inst.weight > 0 {
-                        new.push(count_inst(inst.weight as i64));
-                    }
-                } else {
-                    new.push(inst);
-                }
-            }
-            p.blocks[b as usize] = new;
-        }
-        changes += removed;
-        if removed == 0 {
-            break;
-        }
-    }
-    // Tidy the compensation stream: merge adjacent markers, drop zeros.
-    // (Not counted as changes — merging is cosmetic and idempotent.)
-    for b in p.reachable() {
-        let old = std::mem::take(&mut p.blocks[b as usize]);
-        let mut new: Vec<PInst> = Vec::with_capacity(old.len());
-        for inst in old {
-            if let POp::Count { arith } = inst.op {
-                if let Some(PInst {
-                    op: POp::Count { arith: prev },
-                    ..
-                }) = new.last_mut()
-                {
-                    *prev += arith;
-                    continue;
-                }
-                if arith == 0 {
-                    continue;
-                }
-            }
-            new.push(inst);
-        }
-        new.retain(|i| !matches!(i.op, POp::Count { arith: 0 }));
-        p.blocks[b as usize] = new;
-    }
+    dce_block(p, 0, &mut uses, &mut changes);
     changes
+}
+
+/// Walks block `b` backwards, nested blocks before the instruction that
+/// owns them, so every read of a register is seen before its definition:
+/// deleting an unread pure instruction releases its operands, and a whole
+/// dead chain goes in one walk. Adjacent count markers merge afterwards
+/// (cosmetic and idempotent, so not counted as changes).
+fn dce_block(p: &mut PirProgram, b: BlockId, uses: &mut [u32], changes: &mut u64) {
+    let old = std::mem::take(&mut p.blocks[b as usize]);
+    let mut kept: Vec<PInst> = Vec::with_capacity(old.len());
+    for inst in old.into_iter().rev() {
+        for sb in inst.op.sub_blocks().into_iter().rev() {
+            dce_block(p, sb, uses, changes);
+        }
+        if inst.op.pure_value() && inst.dst.is_some_and(|d| uses[d as usize] == 0) {
+            *changes += 1;
+            inst.op.for_each_operand(|r| uses[r as usize] -= 1);
+            // The interpreter still evaluates the (textually present) dead
+            // expression and counts it.
+            kept.extend(compensation(&inst));
+        } else {
+            kept.push(inst);
+        }
+    }
+    let mut new: Vec<PInst> = Vec::with_capacity(kept.len());
+    for inst in kept.into_iter().rev() {
+        if let POp::Count { arith } = inst.op {
+            if let Some(PInst {
+                op: POp::Count { arith: prev },
+                ..
+            }) = new.last_mut()
+            {
+                *prev += arith;
+                continue;
+            }
+        }
+        new.push(inst);
+    }
+    new.retain(|i| !matches!(i.op, POp::Count { arith: 0 }));
+    p.blocks[b as usize] = new;
 }
 
 #[cfg(test)]
@@ -899,10 +572,30 @@ mod tests {
     // ---- golden-IR tests: one small program per pass, exact printed PIR ----
 
     /// Linearizes `s`, runs one pass over it, and returns the printed PIR.
-    fn pir_after(s: &Stmt, pass: fn(&mut PirProgram) -> u64) -> String {
+    /// Also checks that one walk of the whole sequence over `s` is a fixed
+    /// point.
+    fn pir_after(s: &Stmt, pass: Pass) -> String {
+        assert_one_walk_is_a_fixed_point(s);
         let mut p = linearize(s).expect("test statement linearizes");
         pass(&mut p);
         p.print()
+    }
+
+    /// Optimizes `s`, then walks the result again: the second walk must
+    /// change nothing and leave the printed PIR as it was.
+    fn assert_one_walk_is_a_fixed_point(s: &Stmt) {
+        let mut p = linearize(s).expect("test statement linearizes");
+        optimize(&mut p, OptLevel::Default, None);
+        let once = p.print();
+        let again = optimize(&mut p, OptLevel::Default, None);
+        for stat in &again.passes {
+            assert_eq!(
+                stat.changes, 0,
+                "second walk: {} changed\n{once}",
+                stat.name
+            );
+        }
+        assert_eq!(p.print(), once, "second walk changed the program");
     }
 
     /// Exact-match golden assertion with a paste-ready diff on failure.
@@ -926,29 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn golden_const_fold_evaluates_constant_arithmetic() {
-        // out[2*3 + 5] = 1.5 — the whole index folds to 11, with count
-        // markers keeping the interpreter's two arithmetic ops accounted.
-        let s = Stmt::store("out", Expr::f32(1.5), Expr::int(2) * 3 + 5);
-        let actual = pir_after(&s, const_fold);
-        assert_golden(&actual, GOLDEN_CONST_FOLD, "const-fold");
-    }
-
-    #[test]
-    fn golden_simplify_removes_integer_identities() {
-        // out[i*1 + 0] = 2.0 — `*1` and `+0` reduce to copies of i.
-        let s = Stmt::for_loop(
-            "i",
-            Expr::int(0),
-            Expr::int(4),
-            ForKind::Serial,
-            Stmt::store("out", Expr::f32(2.0), Expr::var_i32("i") * 1 + 0),
-        );
-        let actual = pir_after(&s, simplify);
-        assert_golden(&actual, GOLDEN_SIMPLIFY, "simplify");
-    }
-
-    #[test]
     fn golden_strength_reduce_uses_shifts_and_masks() {
         // i*8 -> shl 3, i/4 -> shr 2, i%8 -> and_mask 7 (floor semantics).
         let i = Expr::var_i32("i");
@@ -959,8 +629,9 @@ mod tests {
 
     #[test]
     fn golden_cse_dedupes_pure_subexpressions() {
-        // (i*3) + (i*3): the second multiply becomes a copy plus a count
-        // marker compensating the arithmetic op the interpreter still does.
+        // (i*3) + (i*3): the second multiply goes, leaving a count marker
+        // for the arithmetic op the interpreter still does, and the add
+        // reads the first one twice.
         let i = Expr::var_i32("i");
         let value = (i.clone() * 3 + i.clone() * 3).cast(Type::f32());
         let actual = pir_after(&store_loop(value, 4), cse);
@@ -971,11 +642,29 @@ mod tests {
     fn golden_licm_hoists_invariant_arithmetic() {
         // n*n is invariant in i (both operands defined outside the loop):
         // it moves to the loop's header region and its weight drops to 0
-        // (executed once per loop entry, counted once per iteration).
+        // (executed once per loop entry, counted once per iteration). The
+        // cast reading it moves in the same application.
         let n = Expr::var_i32("n");
         let value = (n.clone() * n.clone()).cast(Type::f32());
         let actual = pir_after(&store_loop(value, 4), licm);
         assert_golden(&actual, GOLDEN_LICM, "licm");
+    }
+
+    #[test]
+    fn golden_licm_moves_invariant_chains_to_the_outermost_header() {
+        // for i, j, k: out[k] = f32(n*3 + 5 + k). The chain `n*3 + 5` reads
+        // two constants of the innermost body and no loop variable: one
+        // application moves it, its constants with it, through all three
+        // loops into i's header; only the `+ k` stays behind.
+        let k = Expr::var_i32("k");
+        let value = (Expr::var_i32("n") * 3 + 5 + k.clone()).cast(Type::f32());
+        let nest = ["k", "j", "i"]
+            .iter()
+            .fold(Stmt::store("out", value, k), |body, v| {
+                Stmt::for_loop(*v, Expr::int(0), Expr::int(4), ForKind::Serial, body)
+            });
+        let actual = pir_after(&nest, licm);
+        assert_golden(&actual, GOLDEN_LICM_NEST, "licm (nest)");
     }
 
     #[test]
@@ -987,40 +676,6 @@ mod tests {
         let actual = pir_after(&store_loop(value, 4), dce);
         assert_golden(&actual, GOLDEN_DCE, "dce");
     }
-
-    const GOLDEN_CONST_FOLD: &str = "\
-pir {
-  buf b0 = \"out\" (free)
-  L0:
-    r0 = const 1.5
-    r1 = const 2
-    r2 = const 3
-    r3 = const 6
-    count 1
-    r4 = const 5
-    r5 = const 11
-    count 1
-    store b0[r5] = r0
-}";
-
-    const GOLDEN_SIMPLIFY: &str = "\
-pir {
-  buf b0 = \"out\" (free)
-  L0:
-    r0 = const 0
-    r1 = const 4
-    for r2 in [r0, r0+r1) Serial header L1 body L2
-  L1:
-  L2:
-    r3 = const 2.0
-    r4 = const 1
-    r5 = copy r2
-    count 1
-    r6 = const 0
-    r7 = copy r5
-    count 1
-    store b0[r7] = r3
-}";
 
     const GOLDEN_STRENGTH_REDUCE: &str = "\
 pir {
@@ -1043,9 +698,8 @@ pir {
     store b0[r2] = r11
 }";
 
-    // One cse application value-numbers the repeated constant; the second
-    // multiply dedupes on the next fixed-point iteration, once copy-prop
-    // has rewritten its operand to r3.
+    // The repeated constant r5 takes r3's value number, so the second
+    // multiply reads `mul r2, r3` and dedupes in the same application.
     const GOLDEN_CSE: &str = "\
 pir {
   buf b0 = \"out\" (free)
@@ -1057,9 +711,8 @@ pir {
   L2:
     r3 = const 3
     r4 = mul r2, r3
-    r5 = copy r3
-    r6 = mul r2, r5
-    r7 = add r4, r6
+    count 1
+    r7 = add r4, r4
     r8 = cast.float32 r7
     store b0[r2] = r8
 }";
@@ -1074,10 +727,41 @@ pir {
     for r2 in [r0, r0+r1) Serial header L1 body L2
   L1:
     r4 = mul r3, r3 !w0
+    r5 = cast.float32 r4
   L2:
     count 1
-    r5 = cast.float32 r4
     store b0[r2] = r5
+}";
+
+    const GOLDEN_LICM_NEST: &str = "\
+pir {
+  free r9 = \"n\"
+  buf b0 = \"out\" (free)
+  L0:
+    r0 = const 0
+    r1 = const 4
+    for r2 in [r0, r0+r1) Serial header L1 body L2
+  L1:
+    r10 = const 3
+    r11 = mul r9, r10 !w0
+    r12 = const 5
+    r13 = add r11, r12 !w0
+  L2:
+    r3 = const 0
+    r4 = const 4
+    for r5 in [r3, r3+r4) Serial header L3 body L4
+  L3:
+  L4:
+    r6 = const 0
+    r7 = const 4
+    for r8 in [r6, r6+r7) Serial header L5 body L6
+  L5:
+  L6:
+    count 1
+    count 1
+    r14 = add r13, r8
+    r15 = cast.float32 r14
+    store b0[r8] = r15
 }";
 
     const GOLDEN_DCE: &str = "\
@@ -1105,24 +789,13 @@ pir {
         assert_eq!(report.before_insts, before);
         assert_eq!(report.after_insts, p.exec_inst_count());
         assert!(report.after_insts < report.before_insts);
-        assert!(report.iterations >= 1);
+        assert_eq!(report.iterations, 1);
         let names: Vec<&str> = report.passes.iter().map(|p| p.name).collect();
-        assert_eq!(
-            names,
-            [
-                "const-fold",
-                "simplify",
-                "strength-reduce",
-                "cse",
-                "licm",
-                "copy-prop",
-                "dce"
-            ]
-        );
-        // At least the folder, the deduper, and the strength reducer fired.
-        for name in ["const-fold", "cse", "strength-reduce"] {
-            let stat = report.passes.iter().find(|p| p.name == name).unwrap();
-            assert!(stat.changes > 0, "{name} reported no changes");
+        assert_eq!(names, ["strength-reduce", "licm", "cse", "dce"]);
+        // Every pass has something to do here: `i*8` shifts, `2*3` hoists,
+        // the second `i*8` dedupes, and the constants it read die.
+        for stat in &report.passes {
+            assert!(stat.changes > 0, "{} reported no changes", stat.name);
         }
 
         // OptLevel::None is the identity.
@@ -1131,7 +804,43 @@ pir {
         let report = optimize(&mut q, OptLevel::None, None);
         assert_eq!(report.iterations, 0);
         assert_eq!(report.before_insts, report.after_insts);
+        assert!(report.passes.iter().all(|p| p.changes == 0));
         assert_eq!(q.print(), printed);
+    }
+
+    /// A lowered two-stage blur, naive and with a tiled, vectorized,
+    /// parallel schedule whose producer is allocated per strip: one walk
+    /// leaves nothing for a second.
+    #[test]
+    fn lowered_pipelines_are_a_fixed_point_after_one_walk() {
+        use halide_lang::{Func, ImageParam, Pipeline, TailStrategy, Var};
+        for tuned in [false, true] {
+            let input = ImageParam::new("opt_fp_in", Type::f32(), 2);
+            let (x, y) = (Var::new("x"), Var::new("y"));
+            let blurx = Func::new("opt_fp_blurx");
+            blurx.define(
+                &[x.clone(), y.clone()],
+                input.at_clamped(vec![x.expr() - 1, y.expr()])
+                    + input.at_clamped(vec![x.expr() + 1, y.expr()]),
+            );
+            let out = Func::new("opt_fp_out");
+            out.define(
+                &[x.clone(), y.clone()],
+                blurx.at(vec![x.expr(), y.expr() - 1]) + blurx.at(vec![x.expr(), y.expr() + 1]),
+            );
+            if tuned {
+                out.split_dim("y", "yo", "yi", 8)
+                    .parallelize("yo")
+                    .split_dim_tail("x", "xo", "xi", 8, TailStrategy::Predicate)
+                    .vectorize_dim("xi");
+                blurx.compute_at(&out, "yo");
+                blurx.split_dim("x", "bxo", "bxi", 8).vectorize_dim("bxi");
+            } else {
+                blurx.compute_root();
+            }
+            let module = halide_lower::lower(&Pipeline::new(&out)).unwrap();
+            assert_one_walk_is_a_fixed_point(&module.stmt);
+        }
     }
 
     // ---- property tests: passes preserve results and counters -------------
@@ -1190,9 +899,9 @@ pir {
 
         /// Random integer expression shapes through the full pipeline:
         /// every optimizer level produces the interpreter's exact outputs
-        /// and counters. The constants are chosen to tickle every pass —
-        /// pow2 and non-pow2 divisors, foldable subtrees, repeated
-        /// subexpressions, loop-invariant terms.
+        /// and counters, and one walk is a fixed point. The constants are
+        /// chosen to tickle every pass — pow2 and non-pow2 divisors,
+        /// constant subtrees, repeated subexpressions, loop-invariant terms.
         #[test]
         fn random_programs_agree_at_every_opt_level(
             a in -7i64..8,
@@ -1209,11 +918,11 @@ pir {
             let base: Expr = match shape {
                 // repeated subexpression (cse) + pow2 mul (strength-reduce)
                 0 => i.clone() * 8 + i.clone() * 8 + ai.clone() * bi.clone(),
-                // floor div/mod by drawn divisor (strength-reduce + fold)
+                // floor div/mod by drawn divisor (strength-reduce)
                 1 => i.clone() / ci.clone() + i.clone() % ci.clone() + ai.clone(),
                 // loop-invariant term (licm) over a free scalar
                 2 => nv.clone() * bi.clone() + i.clone(),
-                // identities (simplify) around a live core
+                // integer identities around a live core
                 3 => (i.clone() * 1 + 0) * bi.clone() - i.clone() + ai.clone(),
                 // branchy: select with a data-dependent condition
                 4 => Expr::select(
@@ -1225,7 +934,9 @@ pir {
                 _ => Expr::let_in("t", i.clone() * 7, i.clone() * bi.clone() + ai.clone()),
             };
             let value = base.cast(Type::f32());
-            assert_levels_agree(&store_loop(value, 8), 8, Some(n));
+            let s = store_loop(value, 8);
+            assert_levels_agree(&s, 8, Some(n));
+            assert_one_walk_is_a_fixed_point(&s);
         }
     }
 }

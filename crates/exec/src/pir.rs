@@ -10,7 +10,7 @@
 //!    result register, so "evaluate only the taken arm" survives the
 //!    flattening. Buffer operations carry explicit side-effect annotations
 //!    (they are never treated as pure by the optimizer).
-//! 2. **optimize** ([`crate::opt`]): a fixed-point pass pipeline over PIR.
+//! 2. **optimize** ([`crate::opt`]): one walk of the pass sequence over PIR.
 //! 3. **emit** ([`crate::emit`]): translate PIR to the [`crate::machine`]
 //!    instruction set.
 //!
@@ -47,8 +47,9 @@ pub(crate) type Reg = u32;
 pub(crate) type BlockId = u32;
 
 /// What a register may hold at run time, as far as the optimizer can prove.
-/// Algebraic rules and strength reduction only fire on proven integers —
-/// float identities like `x + 0.0` are not bit-exact (`-0.0 + 0.0 == 0.0`).
+/// Strength reduction only fires on proven integers (a float multiply by 2
+/// is not a shift), and CSE/LICM treat a ramp as cheap only over proven
+/// integer base and stride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PKind {
     /// Guaranteed an integer (or integer lanes) at run time.
@@ -67,9 +68,6 @@ pub(crate) enum POp {
     ConstI(i64),
     /// Float immediate.
     ConstF(f64),
-    /// Register alias (introduced by CSE and folding; removed by copy
-    /// propagation + DCE).
-    Copy(Reg),
     /// Numeric conversion.
     Cast { ty: ScalarType, a: Reg },
     /// Binary arithmetic (counted).
@@ -251,8 +249,7 @@ impl POp {
             | POp::Count { .. }
             | POp::ProduceEnter { .. }
             | POp::ProduceExit => {}
-            POp::Copy(a)
-            | POp::Cast { a, .. }
+            POp::Cast { a, .. }
             | POp::Not { a }
             | POp::Shl { a, .. }
             | POp::Shr { a, .. }
@@ -318,7 +315,7 @@ impl POp {
     }
 
     /// Calls `f` with a mutable reference to every register this operation
-    /// reads (used by copy propagation).
+    /// reads (CSE rewrites each to its value number).
     pub(crate) fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Reg)) {
         let g: &mut dyn FnMut(&mut Reg) = &mut f;
         match self {
@@ -327,8 +324,7 @@ impl POp {
             | POp::Count { .. }
             | POp::ProduceEnter { .. }
             | POp::ProduceExit => {}
-            POp::Copy(a)
-            | POp::Cast { a, .. }
+            POp::Cast { a, .. }
             | POp::Not { a }
             | POp::Shl { a, .. }
             | POp::Shr { a, .. }
@@ -415,7 +411,6 @@ impl POp {
             self,
             POp::ConstI(_)
                 | POp::ConstF(_)
-                | POp::Copy(_)
                 | POp::Cast { .. }
                 | POp::Bin { .. }
                 | POp::Cmp { .. }
@@ -553,7 +548,6 @@ fn print_inst(inst: &PInst) -> String {
     let _ = match &inst.op {
         POp::ConstI(v) => write!(s, "const {v}"),
         POp::ConstF(v) => write!(s, "const {v:?}"),
-        POp::Copy(a) => write!(s, "copy r{a}"),
         POp::Cast { ty, a } => write!(s, "cast.{ty} r{a}"),
         POp::Bin { op, a, b } => write!(s, "{} r{a}, r{b}", bin_name(*op)),
         POp::Cmp { op, a, b } => write!(s, "cmp.{} r{a}, r{b}", cmp_name(*op)),

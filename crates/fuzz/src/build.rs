@@ -197,18 +197,14 @@ fn validate_structure(case: &FuzzCase) -> Result<()> {
                     return fail(format!("stencil divisor {div} must be >= 1"));
                 }
             }
-            StageOp::Reduce { rx, ry, .. } => {
-                if *rx < 1 || *ry < 1 {
-                    return fail(format!("reduce window {rx}x{ry} must be >= 1"));
-                }
+            StageOp::Reduce { rx, ry, .. } if *rx < 1 || *ry < 1 => {
+                return fail(format!("reduce window {rx}x{ry} must be >= 1"));
             }
-            StageOp::Scan { extent, .. } => {
-                if *extent < 1 || *extent >= case.width {
-                    return fail(format!(
-                        "scan extent {extent} must be in [1, width) = [1, {})",
-                        case.width
-                    ));
-                }
+            StageOp::Scan { extent, .. } if *extent < 1 || *extent >= case.width => {
+                return fail(format!(
+                    "scan extent {extent} must be in [1, width) = [1, {})",
+                    case.width
+                ));
             }
             _ => {}
         }

@@ -133,7 +133,7 @@ pub fn run_case_lowered(case: &FuzzCase, module: &Module) -> Result<(), String> 
         .map_err(|e| format!("interp: realization failed: {e}"))?;
     let want = interp.output.to_f64_vec();
     let want_counters = counters_for_compare(interp.counters, false);
-    let want_counters_pooled = counters_for_compare(want_counters.clone(), true);
+    let want_counters_pooled = counters_for_compare(want_counters, true);
 
     for (label, opt) in [
         ("compiled opt=none", OptLevel::None),

@@ -416,6 +416,8 @@ impl Expr {
     }
 
     /// Logical negation.
+    // A constructor beside `and`/`or`, not an operator on `self`.
+    #[allow(clippy::should_implement_trait)]
     pub fn not(a: Expr) -> Expr {
         ExprNode::Not { a }.into()
     }

@@ -196,14 +196,14 @@ pub fn bounds_of_expr_in_scope(e: &Expr, scope: &Scope<Interval>) -> Interval {
                 BinOp::Add => add(&ia, &ib),
                 BinOp::Sub => sub(&ia, &ib),
                 BinOp::Mul => {
-                    if let Some(_) = b.as_const_f64() {
+                    if b.as_const_f64().is_some() {
                         scale(&ia, b)
-                    } else if let Some(_) = a.as_const_f64() {
+                    } else if a.as_const_f64().is_some() {
                         scale(&ib, a)
-                    } else if ib.min.as_ref() == ib.max.as_ref() && ib.min.is_some() {
-                        scale(&ia, ib.min.as_ref().expect("checked above"))
-                    } else if ia.min.as_ref() == ia.max.as_ref() && ia.min.is_some() {
-                        scale(&ib, ia.min.as_ref().expect("checked above"))
+                    } else if let Some(k) = ib.min.as_ref().filter(|_| ib.min == ib.max) {
+                        scale(&ia, k)
+                    } else if let Some(k) = ia.min.as_ref().filter(|_| ia.min == ia.max) {
+                        scale(&ib, k)
                     } else {
                         Interval::everything()
                     }

@@ -763,6 +763,8 @@ mod tests {
         );
     }
 
+    // Builds the identities as IR on purpose: the simplifier must fold them.
+    #[allow(clippy::erasing_op, clippy::modulo_one, clippy::identity_op)]
     #[test]
     fn identities() {
         let x = Expr::var_i32("x");

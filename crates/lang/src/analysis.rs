@@ -216,7 +216,7 @@ mod tests {
         let i = Var::new("i");
         let (x, y) = (Var::new("x"), Var::new("y"));
         let hist = Func::new("analysis_hist");
-        hist.define(&[i.clone()], Expr::int(0));
+        hist.define(std::slice::from_ref(&i), Expr::int(0));
         let r = RDom::new(
             "r",
             vec![(Expr::int(0), Expr::int(16)), (Expr::int(0), Expr::int(16))],

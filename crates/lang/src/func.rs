@@ -419,6 +419,8 @@ impl Func {
     /// # Panics
     ///
     /// Panics if either dimension does not exist or names collide.
+    // Halide's `tile(x, y, xo, yo, xi, yi, xf, yf)`, argument for argument.
+    #[allow(clippy::too_many_arguments)]
     pub fn tile_dims(
         &self,
         x: &str,
@@ -509,7 +511,7 @@ mod tests {
     fn double_definition_panics() {
         let (x, _) = xy();
         let f = Func::new("func_test_double");
-        f.define(&[x.clone()], Expr::int(0));
+        f.define(std::slice::from_ref(&x), Expr::int(0));
         f.define(&[x], Expr::int(1));
     }
 
@@ -532,7 +534,7 @@ mod tests {
     fn update_definitions() {
         let i = Var::new("i");
         let hist = Func::new("func_test_hist");
-        hist.define(&[i.clone()], Expr::int(0));
+        hist.define(std::slice::from_ref(&i), Expr::int(0));
         let r = RDom::over("r", 0, 100);
         hist.update(
             vec![r.x().expr() % 16],

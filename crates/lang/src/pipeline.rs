@@ -311,7 +311,7 @@ mod tests {
     fn self_recursion_is_not_a_cycle() {
         let i = Var::new("i");
         let cdf = Func::new("pipe_test_cdf");
-        cdf.define(&[i.clone()], Expr::int(0));
+        cdf.define(std::slice::from_ref(&i), Expr::int(0));
         let r = crate::rdom::RDom::over("r", 1, 255);
         cdf.update(
             vec![r.x().expr()],

@@ -411,7 +411,7 @@ mod tests {
     fn rfactor_of_another_shape_is_only_recorded() {
         let x = Var::new("x");
         let f = Func::new("stage_test_rf_affine");
-        f.define(&[x.clone()], Expr::int(1));
+        f.define(std::slice::from_ref(&x), Expr::int(1));
         let r = RDom::over("r", 0, 4);
         f.update(
             vec![x.expr()],

@@ -223,10 +223,10 @@ impl RegionWalker<'_> {
     fn shift_inwards_interval(&self, value: &Expr) -> Option<Interval> {
         let split = ShiftInwards::parse(value)?;
         let bounds = |e: &Expr| bounds_of_expr_in_scope(e, &self.scope);
-        if !bounds(split.outer)
+        if bounds(split.outer)
             .min
             .and_then(|m| m.as_const_int())
-            .is_some_and(|m| m >= 0)
+            .is_none_or(|m| m < 0)
         {
             return None;
         }

@@ -850,7 +850,7 @@ mod tests {
     fn snapshot_captures_updates() {
         let i = Var::new("i");
         let f = Func::new("inject_snapshot_hist");
-        f.define(&[i.clone()], Expr::int(0));
+        f.define(std::slice::from_ref(&i), Expr::int(0));
         let r = halide_lang::RDom::over("r", 0, 8);
         f.update(vec![r.x().expr()], f.at(vec![r.x().expr()]) + 1, Some(r));
         let p = Pipeline::new(&f);

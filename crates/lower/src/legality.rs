@@ -512,7 +512,7 @@ mod tests {
         let input = ImageParam::new(format!("{prefix}_in"), ty, 1);
         let x = Var::new("x");
         let out = Func::new(format!("{prefix}_out"));
-        out.define(&[x.clone()], Expr::zero(ty));
+        out.define(std::slice::from_ref(&x), Expr::zero(ty));
         let r = RDom::over(format!("{prefix}_r"), 0, 10);
         let e = input.at_clamped(vec![x.expr() + r.x().expr()]);
         out.update(vec![x.expr()], update(out.at(vec![x.expr()]), e), Some(r));

@@ -370,7 +370,7 @@ mod tests {
         let i = Var::new("i");
         let (x, y) = (Var::new("x"), Var::new("y"));
         let hist = Func::new("lower_hist");
-        hist.define(&[i.clone()], Expr::int(0));
+        hist.define(std::slice::from_ref(&i), Expr::int(0));
         let r = halide_lang::RDom::new(
             "r",
             vec![

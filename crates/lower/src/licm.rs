@@ -184,11 +184,9 @@ fn safe_to_evaluate_eagerly(e: &Expr) -> bool {
                     op: BinOp::Div | BinOp::Mod,
                     b,
                     ..
-                } => {
-                    if halide_ir::const_int(b).is_none_or(|v| v == 0) {
-                        self.safe = false;
-                        return;
-                    }
+                } if halide_ir::const_int(b).is_none_or(|v| v == 0) => {
+                    self.safe = false;
+                    return;
                 }
                 _ => {}
             }

@@ -1095,7 +1095,7 @@ mod tests {
     fn update_stage_loops_over_rdom() {
         let i = Var::new("i");
         let hist = Func::new("nest_hist");
-        hist.define(&[i.clone()], Expr::int(0));
+        hist.define(std::slice::from_ref(&i), Expr::int(0));
         let r = RDom::over("r", 0, 100);
         hist.update(
             vec![r.x().expr() % 16],

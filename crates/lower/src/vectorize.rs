@@ -83,7 +83,7 @@ impl IrMutator for VectorizeUnroll {
                         )));
                         return s.clone();
                     };
-                    if n < 1 || n > MAX_VECTOR_LANES {
+                    if !(1..=MAX_VECTOR_LANES).contains(&n) {
                         self.error = Some(LowerError::new(format!(
                             "vectorized loop {name:?} has extent {n}, outside 1..={MAX_VECTOR_LANES}"
                         )));
@@ -105,7 +105,7 @@ impl IrMutator for VectorizeUnroll {
                         )));
                         return s.clone();
                     };
-                    if n < 1 || n > MAX_UNROLL {
+                    if !(1..=MAX_UNROLL).contains(&n) {
                         self.error = Some(LowerError::new(format!(
                             "unrolled loop {name:?} has extent {n}, outside 1..={MAX_UNROLL}"
                         )));

@@ -160,7 +160,7 @@ impl CameraPipeApp {
             let g = v.pow(Expr::f32(1.0 / gamma));
             let s = g.clone() * contrast + g * (1.0 - contrast);
             curve.define(
-                &[i.clone()],
+                std::slice::from_ref(&i),
                 (s * 255.0f32 + 0.5f32)
                     .cast(Type::i32())
                     .clamp(Expr::int(0), Expr::int(255)),

@@ -31,7 +31,7 @@ impl HistogramApp {
         let bucket_of = |e: Expr| e.cast(Type::i32()).clamp(Expr::int(0), Expr::int(BINS - 1));
 
         let histogram = Func::new("histeq_hist");
-        histogram.define(&[i.clone()], Expr::int(0));
+        histogram.define(std::slice::from_ref(&i), Expr::int(0));
         let r = RDom::new(
             "r",
             vec![
@@ -47,7 +47,7 @@ impl HistogramApp {
         );
 
         let cdf = Func::new("histeq_cdf");
-        cdf.define(&[i.clone()], Expr::int(0));
+        cdf.define(std::slice::from_ref(&i), Expr::int(0));
         // cdf(0) = histogram(0)
         cdf.update(vec![Expr::int(0)], histogram.at(vec![Expr::int(0)]), None);
         // cdf(ri) = cdf(ri - 1) + histogram(ri) for ri in [1, BINS)

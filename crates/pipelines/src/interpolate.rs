@@ -62,7 +62,7 @@ impl InterpolateApp {
             let (d, dx) = downsample(
                 &format!("interp_down_{l}"),
                 &downsampled[l - 1],
-                &[c.clone()],
+                std::slice::from_ref(&c),
             );
             level_stages[l].extend([dx, d.clone()]);
             downsampled.push(d);
@@ -78,7 +78,7 @@ impl InterpolateApp {
                 interpolated[l + 1]
                     .as_ref()
                     .expect("built in previous iteration"),
-                &[c.clone()],
+                std::slice::from_ref(&c),
             );
             let f = Func::new(format!("interp_level_{l}"));
             let d = &downsampled[l];

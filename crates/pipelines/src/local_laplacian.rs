@@ -80,8 +80,11 @@ impl LocalLaplacianApp {
         // Gaussian pyramid of the remapped family (3-D: x, y, k).
         let mut g_pyramid = vec![remapped.clone()];
         for j in 1..levels {
-            let (down, downx) =
-                downsample(&format!("llf_gpyr_{j}"), &g_pyramid[j - 1], &[kv.clone()]);
+            let (down, downx) = downsample(
+                &format!("llf_gpyr_{j}"),
+                &g_pyramid[j - 1],
+                std::slice::from_ref(&kv),
+            );
             level_stages[j].extend([downx, down.clone()]);
             g_pyramid.push(down);
         }
@@ -92,7 +95,7 @@ impl LocalLaplacianApp {
             let (up, upx) = upsample(
                 &format!("llf_lpyr_up_{j}"),
                 &g_pyramid[j + 1],
-                &[kv.clone()],
+                std::slice::from_ref(&kv),
             );
             let l = Func::new(format!("llf_lpyr_{j}"));
             l.define(

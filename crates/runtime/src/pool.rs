@@ -24,13 +24,16 @@ thread_local! {
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+/// A chunk body borrowed from the installing thread, as a raw pointer.
+type JobBody = *const (dyn Fn(i64, i64) + Sync);
+
 /// One parallel loop in flight. The body pointer is only dereferenced while
 /// the job is installed in [`PoolState`]; `parallel_for_chunks` does not
 /// return until the job has been removed and no worker is still inside it,
 /// which is what makes the borrowed closure sound.
 struct Job {
     /// The chunk body: invoked with absolute `[start, end)` iteration ranges.
-    body: *const (dyn Fn(i64, i64) + Sync),
+    body: JobBody,
     min: i64,
     extent: i64,
     chunk: i64,
@@ -66,7 +69,7 @@ struct Shared {
 impl Shared {
     /// Claims the next chunk of the installed job, if any work remains.
     /// Returns the absolute `[start, end)` range and marks the caller active.
-    fn claim(state: &mut PoolState) -> Option<(i64, i64, *const (dyn Fn(i64, i64) + Sync))> {
+    fn claim(state: &mut PoolState) -> Option<(i64, i64, JobBody)> {
         let job = state.job.as_mut()?;
         if job.next >= job.extent {
             return None;

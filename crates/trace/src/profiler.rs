@@ -26,8 +26,8 @@ pub const NO_FUNC: u32 = u32::MAX;
 /// Default sampler period, matching Halide's profiler (1 ms). Faster
 /// periods sharpen attribution on short runs but the wakeups preempt the
 /// mutator — on a single-core host a 20us period was measured to cost
-/// >50% wall time, while 1 ms stays under the 10% overhead gate with
-/// plenty of samples once a few runs accumulate.
+/// more than 50% wall time, while 1 ms stays under the 10% overhead gate
+/// with plenty of samples once a few runs accumulate.
 const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(1);
 
 struct FuncSlot {

@@ -11,9 +11,9 @@
 //! The stage dumps are the optimizer's own trace
 //! ([`compile_traced`](halide::exec::Program::compile_traced)): snapshot 0
 //! is the raw linearization of the lowered statement, and each subsequent
-//! snapshot is the IR after one pass application that reported changes —
-//! the same sequence the fixed-point driver in `crates/exec/src/opt.rs`
-//! iterates until no pass fires. `--stats` prints, for every benchmark app
+//! snapshot is the IR after one pass that reported changes, in the order
+//! the one walk in `crates/exec/src/opt.rs` runs them (strength-reduce,
+//! licm, cse, dce; each once). `--stats` prints, for every benchmark app
 //! at its tuned schedule, the executable instruction count before and
 //! after optimization and which passes did the eliminating. The repository
 //! benchmark reports the same counts, summed per workload, as
@@ -60,13 +60,12 @@ fn dump_stages(app: AppKind) {
         Program::compile_traced(&built.module, OptLevel::Default).expect("tuned schedule compiles");
     let report = program.opt_report();
     println!(
-        "{} (tuned, {}x{}): {} -> {} instructions in {} fixed-point iteration(s)",
+        "{} (tuned, {}x{}): {} -> {} instructions",
         app.name(),
         SIZE.0,
         SIZE.1,
         report.before_insts,
-        report.after_insts,
-        report.iterations
+        report.after_insts
     );
     for (i, stage) in stages.iter().enumerate() {
         println!("\n{}", "=".repeat(72));

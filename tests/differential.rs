@@ -139,7 +139,7 @@ fn vectorized_camera_pipe_agrees_across_backends() {
     let input = halide::pipelines::camera_pipe::make_raw_input(67, 49);
     assert_backends_identical(
         &module,
-        &app.input.name(),
+        app.input.name(),
         &input,
         &[67, 49, 3],
         2,
@@ -155,7 +155,7 @@ fn vectorized_bilateral_grid_agrees_across_backends() {
     let input = halide::pipelines::bilateral_grid::make_input(48, 40);
     assert_backends_identical(
         &module,
-        &app.input.name(),
+        app.input.name(),
         &input,
         &[48, 40],
         2,
@@ -400,7 +400,7 @@ fn interpolate_agrees_across_backends_on_every_schedule() {
         let module = halide::lower(&app.pipeline()).expect("interpolate lowers");
         assert_backends_identical(
             &module,
-            &app.input.name(),
+            app.input.name(),
             &input,
             &[64, 48],
             2,
